@@ -25,20 +25,19 @@ from .sparse import (CsrMatrix, DegreeVector, Graph, build_graph,
                      degree_vector, gcn_support, modularity_apply,
                      modularity_score, modularity_trace,
                      normalized_laplacian)
-from .spectral import (ChebSupports, build_chebyshev_supports,
-                       chebyshev_supports, power_iteration,
-                       rescale_laplacian)
+from .spectral import (ChebFilter, build_chebyshev_supports,
+                       power_iteration, rescale_laplacian)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "AggregateResult", "ChebSupports", "CsrMatrix",
+    "AdamState", "AggregateResult", "ChebFilter", "CsrMatrix",
     "DatasetSource", "DegreeVector", "DenseLayer", "Graph",
     "GraphConvLayer", "IcaConfig", "IcaResult", "LabelMask", "LossReport",
     "MatrixConfig", "Model", "ModelSpec", "RunResult", "Split", "SplitSpec",
     "SweepResult", "adam_step", "alpha_sweep", "build_chebyshev_supports",
-    "build_graph", "build_model", "chebyshev_supports", "degree_vector",
-    "export_embeddings", "gcn_support", "ica_train_predict",
+    "build_graph", "build_model", "degree_vector", "export_embeddings",
+    "gcn_support", "ica_train_predict",
     "load_checkpoint", "load_dataset", "load_linqs", "load_matrix_config",
     "load_model", "make_split", "masked_cross_entropy", "modularity_apply",
     "modularity_loss", "modularity_score", "modularity_trace",

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import DenseLayer, GraphConvLayer, softmax_rows
-from .model import Model, ModelSpec, build_model
+from .model import Model, ModelSpec, build_model, build_supports
 from .objectives import (LabelMask, masked_cross_entropy, modularity_loss,
                          objective_for)
-from .sparse import Graph, build_graph, degree_vector, gcn_support
+from .sparse import Graph, build_graph, degree_vector
 
 DEFAULT_H = 1e-5
 DEFAULT_RTOL = 1e-5
@@ -103,14 +103,24 @@ def check_model_gradients(graph, model, mask, h=DEFAULT_H,
 
 
 def check_layer_gradients(rng: np.random.Generator, activation: str):
-    """Standalone graph-conv layer check: weights, bias, and input gradient
-    under the loss sum(R * layer(H))."""
-    n, c, f = 6, 4, 3
+    """Standalone graph-conv layer checks, for the GCN filter and a K=3
+    Chebyshev filter: weights, bias, and input gradient under the loss
+    sum(R * layer(H))."""
+    n, c = 6, 4
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     edges = edges or [(0, 1)]
     graph = build_graph(edges, rng.standard_normal((n, c)), np.arange(n) % 2)
-    supports = [gcn_support(graph)]
-    layer = GraphConvLayer.create(supports, c, f, activation,
+    results = []
+    for encoder in ("gcn", "chebnet"):
+        cheb = build_supports(ModelSpec(encoder=encoder, cheb_order=3), graph)
+        results.extend(_check_conv_layer(rng, cheb, c, activation,
+                                         f"gconv-{encoder}[{activation}]"))
+    return results
+
+
+def _check_conv_layer(rng, cheb, c, activation, label):
+    n, f = cheb.operator.n_rows, 3
+    layer = GraphConvLayer.create(cheb, c, f, activation,
                                   int(rng.integers(0, 2**31)), layer_id=0)
     h_in = rng.standard_normal((n, c))
     r = rng.standard_normal((n, f))
@@ -125,15 +135,15 @@ def check_layer_gradients(rng: np.random.Generator, activation: str):
     for s, w in enumerate(layer.weights):
         numeric = numerical_gradient(loss, w)
         results.append(CheckResult(
-            f"gconv[{activation}].w{s}",
+            f"{label}.w{s}",
             float(np.max(np.abs(grad_ws[s] - numeric))),
             gradients_close(grad_ws[s], numeric)))
     numeric = numerical_gradient(loss, layer.bias)
-    results.append(CheckResult(f"gconv[{activation}].b",
+    results.append(CheckResult(f"{label}.b",
                                float(np.max(np.abs(grad_b - numeric))),
                                gradients_close(grad_b, numeric)))
     numeric = numerical_gradient(loss, h_in)
-    results.append(CheckResult(f"gconv[{activation}].input",
+    results.append(CheckResult(f"{label}.input",
                                float(np.max(np.abs(grad_in - numeric))),
                                gradients_close(grad_in, numeric)))
     return results

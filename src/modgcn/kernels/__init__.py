@@ -1,4 +1,4 @@
-"""CSR matmul kernels with a compiled core and a NumPy fallback.
+"""The CSR x dense product, with a compiled core and a NumPy fallback.
 
 The backend is chosen once at import time: the Cython extension if it was
 built, else the pure-NumPy implementation. ``MODGCN_KERNELS=py|cy`` in the
@@ -51,7 +51,7 @@ _active = None
 set_backend(os.environ.get("MODGCN_KERNELS", "auto"))
 
 
-def _as_dense(x, width_src):
+def _as_dense(x):
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"dense operand must be 2-D, got shape {x.shape}")
@@ -60,19 +60,10 @@ def _as_dense(x, width_src):
 
 def csr_dense_matmul(n_rows, n_cols, indptr, indices, data, x):
     """A @ x where A is (n_rows, n_cols) CSR and x is dense (n_cols, p)."""
-    x = _as_dense(x, n_cols)
+    x = _as_dense(x)
     if x.shape[0] != n_cols:
         raise ValueError(f"shape mismatch: ({n_rows}, {n_cols}) @ {x.shape}")
     out = np.zeros((n_rows, x.shape[1]))
     _active.spmm(indptr, indices, data, x, out)
     return out
 
-
-def csr_dense_matmul_t(n_rows, n_cols, indptr, indices, data, x):
-    """A.T @ x where A is (n_rows, n_cols) CSR and x is dense (n_rows, p)."""
-    x = _as_dense(x, n_rows)
-    if x.shape[0] != n_rows:
-        raise ValueError(f"shape mismatch: ({n_cols}, {n_rows}) @ {x.shape}")
-    out = np.zeros((n_cols, x.shape[1]))
-    _active.spmm_t(indptr, indices, data, x, out)
-    return out

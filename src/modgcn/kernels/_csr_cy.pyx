@@ -1,5 +1,5 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-# Compiled CSR kernels. Loop order is fixed (rows, then stored entries,
+# Compiled CSR kernel. Loop order is fixed (rows, then stored entries,
 # then dense columns) so results are bitwise-deterministic for a given
 # input, as the concurrency contract requires.
 
@@ -19,18 +19,3 @@ def spmm(const long long[::1] indptr, const long long[::1] indices,
                 for c in range(p):
                     out[i, c] += v * x[j, c]
 
-
-def spmm_t(const long long[::1] indptr, const long long[::1] indices,
-           const double[::1] data, const double[:, ::1] x, double[:, ::1] out):
-    """out += A.T @ x (scatter over the column indices)."""
-    cdef Py_ssize_t n_rows = indptr.shape[0] - 1
-    cdef Py_ssize_t p = x.shape[1]
-    cdef Py_ssize_t i, jj, j, c
-    cdef double v
-    with nogil:
-        for i in range(n_rows):
-            for jj in range(indptr[i], indptr[i + 1]):
-                j = indices[jj]
-                v = data[jj]
-                for c in range(p):
-                    out[j, c] += v * x[i, c]

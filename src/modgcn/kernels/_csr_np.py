@@ -1,4 +1,4 @@
-"""Pure-NumPy CSR kernels; reference semantics for the compiled backend.
+"""Pure-NumPy CSR kernel; reference semantics for the compiled backend.
 
 Deterministic: repeated calls on the same inputs give identical bits.
 Results can differ from the compiled backend by a couple of ulps because
@@ -20,10 +20,3 @@ def spmm(indptr, indices, data, x, out):
     starts = indptr[:-1][nonempty]
     out[nonempty] += np.add.reduceat(contrib, starts, axis=0)
 
-
-def spmm_t(indptr, indices, data, x, out):
-    """out += A.T @ x (scatter over the column indices)."""
-    if len(data) == 0:
-        return
-    rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    np.add.at(out, indices, data[:, None] * x[rows])

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sparse import CsrMatrix
+from .spectral import ChebFilter
 
 ACTIVATIONS = ("identity", "relu", "softmax_rows")
 
@@ -64,41 +65,37 @@ class LayerCache:
 
 
 class GraphConvLayer:
-    """Spectral graph convolution: sigma(sum_s S_s @ H @ W_s + b).
+    """Spectral graph convolution sigma(sum_k T_k(S) @ H @ W_k + b).
 
-    One support/weight pair for the first-order GCN; K+1 pairs for a K-th
-    order Chebyshev layer. All weight matrices share the shape (C, F).
+    The sum runs over the terms of a ChebFilter: one weight matrix for the
+    first-order GCN, K+1 for a K-th order Chebyshev layer. All weight
+    matrices share the shape (C, F).
     """
 
-    def __init__(self, supports, weights, bias, activation):
-        if len(supports) != len(weights):
-            raise ValueError("need one weight matrix per support")
+    def __init__(self, cheb: ChebFilter, weights, bias, activation):
+        if cheb.size != len(weights):
+            raise ValueError("need one weight matrix per filter term")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         shapes = {w.shape for w in weights}
         if len(shapes) != 1:
             raise ValueError(f"weight matrices must share one shape, got {shapes}")
-        self.supports = list(supports)
+        self.filter = cheb
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.bias = np.asarray(bias, dtype=np.float64).reshape(1, -1)
         self.activation = activation
 
     @classmethod
-    def create(cls, supports, in_dim, out_dim, activation, seed, layer_id):
+    def create(cls, cheb: ChebFilter, in_dim, out_dim, activation, seed, layer_id):
         weights = [glorot_init(in_dim, out_dim, [seed, layer_id, s])
-                   for s in range(len(supports))]
-        return cls(supports, weights, np.zeros((1, out_dim)), activation)
+                   for s in range(cheb.size)]
+        return cls(cheb, weights, np.zeros((1, out_dim)), activation)
 
     def forward(self, h_in):
         c = self.weights[0].shape[0]
-        in_cols = h_in.n_cols if isinstance(h_in, CsrMatrix) else h_in.shape[1]
-        if in_cols != c:
-            raise ValueError(f"input has {in_cols} columns, weights expect {c}")
-        n = self.supports[0].n_rows
-        pre = np.broadcast_to(self.bias, (n, self.bias.shape[1])).copy()
-        for support, w in zip(self.supports, self.weights):
-            hw = h_in.dot(w) if isinstance(h_in, CsrMatrix) else h_in @ w
-            pre += support.dot(hw)
+        if h_in.shape[1] != c:
+            raise ValueError(f"input has {h_in.shape[1]} columns, weights expect {c}")
+        pre = self.filter.apply([h_in.dot(w) for w in self.weights]) + self.bias
         out = apply_activation(self.activation, pre)
         return out, LayerCache(h_in, pre, out)
 
@@ -109,14 +106,10 @@ class GraphConvLayer:
         layer input was a sparse feature matrix (no upstream layer).
         """
         h_in = cache.h_in
-        sparse_in = isinstance(h_in, CsrMatrix)
-        grad_weights = []
-        grad_in = None if sparse_in else np.zeros_like(h_in)
-        for support, w in zip(self.supports, self.weights):
-            u = support.tdot(delta)
-            grad_weights.append(h_in.tdot(u) if sparse_in else h_in.T @ u)
-            if not sparse_in:
-                grad_in += u @ w.T
+        us = self.filter.basis(delta)
+        grad_weights = [h_in.T.dot(u) for u in us]
+        grad_in = None if isinstance(h_in, CsrMatrix) else sum(
+            u @ w.T for u, w in zip(us, self.weights))
         return grad_in, grad_weights, delta.sum(axis=0, keepdims=True)
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray):

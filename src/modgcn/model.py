@@ -8,7 +8,7 @@ import numpy as np
 
 from .layers import DenseLayer, GraphConvLayer
 from .sparse import Graph, gcn_support
-from .spectral import build_chebyshev_supports
+from .spectral import ChebFilter, build_chebyshev_supports
 
 ENCODERS = ("gcn", "chebnet")
 VARIANTS = ("plain", "mod", "aux")
@@ -107,7 +107,8 @@ class Model:
 
 def build_model(spec: ModelSpec, graph: Graph, seed=None, supports=None,
                 lambda_max: float | None = None) -> Model:
-    """Assemble a model for ``graph``; supports are computed if not given."""
+    """Assemble a model for ``graph``; the filter (see ``build_supports``)
+    is computed if not given."""
     if seed is None:
         seed = spec.seed
     if supports is None:
@@ -129,11 +130,12 @@ def build_model(spec: ModelSpec, graph: Graph, seed=None, supports=None,
 
 
 def build_supports(spec: ModelSpec, graph: Graph,
-                   lambda_max: float | None = None) -> list:
+                   lambda_max: float | None = None) -> ChebFilter:
+    """The encoder's graph filter: T_1 of the GCN support, or T_0..T_K
+    of the rescaled Laplacian."""
     if spec.encoder == "gcn":
-        return [gcn_support(graph)]
-    cheb = build_chebyshev_supports(graph, spec.cheb_order, lambda_max=lambda_max)
-    return list(cheb.supports)
+        return ChebFilter(gcn_support(graph), order=1, lowest=1)
+    return build_chebyshev_supports(graph, spec.cheb_order, lambda_max=lambda_max)
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -175,6 +177,8 @@ def load_checkpoint(path):
             if len(buf) != count * 8:
                 raise ValueError("truncated checkpoint")
             arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last array in checkpoint")
     return ModelSpec(**header["spec"]), arrays
 
 

@@ -1,11 +1,12 @@
-"""Sparse graph core: CSR matrices, graph construction, filter supports,
-and the lazily-applied modularity operator.
+"""Sparse graph core: CSR matrices, graph construction, the normalized
+graph operators, and the lazily-applied modularity operator.
 
 Dense matrices throughout the package are float64 numpy arrays in row-major
 order. CSR index arrays are int64.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +84,9 @@ class CsrMatrix:
         out[rows, self.col_indices] = self.values
         return out
 
-    def transpose(self) -> "CsrMatrix":
+    @cached_property
+    def T(self) -> "CsrMatrix":
+        """The transpose, built on first use and kept with the matrix."""
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_offsets))
         return CsrMatrix.from_coo(self.n_cols, self.n_rows, self.col_indices, rows, self.values)
 
@@ -100,13 +103,6 @@ class CsrMatrix:
         return kernels.csr_dense_matmul(self.n_rows, self.n_cols, self.row_offsets,
                                         self.col_indices, self.values, x)
 
-    def tdot(self, x: np.ndarray) -> np.ndarray:
-        """self.T @ x for dense x of shape (n_rows, p) or (n_rows,)."""
-        if x.ndim == 1:
-            return self.tdot(x[:, None])[:, 0]
-        return kernels.csr_dense_matmul_t(self.n_rows, self.n_cols, self.row_offsets,
-                                          self.col_indices, self.values, x)
-
     def validate(self) -> None:
         """Raise ValueError if any canonical-form invariant is violated."""
         off, cols, vals = self.row_offsets, self.col_indices, self.values
@@ -116,10 +112,15 @@ class CsrMatrix:
             raise ValueError("row_offsets must be non-decreasing")
         if len(cols) != len(vals):
             raise ValueError("col_indices and values length mismatch")
-        for i in range(self.n_rows):
-            row_cols = cols[off[i]:off[i + 1]]
-            if len(row_cols) and np.any(np.diff(row_cols) <= 0):
-                raise ValueError(f"column indices not strictly increasing in row {i}")
+        # bad[j] flags stored entries j and j+1; pairs that straddle a row
+        # boundary are not compared
+        bad = np.diff(cols) <= 0
+        bounds = off[1:-1]
+        bad[bounds[(bounds > 0) & (bounds < len(cols))] - 1] = False
+        if np.any(bad):
+            first = int(np.argmax(bad))
+            row = int(np.searchsorted(off, first, side="right")) - 1
+            raise ValueError(f"column indices not strictly increasing in row {row}")
         if np.any(vals == 0.0):
             raise ValueError("explicit zero stored")
 
@@ -135,40 +136,6 @@ def sparse_add(a: CsrMatrix, b: CsrMatrix, ca: float = 1.0, cb: float = 1.0) -> 
         np.concatenate([rows_a, rows_b]),
         np.concatenate([a.col_indices, b.col_indices]),
         np.concatenate([ca * a.values, cb * b.values]),
-    )
-
-
-def sparse_matmul(a: CsrMatrix, b: CsrMatrix) -> CsrMatrix:
-    """a @ b as a canonical CSR matrix (row-by-row merge).
-
-    Used for precomputing Chebyshev supports; not a training-time hot path.
-    """
-    if a.n_cols != b.n_rows:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    out_rows, out_cols, out_vals = [], [], []
-    bo, bc, bv = b.row_offsets, b.col_indices, b.values
-    for i in range(a.n_rows):
-        lo, hi = a.row_offsets[i], a.row_offsets[i + 1]
-        if lo == hi:
-            continue
-        cols_i = np.concatenate([bc[bo[j]:bo[j + 1]] for j in a.col_indices[lo:hi]])
-        if len(cols_i) == 0:
-            continue
-        vals_i = np.concatenate([
-            v * bv[bo[j]:bo[j + 1]]
-            for j, v in zip(a.col_indices[lo:hi], a.values[lo:hi])
-        ])
-        uniq, inverse = np.unique(cols_i, return_inverse=True)
-        summed = np.bincount(inverse, weights=vals_i)
-        keep = summed != 0.0
-        out_cols.append(uniq[keep])
-        out_vals.append(summed[keep])
-        out_rows.append(np.full(int(keep.sum()), i, dtype=np.int64))
-    if not out_rows:
-        return CsrMatrix.from_coo(a.n_rows, b.n_cols, [], [], [])
-    return CsrMatrix.from_coo(
-        a.n_rows, b.n_cols,
-        np.concatenate(out_rows), np.concatenate(out_cols), np.concatenate(out_vals),
     )
 
 

@@ -32,7 +32,7 @@ from modgcn.sparse import (
     modularity_score,
     normalized_laplacian,
 )
-from modgcn.spectral import chebyshev_supports, power_iteration, rescale_laplacian
+from modgcn.spectral import ChebFilter, power_iteration, rescale_laplacian
 
 from conftest import random_graph, requires_cora, two_cliques_graph
 
@@ -97,6 +97,7 @@ def test_criterion_02_modularity_oracle():
 
 def test_criterion_03_chebyshev_and_power_iteration():
     rng = np.random.default_rng(3)
+    z_rng = np.random.default_rng(33)  # keeps the graph stream unchanged
     worst = 0.0
     for _ in range(25):
         g = random_graph(rng, int(rng.integers(2, 21)),
@@ -105,15 +106,17 @@ def test_criterion_03_chebyshev_and_power_iteration():
         lam = float(np.linalg.eigvalsh(lap.to_dense()).max())
         if lam <= 0.0:
             continue
-        lt = rescale_laplacian(lap, lam)
-        dense = lt.to_dense()
+        cheb = ChebFilter(rescale_laplacian(lap, lam), 4, lambda_max=lam)
+        dense = cheb.operator.to_dense()
         eye = np.eye(dense.shape[0])
         sq = dense @ dense
         closed = [eye, dense, 2 * sq - eye, 4 * dense @ sq - 3 * dense,
                   8 * sq @ sq - 8 * sq + eye]
-        got = chebyshev_supports(lt, 4, lam).supports
-        for t, want in zip(got, closed):
-            worst = max(worst, float(np.max(np.abs(t.to_dense() - want))))
+        for t, want in zip(cheb.basis(eye), closed):
+            worst = max(worst, float(np.max(np.abs(t - want))))
+        zs = [z_rng.standard_normal((dense.shape[0], 3)) for _ in closed]
+        want = sum(t @ z for t, z in zip(closed, zs))
+        worst = max(worst, float(np.max(np.abs(cheb.apply(zs) - want))))
     k2 = build_graph([(0, 1)], np.zeros((2, 1)), np.array([0, 1]))
     k3 = build_graph([(0, 1), (0, 2), (1, 2)], np.zeros((3, 1)),
                      np.array([0, 1, 0]))

@@ -1,4 +1,4 @@
-"""Backend parity and selection for the CSR kernels."""
+"""Backend parity and selection for the CSR kernel."""
 
 import numpy as np
 import pytest
@@ -36,18 +36,6 @@ def test_spmm_matches_dense_oracle(restore_backend):
             np.testing.assert_allclose(got, dense @ x, atol=1e-13)
 
 
-def test_spmm_t_matches_dense_oracle(restore_backend):
-    rng = np.random.default_rng(4)
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        for _ in range(10):
-            m, dense = _random_csr(rng, 9, 12)
-            x = rng.standard_normal((9, 4))
-            got = kernels.csr_dense_matmul_t(
-                m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values, x)
-            np.testing.assert_allclose(got, dense.T @ x, atol=1e-13)
-
-
 @pytest.mark.skipif(len(kernels.available_backends()) < 2,
                     reason="compiled backend not built")
 def test_backends_agree(restore_backend):
@@ -57,17 +45,12 @@ def test_backends_agree(restore_backend):
     for _ in range(20):
         m, _ = _random_csr(rng, 17, 11, density=0.4)
         x = rng.standard_normal((11, 6))
-        xt = rng.standard_normal((17, 6))
-        outs, outs_t = [], []
+        outs = []
         for name in ("numpy", "cython"):
             kernels.set_backend(name)
             outs.append(kernels.csr_dense_matmul(
                 m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values, x))
-            outs_t.append(kernels.csr_dense_matmul_t(
-                m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values, xt))
         np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(outs_t[0], outs_t[1], rtol=1e-12,
-                                   atol=1e-13)
 
 
 def test_each_backend_is_deterministic(restore_backend):

@@ -7,10 +7,11 @@ from conftest import random_graph
 from modgcn.layers import (DenseLayer, GraphConvLayer, apply_activation,
                            glorot_init, softmax_rows)
 from modgcn.sparse import CsrMatrix, gcn_support
+from modgcn.spectral import ChebFilter
 
 
-def one_support(rng, n):
-    return [gcn_support(random_graph(rng, n))]
+def gcn_filter(g):
+    return ChebFilter(gcn_support(g), order=1, lowest=1)
 
 
 class TestInit:
@@ -63,29 +64,30 @@ class TestGraphConvLayer:
     def test_forward_matches_dense_formula(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng, 7)
-        supports = [gcn_support(g)]
-        layer = GraphConvLayer.create(supports, 4, 3, "identity", 0, 0)
+        layer = GraphConvLayer.create(gcn_filter(g), 4, 3, "identity", 0, 0)
         h = rng.standard_normal((7, 4))
         out, cache = layer.forward(h)
-        want = supports[0].to_dense() @ h @ layer.weights[0] + layer.bias
+        want = gcn_support(g).to_dense() @ h @ layer.weights[0] + layer.bias
         np.testing.assert_allclose(out, want, atol=1e-12)
         np.testing.assert_array_equal(cache.pre, out)
 
     def test_multi_support_sums_terms(self):
         rng = np.random.default_rng(2)
         g = random_graph(rng, 6)
-        s0, s1 = gcn_support(g), CsrMatrix.identity(6)
-        layer = GraphConvLayer.create([s0, s1], 3, 2, "identity", 1, 0)
+        s = gcn_support(g)
+        # T_0 = I and T_1 = S
+        layer = GraphConvLayer.create(ChebFilter(s, order=1), 3, 2,
+                                      "identity", 1, 0)
         h = rng.standard_normal((6, 3))
         out, _ = layer.forward(h)
-        want = (s0.to_dense() @ h @ layer.weights[0]
-                + h @ layer.weights[1] + layer.bias)
+        want = (h @ layer.weights[0] + s.to_dense() @ h @ layer.weights[1]
+                + layer.bias)
         np.testing.assert_allclose(out, want, atol=1e-12)
 
     def test_sparse_input_matches_dense_input(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 8)
-        layer = GraphConvLayer.create([gcn_support(g)], 5, 3, "relu", 2, 0)
+        layer = GraphConvLayer.create(gcn_filter(g), 5, 3, "relu", 2, 0)
         h = rng.standard_normal((8, 5))
         h[rng.random((8, 5)) > 0.3] = 0.0
         dense_out, _ = layer.forward(h)
@@ -95,7 +97,7 @@ class TestGraphConvLayer:
     def test_sparse_input_backward_has_no_input_grad(self):
         rng = np.random.default_rng(4)
         g = random_graph(rng, 6)
-        layer = GraphConvLayer.create([gcn_support(g)], 4, 2, "relu", 3, 0)
+        layer = GraphConvLayer.create(gcn_filter(g), 4, 2, "relu", 3, 0)
         h = CsrMatrix.from_dense(rng.standard_normal((6, 4)))
         _, cache = layer.forward(h)
         grad_in, grad_ws, grad_b = layer.backward(
@@ -107,9 +109,9 @@ class TestGraphConvLayer:
     def test_per_support_seeding_is_stable(self):
         rng = np.random.default_rng(5)
         g = random_graph(rng, 6)
-        s = gcn_support(g)
-        a = GraphConvLayer.create([s, s], 4, 2, "relu", 42, layer_id=0)
-        b = GraphConvLayer.create([s, s], 4, 2, "relu", 42, layer_id=0)
+        cheb = ChebFilter(gcn_support(g), order=1)
+        a = GraphConvLayer.create(cheb, 4, 2, "relu", 42, layer_id=0)
+        b = GraphConvLayer.create(cheb, 4, 2, "relu", 42, layer_id=0)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         assert not np.array_equal(a.weights[0], a.weights[1])
@@ -117,14 +119,14 @@ class TestGraphConvLayer:
     def test_param_items_names(self):
         rng = np.random.default_rng(6)
         g = random_graph(rng, 5)
-        layer = GraphConvLayer.create([gcn_support(g)], 3, 2, "relu", 0, 0)
+        layer = GraphConvLayer.create(gcn_filter(g), 3, 2, "relu", 0, 0)
         names = [name for name, _ in layer.param_items("layer1")]
         assert names == ["layer1.w0", "layer1.b"]
 
     def test_input_width_mismatch(self):
         rng = np.random.default_rng(7)
         g = random_graph(rng, 5)
-        layer = GraphConvLayer.create([gcn_support(g)], 3, 2, "relu", 0, 0)
+        layer = GraphConvLayer.create(gcn_filter(g), 3, 2, "relu", 0, 0)
         with pytest.raises(ValueError, match="columns"):
             layer.forward(np.zeros((5, 4)))
 

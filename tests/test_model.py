@@ -52,7 +52,8 @@ class TestBuildModel:
         g = random_graph(rng, 9)
         model = build_model(ModelSpec(encoder="chebnet", cheb_order=3), g,
                             seed=0)
-        assert len(model.layer1.supports) == 4
+        assert model.layer1.filter.order == 3
+        assert model.layer1.filter.size == 4
         assert len(model.layer1.weights) == 4
 
     def test_aux_head_defaults_to_class_count(self):
@@ -114,6 +115,14 @@ class TestCheckpoints:
         restored = load_model(path, g)
         np.testing.assert_array_equal(restored.forward(g.features).output,
                                       model.forward(g.features).output)
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        g = two_cliques_graph()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model(ModelSpec(hidden_dim=4), g, seed=0), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="trailing bytes"):
+            load_checkpoint(path)
 
     def test_bad_magic_is_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

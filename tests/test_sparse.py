@@ -8,7 +8,7 @@ from conftest import random_graph, two_cliques_graph
 from modgcn.sparse import (CsrMatrix, build_graph, degree_vector,
                            gcn_support, modularity_apply, modularity_score,
                            modularity_trace, normalized_laplacian,
-                           sparse_add, sparse_matmul)
+                           sparse_add)
 
 
 def dense_modularity(g):
@@ -51,13 +51,23 @@ class TestCsrMatrix:
         with pytest.raises(ValueError, match="strictly increasing"):
             m.validate()
 
+    def test_validate_names_first_unsorted_row_after_empty_row(self):
+        # row 0 is empty, row 1 is sorted, row 2 is not; the boundary
+        # between rows 1 and 2 is not a violation
+        m = CsrMatrix(4, 5, np.array([0, 0, 2, 4, 4]),
+                      np.array([1, 4, 3, 0]), np.ones(4))
+        with pytest.raises(ValueError, match="in row 2$"):
+            m.validate()
+        CsrMatrix(3, 3, np.array([0, 0, 2, 3]), np.array([1, 2, 0]),
+                  np.ones(3)).validate()
+
     def test_validate_rejects_stored_zero(self):
         m = CsrMatrix(1, 2, np.array([0, 1]), np.array([0]),
                       np.array([0.0]))
         with pytest.raises(ValueError, match="explicit zero stored"):
             m.validate()
 
-    def test_dot_and_tdot_match_dense(self):
+    def test_dot_and_transpose_dot_match_dense(self):
         rng = np.random.default_rng(1)
         dense = rng.standard_normal((5, 7))
         dense[rng.random((5, 7)) > 0.5] = 0.0
@@ -65,7 +75,7 @@ class TestCsrMatrix:
         x = rng.standard_normal((7, 3))
         y = rng.standard_normal((5, 3))
         np.testing.assert_allclose(m.dot(x), dense @ x, atol=1e-14)
-        np.testing.assert_allclose(m.tdot(y), dense.T @ y, atol=1e-14)
+        np.testing.assert_allclose(m.T.dot(y), dense.T @ y, atol=1e-14)
 
     def test_dot_wraps_vectors(self):
         m = CsrMatrix.from_dense(np.array([[1.0, 2.0], [0.0, 3.0]]))
@@ -77,13 +87,15 @@ class TestCsrMatrix:
         dense = rng.standard_normal((4, 6))
         dense[rng.random((4, 6)) > 0.4] = 0.0
         m = CsrMatrix.from_dense(dense)
-        np.testing.assert_array_equal(m.transpose().to_dense(), dense.T)
+        np.testing.assert_array_equal(m.T.to_dense(), dense.T)
+        assert m.T is m.T
+        m.T.validate()
 
     def test_identity(self):
         np.testing.assert_array_equal(CsrMatrix.identity(4).to_dense(),
                                       np.eye(4))
 
-    def test_sparse_add_and_matmul_match_dense(self):
+    def test_sparse_add_matches_dense(self):
         rng = np.random.default_rng(3)
         da = rng.standard_normal((6, 6))
         db = rng.standard_normal((6, 6))
@@ -93,8 +105,6 @@ class TestCsrMatrix:
         np.testing.assert_allclose(
             sparse_add(a, b, 2.0, -1.0).to_dense(), 2.0 * da - db,
             atol=1e-14)
-        np.testing.assert_allclose(
-            sparse_matmul(a, b).to_dense(), da @ db, atol=1e-13)
 
 
 class TestBuildGraph:
