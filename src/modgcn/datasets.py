@@ -6,15 +6,21 @@ of scope: file paths are supplied by the caller (see scripts/fetch_cora.sh).
 """
 
 import hashlib
+import os
 import warnings
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .sparse import CsrMatrix, Graph, build_graph
+from .sparse import UNLABELED, CsrMatrix, Graph, build_graph
 
 FEATURE_MODES = ("none", "row_normalize")
+
+# part of every cache file name; bump it when the cache layout or the checks
+# on load change, so that older files are ignored rather than misread
+CACHE_FORMAT = 2
 
 # loader self-checks: (nodes, feature dim, classes)
 KNOWN_DATASETS = {
@@ -203,26 +209,61 @@ def content_hash(src: DatasetSource) -> str:
 
 
 def save_graph_cache(g: Graph, path: Path) -> None:
+    """Write ``g`` to ``path`` atomically: a crash leaves the old file or none."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(
-        path,
-        row_offsets=g.adjacency.row_offsets,
-        col_indices=g.adjacency.col_indices,
-        values=g.adjacency.values,
-        features=g.features,
-        labels=g.labels,
-        meta=np.array([g.adjacency.n_rows, g.adjacency.n_cols,
-                       g.num_classes, g.num_edges], dtype=np.int64))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        # a file object, so that numpy does not append ".npz" to the name
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                row_offsets=g.adjacency.row_offsets,
+                col_indices=g.adjacency.col_indices,
+                values=g.adjacency.values,
+                features=g.features,
+                labels=g.labels,
+                meta=np.array([g.adjacency.n_rows, g.adjacency.n_cols,
+                               g.num_classes, g.num_edges], dtype=np.int64))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_graph_cache(path: Path) -> Graph:
-    with np.load(path) as data:
-        n_rows, n_cols, num_classes, num_edges = (int(v) for v in data["meta"])
-        adjacency = CsrMatrix(n_rows, n_cols,
-                              data["row_offsets"], data["col_indices"],
-                              data["values"])
-        return Graph(adjacency, data["features"], data["labels"],
-                     num_classes, num_edges)
+    """Read a cache written by :func:`save_graph_cache`.
+
+    Raises one ValueError naming ``path`` when the file is unreadable or the
+    graph in it breaks an invariant that later code relies on.
+    """
+    try:
+        with np.load(path) as data:
+            n_rows, n_cols, num_classes, num_edges = (int(v) for v in data["meta"])
+            adjacency = CsrMatrix(n_rows, n_cols, data["row_offsets"],
+                                  data["col_indices"], data["values"])
+            features, labels = data["features"], data["labels"]
+        _check_cached_graph(adjacency, features, labels, num_classes, num_edges)
+    except (ValueError, TypeError, KeyError, OSError, EOFError,
+            zipfile.BadZipFile) as exc:
+        raise ValueError(f"malformed graph cache {path}: {exc}") from exc
+    return Graph(adjacency, features, labels, num_classes, num_edges)
+
+
+def _check_cached_graph(adjacency, features, labels, num_classes, num_edges):
+    adjacency.validate()
+    n = adjacency.n_rows
+    if adjacency.n_cols != n:
+        raise ValueError(f"adjacency is {adjacency.shape}, not square")
+    if features.dtype != np.float64 or features.ndim != 2 or features.shape[0] != n:
+        raise ValueError(f"features must be float64 with {n} rows, got "
+                         f"{features.dtype} {features.shape}")
+    if labels.dtype != np.int64 or labels.shape != (n,):
+        raise ValueError(f"labels must be int64 of length {n}, got "
+                         f"{labels.dtype} {labels.shape}")
+    if n and (labels.min() < UNLABELED or labels.max() >= num_classes):
+        raise ValueError(f"labels outside [{UNLABELED}, {num_classes})")
+    if 2 * num_edges != adjacency.nnz:
+        raise ValueError(f"{num_edges} edges recorded but the adjacency "
+                         f"stores {adjacency.nnz} entries")
 
 
 def load_dataset(dataset: str, data_dir: str = "data",
@@ -233,7 +274,7 @@ def load_dataset(dataset: str, data_dir: str = "data",
     graph = None
     if use_cache:
         cache = Path(data_dir) / ".cache" / (
-            f"{src.name}-{content_hash(src)[:16]}.npz")
+            f"{src.name}-v{CACHE_FORMAT}-{content_hash(src)[:16]}.npz")
         if cache.is_file():
             graph = load_graph_cache(cache)
     if graph is None:

@@ -1,27 +1,24 @@
 """The CSR x dense product, with a compiled core and a NumPy fallback.
 
-The backend is chosen once at import time: the Cython extension if it was
-built, else the pure-NumPy implementation. ``MODGCN_KERNELS=py|cy`` in the
-environment forces a choice; :func:`set_backend` exists for tests and
-benchmarks. Both backends produce deterministic results for a fixed input.
+The backend is chosen once at import time: the C kernel if it compiled and
+loaded (see ``_csr_c``), else the pure-NumPy implementation.
+``MODGCN_KERNELS=py|c|auto`` in the environment forces a choice;
+:func:`set_backend` exists for tests and benchmarks. Both backends produce
+deterministic results for a fixed input.
 """
 
 import os
 
 import numpy as np
 
-from . import _csr_np
-
-try:
-    from . import _csr_cy
-except ImportError:
-    _csr_cy = None
+from . import _csr_c, _csr_np
 
 _BACKENDS = {"numpy": _csr_np}
-if _csr_cy is not None:
-    _BACKENDS["cython"] = _csr_cy
+_compiled = _csr_c.load()
+if _compiled is not None:
+    _BACKENDS["c"] = _compiled
 
-_ALIASES = {"py": "numpy", "cy": "cython", "auto": None}
+_ALIASES = {"py": "numpy", "auto": None}
 
 
 def available_backends():
@@ -29,11 +26,11 @@ def available_backends():
 
 
 def set_backend(name):
-    """Select the kernel backend ('numpy' or 'cython'). Returns the old name."""
+    """Select the kernel backend ('numpy' or 'c'). Returns the old name."""
     global _active, _active_name
     name = _ALIASES.get(name, name)
     if name is None:
-        name = "cython" if _csr_cy is not None else "numpy"
+        name = "c" if "c" in _BACKENDS else "numpy"
     if name not in _BACKENDS:
         raise ValueError(f"unknown kernel backend {name!r}; available: {available_backends()}")
     old = _active_name

@@ -106,12 +106,19 @@ class CsrMatrix:
     def validate(self) -> None:
         """Raise ValueError if any canonical-form invariant is violated."""
         off, cols, vals = self.row_offsets, self.col_indices, self.values
+        if (off.dtype != np.int64 or cols.dtype != np.int64 or vals.dtype != np.float64
+                or off.ndim != 1 or cols.ndim != 1 or vals.ndim != 1):
+            raise ValueError("CSR arrays must be 1-D: int64 row_offsets and "
+                             "col_indices, float64 values")
         if len(off) != self.n_rows + 1 or off[0] != 0 or off[-1] != len(vals):
             raise ValueError("row_offsets inconsistent with stored entries")
         if np.any(np.diff(off) < 0):
             raise ValueError("row_offsets must be non-decreasing")
         if len(cols) != len(vals):
             raise ValueError("col_indices and values length mismatch")
+        # the compiled kernel reads x[col] unchecked
+        if len(cols) and (cols.min() < 0 or cols.max() >= self.n_cols):
+            raise ValueError("column index out of range")
         # bad[j] flags stored entries j and j+1; pairs that straddle a row
         # boundary are not compared
         bad = np.diff(cols) <= 0

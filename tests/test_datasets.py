@@ -1,14 +1,17 @@
 """LINQS parsing, feature scaling, stratified splits, and the graph cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import TINY_CITES, TINY_CONTENT, write_tiny_dataset
+from modgcn import datasets
 from modgcn.datasets import (DatasetSource, SplitSpec, content_hash,
                              load_dataset, load_graph_cache, load_linqs,
                              preprocess_features, resolve_dataset,
                              save_graph_cache, stratified_split)
-from modgcn.sparse import build_graph
+from modgcn.sparse import CsrMatrix, build_graph
 
 
 def tiny_source(tmp_path, content=TINY_CONTENT, cites=TINY_CITES):
@@ -184,7 +187,7 @@ class TestCache:
         write_tiny_dataset(tmp_path)
         g1 = load_dataset(str(tmp_path / "tiny"), str(tmp_path))
         caches = list((tmp_path / ".cache").glob("*.npz"))
-        assert len(caches) == 1
+        assert [c.name[:len("tiny-v2-")] for c in caches] == ["tiny-v2-"]
         g2 = load_dataset(str(tmp_path / "tiny"), str(tmp_path))
         np.testing.assert_array_equal(g1.features, g2.features)
         np.testing.assert_array_equal(g1.adjacency.to_dense(),
@@ -194,3 +197,59 @@ class TestCache:
         write_tiny_dataset(tmp_path)
         load_dataset(str(tmp_path / "tiny"), str(tmp_path), use_cache=False)
         assert not (tmp_path / ".cache").exists()
+
+    def test_save_leaves_no_extra_files(self, tmp_path):
+        path = tmp_path / "g.cache"
+        save_graph_cache(synthetic_graph(n=30), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["g.cache"]
+
+    def test_failed_write_leaves_nothing_and_next_load_reparses(
+            self, tmp_path, monkeypatch):
+        write_tiny_dataset(tmp_path)
+
+        def write_half_then_fail(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(datasets.np, "savez_compressed", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            load_dataset(str(tmp_path / "tiny"), str(tmp_path))
+        assert list((tmp_path / ".cache").iterdir()) == []
+        monkeypatch.undo()
+
+        parses = []
+        real_load_linqs = datasets.load_linqs
+        monkeypatch.setattr(datasets, "load_linqs",
+                            lambda src: parses.append(src) or real_load_linqs(src))
+        load_dataset(str(tmp_path / "tiny"), str(tmp_path))
+        assert len(parses) == 1
+        assert len(list((tmp_path / ".cache").glob("*.npz"))) == 1
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda g: dataclasses.replace(g, adjacency=CsrMatrix(
+            g.num_nodes, g.num_nodes, g.adjacency.row_offsets,
+            np.where(np.arange(g.adjacency.nnz) == g.adjacency.nnz - 1,
+                     g.num_nodes, g.adjacency.col_indices),
+            g.adjacency.values)), "column index out of range"),
+        (lambda g: dataclasses.replace(g, features=g.features[:-1]),
+         "features must be float64 with 30 rows"),
+        (lambda g: dataclasses.replace(g, labels=g.labels[:-1]),
+         "labels must be int64 of length 30"),
+        (lambda g: dataclasses.replace(g, num_edges=g.num_edges + 1),
+         "edges recorded"),
+    ], ids=["column", "feature_rows", "label_count", "edge_count"])
+    def test_malformed_cache_is_one_error_naming_the_file(
+            self, tmp_path, corrupt, message):
+        path = tmp_path / "bad.npz"
+        save_graph_cache(corrupt(synthetic_graph(n=30)), path)
+        with pytest.raises(ValueError, match=message) as err:
+            load_graph_cache(path)
+        assert str(path) in str(err.value)
+        assert "\n" not in str(err.value)
+
+    def test_unreadable_cache_is_one_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(b"not a zip file")
+        with pytest.raises(ValueError, match="malformed graph cache") as err:
+            load_graph_cache(path)
+        assert str(path) in str(err.value)

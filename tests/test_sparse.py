@@ -61,6 +61,18 @@ class TestCsrMatrix:
         CsrMatrix(3, 3, np.array([0, 0, 2, 3]), np.array([1, 2, 0]),
                   np.ones(3)).validate()
 
+    def test_validate_rejects_column_out_of_range(self):
+        for col in (3, -1):
+            m = CsrMatrix(2, 3, np.array([0, 1, 2]), np.array([0, col]),
+                          np.ones(2))
+            with pytest.raises(ValueError, match="column index out of range"):
+                m.validate()
+
+    def test_validate_rejects_wrong_dtypes(self):
+        with pytest.raises(ValueError, match="int64 row_offsets"):
+            CsrMatrix(1, 2, np.array([0, 1]), np.array([1], dtype=np.int32),
+                      np.ones(1)).validate()
+
     def test_validate_rejects_stored_zero(self):
         m = CsrMatrix(1, 2, np.array([0, 1]), np.array([0]),
                       np.array([0.0]))
