@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import gradcheck
+from . import gradcheck, kernels
 from .datasets import FEATURE_MODES, load_dataset
 from .harness import (DEFAULT_ALPHA_GRID, EMBEDDING_LAYERS, MODEL_ORDER,
                       MatrixConfig, alpha_sweep, export_embeddings,
@@ -260,6 +260,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _print_settings(args)
     try:
+        kernels.backend_name()  # a bad MODGCN_KERNELS fails here, before any work
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}".replace("\n", " "), file=sys.stderr)

@@ -269,7 +269,10 @@ def _check_cached_graph(adjacency, features, labels, num_classes, num_edges):
 def load_dataset(dataset: str, data_dir: str = "data",
                  features: str = "row_normalize",
                  use_cache: bool = True) -> Graph:
-    """Resolve, load (through the cache when possible), and preprocess."""
+    """Resolve, load (through the cache when possible), and preprocess.
+
+    A cache that cannot be written costs one RuntimeWarning, not the load.
+    """
     src = resolve_dataset(dataset, data_dir)
     graph = None
     if use_cache:
@@ -280,5 +283,10 @@ def load_dataset(dataset: str, data_dir: str = "data",
     if graph is None:
         graph = load_linqs(src)
         if use_cache:
-            save_graph_cache(graph, cache)
+            try:
+                save_graph_cache(graph, cache)
+            except OSError as exc:
+                # the graph parsed; only the cache is lost, and the next load re-parses
+                warnings.warn(f"could not write graph cache {cache}: {exc}",
+                              RuntimeWarning, stacklevel=2)
     return preprocess_features(graph, features)

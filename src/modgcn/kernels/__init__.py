@@ -1,8 +1,11 @@
 """The CSR x dense product, with a compiled core and a NumPy fallback.
 
-The backend is chosen once at import time: the C kernel if it compiled and
-loaded (see ``_csr_c``), else the pure-NumPy implementation.
-``MODGCN_KERNELS=py|c|auto`` in the environment forces a choice;
+The backend is chosen on first use: the C kernel if it compiled and loaded
+at import (see ``_csr_c``), else the pure-NumPy implementation.
+``MODGCN_KERNELS=py|c|auto`` in the environment forces a choice. It is read
+on first use, not at import, so that a name that cannot be honoured (``c``
+with no compiler) is one ``ValueError`` from the first product or
+:func:`backend_name` rather than a failed ``import modgcn``.
 :func:`set_backend` exists for tests and benchmarks. Both backends produce
 deterministic results for a fixed input.
 """
@@ -18,6 +21,7 @@ _compiled = _csr_c.load()
 if _compiled is not None:
     _BACKENDS["c"] = _compiled
 
+_KNOWN = ("numpy", "c")
 _ALIASES = {"py": "numpy", "auto": None}
 
 
@@ -32,7 +36,9 @@ def set_backend(name):
     if name is None:
         name = "c" if "c" in _BACKENDS else "numpy"
     if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; available: {available_backends()}")
+        problem = (f"kernel backend {name!r} is not available" if name in _KNOWN
+                   else f"unknown kernel backend {name!r}")
+        raise ValueError(f"{problem}; available: {available_backends()}")
     old = _active_name
     _active_name = name
     _active = _BACKENDS[name]
@@ -40,12 +46,18 @@ def set_backend(name):
 
 
 def backend_name():
+    """The active backend's name, selected from ``MODGCN_KERNELS`` if unset."""
+    if _active_name is None:
+        value = os.environ.get("MODGCN_KERNELS", "auto")
+        try:
+            set_backend(value)
+        except ValueError as exc:
+            raise ValueError(f"MODGCN_KERNELS={value!r}: {exc}") from None
     return _active_name
 
 
 _active_name = None
 _active = None
-set_backend(os.environ.get("MODGCN_KERNELS", "auto"))
 
 
 def _as_dense(x):
@@ -60,6 +72,8 @@ def csr_dense_matmul(n_rows, n_cols, indptr, indices, data, x):
     x = _as_dense(x)
     if x.shape[0] != n_cols:
         raise ValueError(f"shape mismatch: ({n_rows}, {n_cols}) @ {x.shape}")
+    if _active is None:
+        backend_name()
     out = np.zeros((n_rows, x.shape[1]))
     _active.spmm(indptr, indices, data, x, out)
     return out

@@ -8,11 +8,15 @@ file, named by a hash of the source and flags. The flags leave out
 ``-march=native`` and ``-ffast-math`` and forbid fused multiply-adds,
 so every machine computes the same bits.
 
-The loop order (rows, then stored entries, then dense columns) is fixed,
-so results are bitwise-deterministic for a given input. C checks no
-bounds: :meth:`CompiledKernel.spmm` checks dtypes, contiguity and shapes,
-and column indices must already lie in ``[0, x.shape[0])``, which
-``CsrMatrix.from_coo`` and ``CsrMatrix.validate`` guarantee.
+Every output entry adds its row's stored entries in stored order, as
+``out[i, c] + v * x[j, c]``, so results are bitwise-deterministic for a
+given input. The kernel holds eight output columns in registers across a
+row's entries and runs only independent columns side by side, which
+computes the same bits as the plain rows/entries/columns loop. C checks no
+bounds: :meth:`CompiledKernel.spmm` checks dtypes, contiguity, shapes and
+that ``out`` overlaps no input, and column indices must already lie in
+``[0, x.shape[0])``, which ``CsrMatrix.from_coo`` and
+``CsrMatrix.validate`` guarantee.
 """
 
 import ctypes
@@ -26,17 +30,40 @@ import numpy as np
 SOURCE = r"""
 #include <stdint.h>
 
-/* out += A @ x for CSR A (n_rows rows) and row-major x, out of width p. */
-void spmm(int64_t n_rows, int64_t p, const int64_t *indptr,
-          const int64_t *indices, const double *data, const double *x,
-          double *out)
+#define BLOCK 8
+
+/* out += A @ x for CSR A (n_rows rows) and row-major x, out of width p.
+   Each out[i][c] adds its row's stored entries in stored order. Full blocks
+   of BLOCK columns are held in registers across the row's entries, so only
+   independent columns run side by side; leftover columns are done per
+   entry. No argument may overlap another. */
+void spmm(int64_t n_rows, int64_t p, const int64_t *restrict indptr,
+          const int64_t *restrict indices, const double *restrict data,
+          const double *restrict x, double *restrict out)
 {
+    const int64_t full = p - p % BLOCK;
     for (int64_t i = 0; i < n_rows; i++) {
-        double *row = out + i * p;
-        for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++) {
+        double *restrict row = out + i * p;
+        const int64_t start = indptr[i], end = indptr[i + 1];
+        for (int64_t c0 = 0; c0 < full; c0 += BLOCK) {
+            double acc[BLOCK];
+            for (int k = 0; k < BLOCK; k++)
+                acc[k] = row[c0 + k];
+            for (int64_t jj = start; jj < end; jj++) {
+                const double v = data[jj];
+                const double *restrict xj = x + indices[jj] * p + c0;
+                for (int k = 0; k < BLOCK; k++)
+                    acc[k] += v * xj[k];
+            }
+            for (int k = 0; k < BLOCK; k++)
+                row[c0 + k] = acc[k];
+        }
+        if (full == p)
+            continue;
+        for (int64_t jj = start; jj < end; jj++) {
             const double v = data[jj];
-            const double *xj = x + indices[jj] * p;
-            for (int64_t c = 0; c < p; c++)
+            const double *restrict xj = x + indices[jj] * p;
+            for (int64_t c = full; c < p; c++)
                 row[c] += v * xj[c];
         }
     }
@@ -44,7 +71,7 @@ void spmm(int64_t n_rows, int64_t p, const int64_t *indptr,
 """
 
 COMPILER = "cc"
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 120
 
 CACHE_DIR = Path(__file__).resolve().parent / "__pycache__"
@@ -79,6 +106,11 @@ class CompiledKernel:
         if indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(data):
             raise ValueError(f"indptr spans [{indptr[0]}, {indptr[-1]}] but "
                              f"{len(indices)} indices and {len(data)} values are stored")
+        # the C arguments are restrict pointers: an overlap is undefined behaviour
+        for name, arr in (("x", x), ("data", data), ("indices", indices),
+                          ("indptr", indptr)):
+            if np.may_share_memory(out, arr):
+                raise ValueError(f"out must not share memory with {name}")
         self._spmm(n_rows, x.shape[1], indptr.ctypes.data, indices.ctypes.data,
                    data.ctypes.data, x.ctypes.data, out.ctypes.data)
 

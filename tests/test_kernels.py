@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from modgcn import kernels
+from modgcn import cli, kernels
 from modgcn.kernels import _csr_c
 from modgcn.sparse import CsrMatrix
 
@@ -51,6 +51,33 @@ def test_spmm_matches_dense_oracle(restore_backend):
             np.testing.assert_allclose(got, dense @ x, atol=1e-13)
 
 
+def _sequential_spmm(indptr, indices, data, x, out):
+    """out + A @ x, one stored entry at a time in stored order: the sums the
+    compiled kernel must reproduce bit for bit."""
+    out = out.copy()
+    for i in range(len(indptr) - 1):
+        row = out[i]
+        for jj in range(indptr[i], indptr[i + 1]):
+            row = row + data[jj] * x[indices[jj]]
+        out[i] = row
+    return out
+
+
+@needs_c
+@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 15, 16, 17, 24, 33])
+def test_c_kernel_matches_sequential_reference_bitwise(width):
+    kernel = _csr_c.load()
+    rng = np.random.default_rng(width)
+    _, dense = _random_csr(rng, 19, 23, density=0.5)
+    dense[::4] = 0.0  # empty rows
+    m = CsrMatrix.from_dense(dense)
+    x = rng.standard_normal((23, width))
+    out = rng.standard_normal((19, width))  # the kernel adds into out
+    expected = _sequential_spmm(m.row_offsets, m.col_indices, m.values, x, out)
+    kernel.spmm(m.row_offsets, m.col_indices, m.values, x, out)
+    assert np.array_equal(out, expected)
+
+
 @needs_c
 def test_backends_agree(restore_backend):
     # reduceat may reassociate per-row sums, so parity is ulp-level
@@ -83,6 +110,15 @@ def test_each_backend_is_deterministic(restore_backend):
 def test_set_backend_rejects_unknown(restore_backend):
     with pytest.raises(ValueError, match="unknown kernel backend"):
         kernels.set_backend("fortran")
+
+
+def test_env_backend_is_resolved_on_first_use(monkeypatch):
+    monkeypatch.setenv("MODGCN_KERNELS", "fortran")
+    monkeypatch.setattr(kernels, "_active_name", None)
+    monkeypatch.setattr(kernels, "_active", None)
+    with pytest.raises(ValueError,
+                       match="MODGCN_KERNELS='fortran': unknown kernel backend"):
+        kernels.backend_name()
 
 
 def test_set_backend_aliases(restore_backend):
@@ -129,6 +165,28 @@ def test_c_wrapper_rejects_bad_arguments():
                     np.zeros((3, 2)))
 
 
+@needs_c
+def test_c_wrapper_rejects_out_overlapping_an_input():
+    kernel = _csr_c.load()
+    m = CsrMatrix.from_dense(np.eye(3))
+    x = np.ones((3, 2))
+    with pytest.raises(ValueError, match="out must not share memory with x"):
+        kernel.spmm(m.row_offsets, m.col_indices, m.values, x, x)
+    with pytest.raises(ValueError, match="out must not share memory with x"):
+        kernel.spmm(m.row_offsets, m.col_indices, m.values, x, x.view())
+    buffer = np.ones(8)
+    with pytest.raises(ValueError, match="out must not share memory with data"):
+        kernel.spmm(m.row_offsets, m.col_indices, buffer[:3], x,
+                    buffer[2:].reshape(3, 2))
+
+
+def test_flags_keep_every_machine_on_the_same_bits():
+    assert "-ffp-contract=off" in _csr_c.FLAGS
+    for flag in _csr_c.FLAGS:
+        assert not flag.startswith(("-march", "-mtune=native", "-ffast-math",
+                                    "-Ofast", "-funsafe-math-optimizations")), flag
+
+
 @pytest.mark.skipif(shutil.which(_csr_c.COMPILER) is None, reason="no C compiler")
 def test_build_writes_only_the_library(monkeypatch, tmp_path):
     monkeypatch.setattr(_csr_c, "CACHE_DIR", tmp_path / "cache")
@@ -163,6 +221,21 @@ def test_failed_compile_falls_back_to_numpy(broken_compiler, monkeypatch):
         assert kernels.available_backends() == ["numpy"]
         assert kernels.backend_name() == "numpy"
         assert not broken_compiler.exists() or not any(broken_compiler.iterdir())
+    finally:
+        monkeypatch.undo()
+        importlib.reload(kernels)
+
+
+def test_unavailable_env_backend_is_one_cli_error(broken_compiler, monkeypatch,
+                                                  capsys):
+    monkeypatch.setenv("MODGCN_KERNELS", "c")
+    try:
+        with pytest.warns(RuntimeWarning, match="NumPy fallback"):
+            importlib.reload(kernels)  # must not raise
+        assert cli.main(["check-gradients", "--instances", "1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: MODGCN_KERNELS='c': kernel backend 'c' is not "
+                       "available; available: ['numpy']"]
     finally:
         monkeypatch.undo()
         importlib.reload(kernels)

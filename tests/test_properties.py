@@ -26,7 +26,7 @@ def coo_and_operand(draw):
         # repeat a prefix negated: duplicates that must sum to zero and drop
         entries += [(r, c, -v) for r, c, v in entries[:draw(st.integers(0, len(entries)))]]
         entries = draw(st.permutations(entries))
-    x = draw(arrays(np.float64, (n_cols, draw(st.integers(0, 4))),
+    x = draw(arrays(np.float64, (n_cols, draw(st.integers(0, 20))),
                     elements=st.floats(-1.0, 1.0)))
     return n_rows, n_cols, entries, x
 
