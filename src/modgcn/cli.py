@@ -19,7 +19,8 @@ from .harness import (DEFAULT_ALPHA_GRID, EMBEDDING_LAYERS, MODEL_ORDER,
                       run_ica_once, run_matrix, train_once, write_results_csv,
                       write_sweep_csv)
 from .ica import IcaConfig
-from .model import ModelSpec, build_model, save_checkpoint
+from .model import (ENCODERS, VARIANTS, ModelSpec, build_model,
+                    save_checkpoint)
 from .sparse import Graph
 
 DATA_DIR_ENV = "MODGCN_DATA_DIR"
@@ -42,10 +43,9 @@ def _add_dataset_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", default="gcn", choices=("gcn", "chebnet"),
+    p.add_argument("--model", default="gcn", choices=ENCODERS,
                    help="encoder architecture")
-    p.add_argument("--variant", default="plain",
-                   choices=("plain", "mod", "aux"),
+    p.add_argument("--variant", default="plain", choices=VARIANTS,
                    help="modularity wiring: none, output-reg, or aux head")
     p.add_argument("--alpha", type=float, default=0.0,
                    help="modularity trade-off in [0, 1]")

@@ -10,7 +10,7 @@ import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from configparser import ConfigParser
+from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -121,44 +121,60 @@ class MatrixConfig:
         return self.alpha
 
 
+def _split_list(raw):
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+EXPERIMENT_KEYS = {
+    "dataset": str, "data_dir": str, "features": str, "out_dir": str,
+    "n_runs": int, "base_seed": int, "test_size": int, "epochs": int,
+    "hidden_dim": int, "cheb_order": int, "jobs": int,
+    "lr": float, "alpha": float, "models": _split_list,
+    "budgets": lambda raw: tuple(int(b) for b in _split_list(raw)),
+}
+ICA_KEYS = {"max_iters": int, "epochs": int, "lr": float, "l2": float}
+
+
 def load_matrix_config(path) -> MatrixConfig:
-    """Parse an INI experiment config; see README for the schema."""
+    """Parse an INI experiment config; see README for the schema.
+
+    Anything wrong with the file (unreadable syntax, an unknown section or
+    key, an [alpha] entry that names no mod/aux model, a bad value) is one
+    ValueError naming the file."""
     parser = ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ValueError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ValueError("config file not found")
+        return _matrix_config(parser)
+    except (ValueError, ConfigParserError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _matrix_config(parser: ConfigParser) -> MatrixConfig:
     if not parser.has_section("experiment"):
-        raise ValueError(f"{path}: missing [experiment] section")
-    exp = parser["experiment"]
+        raise ValueError("missing [experiment] section")
+    for section in parser.sections():
+        if section not in ("experiment", "alpha", "ica"):
+            raise ValueError(f"unknown section [{section}]")
 
-    def split_list(raw):
-        return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    def parse(section, schema):
+        values = {}
+        for key, raw in parser.items(section):
+            if key not in schema:
+                raise ValueError(f"unknown key {key!r} in [{section}]; "
+                                 f"expected one of {sorted(schema)}")
+            try:
+                values[key] = schema[key](raw)
+            except ValueError as exc:
+                raise ValueError(f"[{section}] {key}: {exc}") from exc
+        return values
 
-    kwargs = {}
-    for key in ("dataset", "data_dir", "features", "out_dir"):
-        if key in exp:
-            kwargs[key] = exp[key]
-    for key in ("n_runs", "base_seed", "test_size", "epochs",
-                "hidden_dim", "cheb_order", "jobs"):
-        if key in exp:
-            kwargs[key] = exp.getint(key)
-    for key in ("lr", "alpha"):
-        if key in exp:
-            kwargs[key] = exp.getfloat(key)
-    if "models" in exp:
-        kwargs["models"] = split_list(exp["models"])
-    if "budgets" in exp:
-        kwargs["budgets"] = tuple(int(b) for b in split_list(exp["budgets"]))
-    if parser.has_section("alpha"):
-        kwargs["alpha_overrides"] = tuple(
-            (name, float(value)) for name, value in parser.items("alpha"))
+    kwargs = parse("experiment", EXPERIMENT_KEYS)
     if parser.has_section("ica"):
-        ica = parser["ica"]
-        kwargs["ica"] = IcaConfig(
-            max_iters=ica.getint("max_iters", IcaConfig.max_iters),
-            epochs=ica.getint("epochs", IcaConfig.epochs),
-            lr=ica.getfloat("lr", IcaConfig.lr),
-            l2=ica.getfloat("l2", IcaConfig.l2))
+        kwargs["ica"] = IcaConfig(**parse("ica", ICA_KEYS))
+    if parser.has_section("alpha"):
+        alphas = parse("alpha", {m: float for m in MODEL_ORDER if _has_alpha(m)})
+        kwargs["alpha_overrides"] = tuple(alphas.items())
     return MatrixConfig(**kwargs)
 
 
@@ -175,12 +191,23 @@ def make_split(graph: Graph, labels_per_class: int, test_size: int,
     return Split(train_ids, test_ids, labels_per_class, seed, run_index)
 
 
-def model_spec_for(model_name: str, config: MatrixConfig, seed: int,
-                   alpha: float | None = None) -> ModelSpec:
+def _parse_model_name(model_name: str) -> tuple:
+    """(encoder, variant) of a trainable MODEL_ORDER name."""
     if model_name == "ica" or model_name not in MODEL_ORDER:
         raise ValueError(f"no model spec for {model_name!r}")
-    encoder, _, suffix = model_name.partition("-")
-    variant = suffix or "plain"
+    encoder, _, variant = model_name.partition("-")
+    return encoder, variant or "plain"
+
+
+def _has_alpha(model_name: str) -> bool:
+    """Whether a model name trains a mod/aux objective, where alpha counts."""
+    return (model_name in MODEL_ORDER and model_name != "ica"
+            and _parse_model_name(model_name)[1] != "plain")
+
+
+def model_spec_for(model_name: str, config: MatrixConfig, seed: int,
+                   alpha: float | None = None) -> ModelSpec:
+    encoder, variant = _parse_model_name(model_name)
     if alpha is None:
         alpha = config.alpha_for(model_name) if variant != "plain" else 0.0
     return ModelSpec(encoder=encoder, cheb_order=config.cheb_order,
@@ -207,19 +234,18 @@ def accuracy_of(probs: np.ndarray, labels: np.ndarray,
 
 
 def train_once(spec: ModelSpec, graph: Graph, split: Split,
-               log_path=None, supports=None, lambda_max=None,
-               features=None, model=None) -> RunResult:
+               log_path=None, features=None, model=None) -> RunResult:
     """Full-batch training for spec.epochs with no early stopping.
 
     The training log holds epochs+1 rows; row e is the state after e
     optimizer steps, so row 0 is the initialization and the last row is
     the final model. A non-finite loss or gradient aborts the run, which
-    is recorded as failed. Pass ``model`` to keep the trained weights;
-    it is updated in place."""
+    is recorded as failed. ``model`` defaults to ``build_model(spec,
+    graph)``; pass one to keep the trained weights (it is updated in
+    place) or to reuse a filter already built."""
     mask = LabelMask.from_graph(graph, split.train_ids)
     if model is None:
-        model = build_model(spec, graph, supports=supports,
-                            lambda_max=lambda_max)
+        model = build_model(spec, graph)
     x = training_features(graph) if features is None else features
     params = model.params()
     state = AdamState.create(params, lr=spec.lr)
@@ -301,9 +327,9 @@ def execute_job(graph: Graph, config: MatrixConfig, cache: SupportCache,
     if model_name == "ica":
         return run_ica_once(graph, split, config.ica, seed)
     spec = model_spec_for(model_name, config, seed, alpha=alpha)
-    return train_once(spec, graph, split,
-                      supports=cache.supports_for(spec),
-                      features=cache.features())
+    model = build_model(spec, graph, supports=cache.supports_for(spec))
+    return train_once(spec, graph, split, features=cache.features(),
+                      model=model)
 
 
 _WORKER = {}
@@ -391,8 +417,7 @@ def alpha_sweep(config: MatrixConfig, grid=DEFAULT_ALPHA_GRID,
     if graph is None:
         graph = load_dataset(config.dataset, config.data_dir,
                              config.features)
-    models = [m for m in config.models
-              if m != "ica" and ("-mod" in m or "-aux" in m)]
+    models = [m for m in config.models if _has_alpha(m)]
     if not models:
         raise ValueError("no mod/aux model in config.models to sweep")
     jobs = [(model, budget, run, alpha)

@@ -18,17 +18,12 @@ from .sparse import Graph
 
 logger = logging.getLogger(__name__)
 
-BASE_CLASSIFIERS = ("logistic_regression",)
-RELATIONAL_FEATURES = ("neighbor_label_counts",)
-
 
 @dataclass(frozen=True)
 class IcaConfig:
     """ICA protocol knobs plus the local classifier's training knobs."""
 
     max_iters: int = 10
-    base_classifier: str = "logistic_regression"
-    relational_features: str = "neighbor_label_counts"
     epochs: int = 200
     lr: float = 0.1
     l2: float = 0.0
@@ -36,12 +31,6 @@ class IcaConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.base_classifier not in BASE_CLASSIFIERS:
-            raise ValueError(f"unknown base classifier "
-                             f"{self.base_classifier!r}")
-        if self.relational_features not in RELATIONAL_FEATURES:
-            raise ValueError(f"unknown relational features "
-                             f"{self.relational_features!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.lr <= 0 or self.l2 < 0:

@@ -1,6 +1,8 @@
 """Two-layer graph-convolutional models and checkpoint serialization."""
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, asdict
 
@@ -72,6 +74,9 @@ class Model:
 
     def __init__(self, spec: ModelSpec, layer1: GraphConvLayer,
                  layer2: GraphConvLayer, aux: DenseLayer | None):
+        if (aux is not None) != (spec.variant == "aux"):
+            raise ValueError(f"variant {spec.variant!r} needs "
+                             f"{'an' if spec.variant == 'aux' else 'no'} aux head")
         self.spec = spec
         self.layer1 = layer1
         self.layer2 = layer2
@@ -160,25 +165,40 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (ModelSpec, {name: array})."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-        version, header_len = struct.unpack("<HI", fh.read(6))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError("truncated checkpoint")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise ValueError("trailing bytes after the last array in checkpoint")
+    """Read a checkpoint; returns (ModelSpec, {name: array}). A malformed
+    file is one ValueError that names it."""
+    try:
+        with open(path, "rb") as fh:
+            return _read_checkpoint(fh)
+    except (ValueError, TypeError, KeyError, struct.error) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed checkpoint {path}: {detail}") from exc
+
+
+def _read_checkpoint(fh):
+    size = os.fstat(fh.fileno()).st_size
+
+    def read_exactly(n):
+        # checked against the file size first, so a corrupt length never
+        # asks for more memory than the file holds
+        if not 0 <= n <= size - fh.tell():
+            raise ValueError("truncated checkpoint")
+        return fh.read(n)
+
+    magic = fh.read(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
+    version, header_len = struct.unpack("<HI", fh.read(6))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    header = json.loads(read_exactly(header_len).decode("utf-8"))
+    arrays = {}
+    for entry in header["arrays"]:
+        shape = tuple(entry["shape"])
+        buf = read_exactly(8 * math.prod(shape))
+        arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+    if fh.read(1):
+        raise ValueError("trailing bytes after the last array in checkpoint")
     return ModelSpec(**header["spec"]), arrays
 
 

@@ -1,4 +1,5 @@
-"""Masked cross-entropy, the modularity term, and their combinations.
+"""Masked cross-entropy, the modularity term, and the training objective
+that combines them.
 
 The cross-entropy is summed (not averaged) over the labeled nodes, so the
 trade-off weight alpha keeps the same meaning across label budgets; note
@@ -77,108 +78,44 @@ def modularity_loss(g: Graph, degrees: DegreeVector, h: np.ndarray):
     return loss, -(2.0 / two_e) * bh
 
 
-def supervised_loss(model: Model, graph: Graph, mask: LabelMask, features=None):
-    """Pure cross-entropy training signal (the plain variant).
-
-    Returns (LossReport, parameter gradients, ForwardResult).
-    """
-    fwd = model.forward(graph.features if features is None else features)
-    sup, grad_pre = masked_cross_entropy(fwd.output, mask)
-    grads = _backprop_encoder(model, fwd, grad_pre)
-    if model.aux is not None:
-        _add_zero_aux_grads(model, grads)
-    return LossReport(sup, sup, 0.0, 0.0), grads, fwd
-
-
-def combined_loss_output_reg(model: Model, graph: Graph, mask: LabelMask,
-                             alpha: float, features=None):
-    """Output-layer regularization: the modularity term is scored on the
-    output softmax matrix and both signals share every parameter.
-
-    Returns (LossReport, parameter gradients, ForwardResult).
-    """
-    _check_alpha(alpha)
-    if model.aux is not None:
-        raise ValueError("output-reg objective expects a model without an aux head")
-    fwd = model.forward(graph.features if features is None else features)
-    z = fwd.output
-    degrees = degree_vector(graph)
-    sup, grad_pre_sup = masked_cross_entropy(z, mask)
-    mod_loss, grad_z_mod = modularity_loss(graph, degrees, z)
-    q = -mod_loss
-    delta2 = (1.0 - alpha) * grad_pre_sup
-    if alpha > 0.0:
-        # route the modularity gradient through the output softmax
-        delta2 += alpha * softmax_rows_backward(z, grad_z_mod)
-    grads = _backprop_encoder(model, fwd, delta2)
-    total = (1.0 - alpha) * sup - alpha * q
-    return LossReport(total, sup, q, alpha), grads, fwd
-
-
-def combined_loss_aux(model: Model, graph: Graph, mask: LabelMask,
-                      alpha: float, features=None):
-    """Auxiliary-head objective with per-branch gradient routing.
-
-    The supervised loss is scored on the output layer and the modularity
-    term on the auxiliary cluster-assignment head. Post-branch supervised
-    weights receive only the (1 - alpha)-scaled supervised signal, the aux
-    head only the alpha-scaled modularity signal, and the shared first layer
-    the sum of both.
-
-    Returns (LossReport, parameter gradients, ForwardResult).
-    """
-    _check_alpha(alpha)
-    if model.aux is None:
-        raise ValueError("aux objective expects a model with an aux head")
-    fwd = model.forward(graph.features if features is None else features)
-    degrees = degree_vector(graph)
-    sup, grad_pre_sup = masked_cross_entropy(fwd.output, mask)
-    mod_loss, grad_aux = modularity_loss(graph, degrees, fwd.aux_out)
-    q = -mod_loss
-
-    delta2 = (1.0 - alpha) * grad_pre_sup
-    grad_hidden, gw2, gb2 = model.layer2.backward_from_pre(fwd.cache2, delta2)
-    # scaling the upstream gradient by alpha scales every aux gradient with it,
-    # so alpha = 0 yields exact zeros
-    grad_in_aux, gw_aux, gb_aux = model.aux.backward(fwd.cache_aux, alpha * grad_aux)
-    grad_hidden = grad_hidden + grad_in_aux
-    _, gw1, gb1 = model.layer1.backward(fwd.cache1, grad_hidden)
-
-    grads = dict(model.layer1.grad_items("layer1", gw1, gb1))
-    grads.update(model.layer2.grad_items("layer2", gw2, gb2))
-    grads["aux.w"] = gw_aux
-    grads["aux.b"] = gb_aux
-    total = (1.0 - alpha) * sup - alpha * q
-    return LossReport(total, sup, q, alpha), grads, fwd
-
-
 def objective_for(model: Model, graph: Graph, mask: LabelMask, features=None):
-    """Evaluate the objective selected by the model's spec variant."""
-    variant = model.spec.variant
-    if variant == "plain":
-        return supervised_loss(model, graph, mask, features=features)
-    if variant == "mod":
-        return combined_loss_output_reg(model, graph, mask,
-                                        model.spec.effective_alpha, features=features)
-    return combined_loss_aux(model, graph, mask,
-                             model.spec.effective_alpha, features=features)
+    """The training objective L = (1 - alpha) * CE - alpha * Q of every
+    variant, with alpha = ``model.spec.effective_alpha``.
 
+    Q is the modularity of the output softmax matrix for ``mod`` (both
+    signals share every parameter), of the auxiliary head's output for
+    ``aux``, and is not scored for ``plain``. On the aux branch the output
+    layer receives only the (1 - alpha)-scaled supervised signal, the head
+    only the alpha-scaled modularity signal, and the shared first layer the
+    sum of both.
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    Returns (LossReport, parameter gradients, ForwardResult).
+    """
+    variant, alpha = model.spec.variant, model.spec.effective_alpha
+    fwd = model.forward(graph.features if features is None else features)
+    sup, grad_pre_sup = masked_cross_entropy(fwd.output, mask)
+    q = 0.0
+    if variant != "plain":
+        scored = fwd.output if variant == "mod" else fwd.aux_out
+        mod_loss, grad_mod = modularity_loss(graph, degree_vector(graph), scored)
+        q = -mod_loss
 
-
-def _backprop_encoder(model: Model, fwd, delta2: np.ndarray) -> dict:
-    """Chain rule through both graph-conv layers from the output
-    pre-activation gradient."""
+    delta2 = (1.0 - alpha) * grad_pre_sup
+    if variant == "mod" and alpha > 0.0:
+        # route the modularity gradient through the output softmax
+        delta2 += alpha * softmax_rows_backward(fwd.output, grad_mod)
     grad_hidden, gw2, gb2 = model.layer2.backward_from_pre(fwd.cache2, delta2)
+    aux_grads = {}
+    if model.aux is not None:
+        # scaling the upstream gradient by alpha scales every aux gradient
+        # with it, so alpha = 0 yields exact zeros
+        grad_in_aux, aux_grads["aux.w"], aux_grads["aux.b"] = model.aux.backward(
+            fwd.cache_aux, alpha * grad_mod)
+        grad_hidden = grad_hidden + grad_in_aux
     _, gw1, gb1 = model.layer1.backward(fwd.cache1, grad_hidden)
+
     grads = dict(model.layer1.grad_items("layer1", gw1, gb1))
     grads.update(model.layer2.grad_items("layer2", gw2, gb2))
-    return grads
-
-
-def _add_zero_aux_grads(model: Model, grads: dict) -> None:
-    grads["aux.w"] = np.zeros_like(model.aux.weight)
-    grads["aux.b"] = np.zeros_like(model.aux.bias)
+    grads.update(aux_grads)
+    total = (1.0 - alpha) * sup - alpha * q
+    return LossReport(total, sup, q, alpha), grads, fwd

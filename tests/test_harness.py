@@ -2,6 +2,7 @@
 the alpha sweep, and the CSV/markdown writers."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,8 +187,9 @@ class TestTrainOnce:
         spec = small_spec()
         plain = train_once(spec, g, clique_split())
         shared = train_once(spec, g, clique_split(),
-                            supports=build_supports(spec, g),
-                            features=training_features(g))
+                            features=training_features(g),
+                            model=build_model(spec, g,
+                                              supports=build_supports(spec, g)))
         assert plain.test_accuracy == shared.test_accuracy
 
 
@@ -542,3 +544,35 @@ lr = 0.2
         bad.write_text("[other]\nx = 1\n")
         with pytest.raises(ValueError, match="experiment"):
             load_matrix_config(bad)
+
+    @pytest.mark.parametrize("text, key", [
+        ("[experiment]\nepoch = 5\n", "'epoch' in \\[experiment\\]"),
+        ("[experiment]\n[ica]\nmax_iter = 3\n", "'max_iter' in \\[ica\\]"),
+        ("[experiment]\n[alpha]\ngcn-mdo = 0.3\n", "'gcn-mdo' in \\[alpha\\]"),
+        ("[experiment]\n[alpha]\ngcn = 0.3\n", "'gcn' in \\[alpha\\]"),
+        ("[experiment]\n[alpha]\nica = 0.3\n", "'ica' in \\[alpha\\]"),
+        ("[experiment]\n[icaa]\nmax_iters = 3\n", "unknown section \\[icaa\\]"),
+        ("[experiment]\nmodels = gcn, gcn-mdo\n", "unknown model 'gcn-mdo'"),
+        ("[experiment]\n[ica]\nmax_iters = 0\n", "max_iters must be >= 1"),
+        ("epochs = 5\n", "no section headers"),
+        ("[experiment]\nepochs = 5\nepochs = 6\n", "'epochs'"),
+        ("[experiment]\nepochs = ten\n", "\\[experiment\\] epochs"),
+    ], ids=["experiment-key", "ica-key", "alpha-typo", "alpha-plain",
+            "alpha-ica", "section", "model-name", "ica-value",
+            "no-header", "duplicate-key", "bad-value"])
+    def test_bad_config_is_one_error_naming_the_file(self, tmp_path, text,
+                                                     key):
+        path = tmp_path / "typo.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=key) as info:
+            load_matrix_config(path)
+        assert str(path) in str(info.value)
+
+    def test_shipped_configs_load_unchanged(self):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        full = load_matrix_config(configs / "cora_full.cfg")
+        assert full == MatrixConfig(alpha=0.5, out_dir="results/cora_full")
+        quick = load_matrix_config(configs / "cora_quick.cfg")
+        assert quick == MatrixConfig(models=("gcn", "chebnet-mod"),
+                                     budgets=(5, 20), n_runs=2, alpha=0.5,
+                                     out_dir="results/cora_quick")

@@ -12,16 +12,10 @@ class TestConfig:
     def test_defaults(self):
         cfg = IcaConfig()
         assert cfg.max_iters == 10
-        assert cfg.base_classifier == "logistic_regression"
-        assert cfg.relational_features == "neighbor_label_counts"
 
     def test_validation(self):
         with pytest.raises(ValueError):
             IcaConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            IcaConfig(base_classifier="svm")
-        with pytest.raises(ValueError):
-            IcaConfig(relational_features="proportions")
         with pytest.raises(ValueError):
             IcaConfig(lr=0.0)
 

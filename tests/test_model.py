@@ -1,10 +1,14 @@
 """Model assembly, spec validation, and checkpoint round-trips."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import random_graph, two_cliques_graph
-from modgcn.model import (ModelSpec, build_model, load_checkpoint,
+from modgcn.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Model,
+                          ModelSpec, build_model, load_checkpoint,
                           load_model, save_checkpoint)
 
 
@@ -86,6 +90,17 @@ class TestBuildModel:
         np.testing.assert_allclose(fwd.aux_out.sum(axis=1), np.ones(8),
                                    atol=1e-12)
 
+    def test_aux_head_exactly_when_variant_is_aux(self):
+        g = two_cliques_graph()
+        aux = build_model(ModelSpec(variant="aux", alpha=0.5), g, seed=0)
+        for variant in ("plain", "mod"):
+            spec = ModelSpec(variant=variant, alpha=0.5)
+            with pytest.raises(ValueError, match="no aux head"):
+                Model(spec, aux.layer1, aux.layer2, aux.aux)
+            Model(spec, aux.layer1, aux.layer2, None)
+        with pytest.raises(ValueError, match="an aux head"):
+            Model(aux.spec, aux.layer1, aux.layer2, None)
+
     def test_params_are_live_views(self):
         g = two_cliques_graph()
         model = build_model(ModelSpec(), g, seed=0)
@@ -129,3 +144,46 @@ class TestCheckpoints:
         path.write_bytes(b"nope" + b"\x00" * 32)
         with pytest.raises(ValueError, match="checkpoint"):
             load_checkpoint(path)
+
+
+def _raw_checkpoint(header) -> bytes:
+    """A valid preamble around ``header``: a dict, or raw header bytes."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    return (CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(blob))
+            + blob)
+
+
+class TestMalformedCheckpoints:
+    """Every malformed checkpoint is one ValueError that names the file."""
+
+    def _assert_rejected(self, path, match):
+        with pytest.raises(ValueError, match=match) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_short_file(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x01\x00")
+        self._assert_rejected(path, "malformed checkpoint")
+
+    def test_header_without_arrays(self, tmp_path):
+        path = tmp_path / "no_arrays.ckpt"
+        path.write_bytes(_raw_checkpoint({"spec": {}}))
+        self._assert_rejected(path, "missing field 'arrays'")
+
+    def test_unknown_spec_field(self, tmp_path):
+        path = tmp_path / "extra_field.ckpt"
+        path.write_bytes(_raw_checkpoint({"spec": {"dropout": 0.5},
+                                          "arrays": []}))
+        self._assert_rejected(path, "dropout")
+
+    def test_array_longer_than_the_file(self, tmp_path):
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(_raw_checkpoint(
+            {"spec": {}, "arrays": [{"name": "w", "shape": [10**12]}]}))
+        self._assert_rejected(path, "truncated")
+
+    def test_bad_header_json(self, tmp_path):
+        path = tmp_path / "bad_json.ckpt"
+        path.write_bytes(_raw_checkpoint(b"{not json"))
+        self._assert_rejected(path, "malformed checkpoint")

@@ -7,9 +7,7 @@ from conftest import random_graph, two_cliques_graph
 from modgcn.layers import softmax_rows
 from modgcn.model import ModelSpec, build_model
 from modgcn.objectives import (LabelMask, masked_cross_entropy,
-                               modularity_loss, objective_for,
-                               supervised_loss, combined_loss_aux,
-                               combined_loss_output_reg)
+                               modularity_loss, objective_for)
 from modgcn.sparse import degree_vector
 
 
@@ -93,12 +91,17 @@ class TestModularityLoss:
 
 
 class TestObjectiveWiring:
-    def test_plain_report_has_zero_modularity(self):
+    def test_plain_report_has_zero_modularity(self, monkeypatch):
         g = two_cliques_graph()
-        model = build_model(ModelSpec(), g, seed=0)
+        model = build_model(ModelSpec(alpha=0.5), g, seed=0)
         mask = LabelMask.from_graph(g, [0, 4])
-        report, grads, fwd = supervised_loss(model, g, mask)
+
+        def unexpected(*args):
+            raise AssertionError("plain variant scored the modularity")
+        monkeypatch.setattr("modgcn.objectives.modularity_apply", unexpected)
+        report, grads, fwd = objective_for(model, g, mask)
         assert report.modularity_term == 0.0
+        assert report.alpha == 0.0
         assert report.total == report.supervised
         assert set(grads) == {"layer1.w0", "layer1.b",
                               "layer2.w0", "layer2.b"}
@@ -107,44 +110,33 @@ class TestObjectiveWiring:
         g = two_cliques_graph()
         model = build_model(ModelSpec(variant="mod", alpha=0.3), g, seed=0)
         mask = LabelMask.from_graph(g, [0, 4])
-        report, _, _ = combined_loss_output_reg(model, g, mask, 0.3)
+        report, _, fwd = objective_for(model, g, mask)
         assert report.total == pytest.approx(
             0.7 * report.supervised - 0.3 * report.modularity_term, abs=1e-12)
         assert report.alpha == 0.3
+        # scored on the output softmax matrix
+        q = -modularity_loss(g, degree_vector(g), fwd.output)[0]
+        assert report.modularity_term == q
 
     def test_aux_objective_routes_alpha_to_aux_head(self):
         g = two_cliques_graph()
         model = build_model(ModelSpec(variant="aux", alpha=0.5), g, seed=0)
         mask = LabelMask.from_graph(g, [0, 4])
-        report, grads, _ = combined_loss_aux(model, g, mask, 0.5)
+        report, grads, fwd = objective_for(model, g, mask)
         assert "aux.w" in grads and "aux.b" in grads
         assert report.total == pytest.approx(
             0.5 * report.supervised - 0.5 * report.modularity_term, abs=1e-12)
+        # scored on the auxiliary head, not on the output
+        q = -modularity_loss(g, degree_vector(g), fwd.aux_out)[0]
+        assert report.modularity_term == q
 
     def test_aux_gradients_are_exact_zeros_at_alpha_zero(self):
         g = two_cliques_graph()
         model = build_model(ModelSpec(variant="aux", alpha=0.0), g, seed=0)
         mask = LabelMask.from_graph(g, [0, 4])
-        _, grads, _ = combined_loss_aux(model, g, mask, 0.0)
+        _, grads, _ = objective_for(model, g, mask)
         assert np.all(grads["aux.w"] == 0.0)
         assert np.all(grads["aux.b"] == 0.0)
-
-    def test_alpha_validation(self):
-        g = two_cliques_graph()
-        model = build_model(ModelSpec(variant="mod", alpha=0.5), g, seed=0)
-        mask = LabelMask.from_graph(g, [0, 4])
-        with pytest.raises(ValueError, match="alpha"):
-            combined_loss_output_reg(model, g, mask, 1.5)
-
-    def test_variant_head_mismatch_is_rejected(self):
-        g = two_cliques_graph()
-        mask = LabelMask.from_graph(g, [0, 4])
-        aux_model = build_model(ModelSpec(variant="aux", alpha=0.5), g, seed=0)
-        plain_model = build_model(ModelSpec(), g, seed=0)
-        with pytest.raises(ValueError, match="without an aux head"):
-            combined_loss_output_reg(aux_model, g, mask, 0.5)
-        with pytest.raises(ValueError, match="with an aux head"):
-            combined_loss_aux(plain_model, g, mask, 0.5)
 
     def test_objective_for_dispatches_on_variant(self):
         g = two_cliques_graph()

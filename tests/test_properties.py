@@ -1,4 +1,9 @@
-"""Property-based tests against dense oracles (need the `test` extras)."""
+"""Property-based tests: kernels against dense oracles, and exact round
+trips of the results CSV and of checkpoints (need the `test` extras)."""
+
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from conftest import two_cliques_graph  # noqa: E402
 from modgcn import kernels  # noqa: E402
+from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E402
+                            write_results_csv)
+from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
+                          load_checkpoint, save_checkpoint)
 from modgcn.sparse import CsrMatrix  # noqa: E402
 
 # small exact values, so duplicates can cancel to exact zeros
@@ -50,3 +60,66 @@ def test_every_backend_matches_dense_product(case):
             np.testing.assert_allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
     finally:
         kernels.set_backend(previous)
+
+
+UNIT = st.floats(0.0, 1.0)
+COUNT = st.integers(0, 2**62)
+
+
+@st.composite
+def run_results(draw):
+    accuracy = draw(st.one_of(UNIT, st.just(float("nan"))))
+    return RunResult(draw(st.sampled_from(MODEL_ORDER)),
+                     draw(st.sampled_from(VARIANTS)), draw(UNIT),
+                     draw(COUNT), draw(COUNT), draw(COUNT), accuracy,
+                     draw(COUNT), failed=math.isnan(accuracy))
+
+
+def _exact(r: RunResult) -> tuple:
+    # repr tells nan from nan and -0.0 from 0.0, which == does not
+    return (r.model_name, r.variant, repr(r.alpha), r.labels_per_class,
+            r.run_index, r.split_seed, repr(r.test_accuracy), r.epochs_run,
+            r.final_losses, r.failed, r.note)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.lists(run_results(), max_size=12))
+def test_results_csv_round_trip_is_exact(runs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "results.csv"
+        write_results_csv(path, runs)
+        back = read_results_csv(path)
+    assert [_exact(r) for r in back] == [_exact(r) for r in runs]
+
+
+@st.composite
+def model_specs(draw):
+    variant = draw(st.sampled_from(VARIANTS))
+    return ModelSpec(encoder=draw(st.sampled_from(ENCODERS)),
+                     cheb_order=draw(st.integers(0, 3)), variant=variant,
+                     hidden_dim=draw(st.integers(1, 6)), alpha=draw(UNIT),
+                     k_aux=draw(st.integers(0, 4)),
+                     epochs=draw(st.integers(0, 10**6)),
+                     lr=draw(st.floats(1e-300, 1e3)),
+                     seed=draw(st.integers(0, 2**31)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(model_specs(), st.data())
+def test_checkpoint_round_trip_is_bitwise(spec, data):
+    model = build_model(spec, two_cliques_graph())
+    # any float64 bit pattern must survive: nan, inf, -0.0, subnormals
+    model.set_params({
+        name: data.draw(arrays(np.float64, p.shape, elements=st.floats()),
+                        label=name)
+        for name, p in model.params().items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded_spec, arrays_back = load_checkpoint(path)
+    assert loaded_spec == spec
+    params = model.params()
+    assert list(arrays_back) == list(params)
+    for name, value in params.items():
+        assert arrays_back[name].shape == value.shape
+        assert arrays_back[name].tobytes() == value.tobytes()
