@@ -21,9 +21,8 @@ from .model import (Model, ModelSpec, build_model, load_checkpoint,
 from .objectives import (LabelMask, LossReport, masked_cross_entropy,
                          modularity_loss, objective_for)
 from .optim import AdamState, adam_step
-from .sparse import (CsrMatrix, DegreeVector, Graph, build_graph,
-                     degree_vector, gcn_support, modularity_apply,
-                     modularity_score, modularity_trace,
+from .sparse import (CsrMatrix, Graph, build_graph, gcn_support,
+                     modularity_apply, modularity_score, modularity_trace,
                      normalized_laplacian)
 from .spectral import (ChebFilter, build_chebyshev_supports,
                        power_iteration, rescale_laplacian)
@@ -32,11 +31,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "AggregateResult", "ChebFilter", "CsrMatrix",
-    "DatasetSource", "DegreeVector", "DenseLayer", "Graph",
+    "DatasetSource", "DenseLayer", "Graph",
     "GraphConvLayer", "IcaConfig", "IcaResult", "LabelMask", "LossReport",
     "MatrixConfig", "Model", "ModelSpec", "RunResult", "Split", "SplitSpec",
     "SweepResult", "adam_step", "alpha_sweep", "build_chebyshev_supports",
-    "build_graph", "build_model", "degree_vector", "export_embeddings",
+    "build_graph", "build_model", "export_embeddings",
     "gcn_support", "ica_train_predict",
     "load_checkpoint", "load_dataset", "load_linqs", "load_matrix_config",
     "load_model", "make_split", "masked_cross_entropy", "modularity_apply",

@@ -139,7 +139,7 @@ def _spec_from_args(args) -> ModelSpec:
     return ModelSpec(encoder=args.model, cheb_order=args.cheb_order,
                      variant=args.variant, hidden_dim=args.hidden_dim,
                      alpha=args.alpha, k_aux=args.k_aux, epochs=args.epochs,
-                     lr=args.lr, seed=args.seed)
+                     lr=args.lr, seed=args.seed, lambda_max=args.lambda_max)
 
 
 def _cmd_train(args) -> int:
@@ -147,7 +147,7 @@ def _cmd_train(args) -> int:
     spec = _spec_from_args(args)
     split = make_split(graph, args.labels_per_class, args.test_size,
                        args.seed)
-    model = build_model(spec, graph, lambda_max=args.lambda_max)
+    model = build_model(spec, graph)
     result = train_once(spec, graph, split, log_path=args.log, model=model)
     if result.failed:
         print(f"error: run failed: {result.note}", file=sys.stderr)
@@ -208,7 +208,7 @@ def _cmd_export_embeddings(args) -> int:
     spec = _spec_from_args(args)
     split = make_split(graph, args.labels_per_class, args.test_size,
                        args.seed)
-    model = build_model(spec, graph, lambda_max=args.lambda_max)
+    model = build_model(spec, graph)
     result = train_once(spec, graph, split, model=model)
     if result.failed:
         print(f"error: run failed: {result.note}", file=sys.stderr)

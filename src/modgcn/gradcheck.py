@@ -13,7 +13,7 @@ from .layers import DenseLayer, GraphConvLayer, softmax_rows
 from .model import Model, ModelSpec, build_model, build_supports
 from .objectives import (LabelMask, masked_cross_entropy, modularity_loss,
                          objective_for)
-from .sparse import Graph, build_graph, degree_vector
+from .sparse import Graph, build_graph
 
 DEFAULT_H = 1e-5
 DEFAULT_RTOL = 1e-5
@@ -81,7 +81,7 @@ def _build_away_from_relu_kink(spec: ModelSpec, graph: Graph, seed: int,
     finite-difference step of the ReLU kink."""
     for attempt in range(20):
         model = build_model(spec, graph, seed=seed + 7919 * attempt)
-        fwd = model.forward(graph.features)
+        fwd = model.forward(graph.feature_operand)
         if np.min(np.abs(fwd.cache1.pre)) > margin:
             return model
     return model
@@ -191,13 +191,12 @@ def check_loss_gradients(rng: np.random.Generator):
                            float(np.max(np.abs(grad_pre - numeric))),
                            gradients_close(grad_pre, numeric))]
 
-    degrees = degree_vector(graph)
     h = rng.standard_normal((n, k))
 
     def mod_loss():
-        return modularity_loss(graph, degrees, h)[0]
+        return modularity_loss(graph, h)[0]
 
-    _, grad_h = modularity_loss(graph, degrees, h)
+    _, grad_h = modularity_loss(graph, h)
     numeric = numerical_gradient(mod_loss, h)
     results.append(CheckResult("modularity_loss.h",
                                float(np.max(np.abs(grad_h - numeric))),

@@ -18,10 +18,10 @@ import numpy as np
 
 from .datasets import SplitSpec, load_dataset, stratified_split
 from .ica import IcaConfig, ica_train_predict
-from .model import ModelSpec, build_model, build_supports
+from .model import ModelSpec, build_model
 from .objectives import LabelMask, LossReport, objective_for
 from .optim import AdamState, adam_step
-from .sparse import CsrMatrix, Graph
+from .sparse import Graph
 
 logger = logging.getLogger(__name__)
 
@@ -34,9 +34,6 @@ RESULTS_HEADER = ("model", "variant", "alpha", "labels_per_class",
 LOG_HEADER = ("epoch", "total", "supervised", "modularity_term",
               "train_acc", "test_acc")
 EMBEDDING_LAYERS = ("hidden", "output", "aux")
-
-# below this density the feature matrix goes through the sparse kernels
-SPARSE_FEATURE_DENSITY = 0.25
 
 
 @dataclass(frozen=True)
@@ -217,12 +214,9 @@ def model_spec_for(model_name: str, config: MatrixConfig, seed: int,
 
 
 def training_features(graph: Graph):
-    """Dense or CSR feature matrix, whichever suits the density."""
-    feats = graph.features
-    nnz = np.count_nonzero(feats)
-    if feats.size and nnz / feats.size < SPARSE_FEATURE_DENSITY:
-        return CsrMatrix.from_dense(feats)
-    return feats
+    """Dense or CSR feature matrix, whichever suits the density (the
+    graph's ``feature_operand``)."""
+    return graph.feature_operand
 
 
 def accuracy_of(probs: np.ndarray, labels: np.ndarray,
@@ -234,7 +228,7 @@ def accuracy_of(probs: np.ndarray, labels: np.ndarray,
 
 
 def train_once(spec: ModelSpec, graph: Graph, split: Split,
-               log_path=None, features=None, model=None) -> RunResult:
+               log_path=None, model=None) -> RunResult:
     """Full-batch training for spec.epochs with no early stopping.
 
     The training log holds epochs+1 rows; row e is the state after e
@@ -242,11 +236,10 @@ def train_once(spec: ModelSpec, graph: Graph, split: Split,
     the final model. A non-finite loss or gradient aborts the run, which
     is recorded as failed. ``model`` defaults to ``build_model(spec,
     graph)``; pass one to keep the trained weights (it is updated in
-    place) or to reuse a filter already built."""
+    place)."""
     mask = LabelMask.from_graph(graph, split.train_ids)
     if model is None:
         model = build_model(spec, graph)
-    x = training_features(graph) if features is None else features
     params = model.params()
     state = AdamState.create(params, lr=spec.lr)
 
@@ -255,7 +248,7 @@ def train_once(spec: ModelSpec, graph: Graph, split: Split,
     failed, note = False, ""
     epochs_run = 0
     for epoch in range(spec.epochs + 1):
-        report, grads, fwd = objective_for(model, graph, mask, features=x)
+        report, grads, fwd = objective_for(model, graph, mask)
         if not math.isfinite(report.total):
             failed, note = True, f"non-finite loss at epoch {epoch}"
             break
@@ -299,37 +292,15 @@ def run_ica_once(graph: Graph, split: Split, cfg: IcaConfig,
                      split.run_index, split.seed, acc, result.iterations)
 
 
-class SupportCache:
-    """Per-graph cache of filter supports, keyed by encoder settings."""
-
-    def __init__(self, graph: Graph):
-        self.graph = graph
-        self._cache = {}
-        self._features = None
-
-    def features(self):
-        if self._features is None:
-            self._features = training_features(self.graph)
-        return self._features
-
-    def supports_for(self, spec: ModelSpec):
-        key = (spec.encoder, spec.cheb_order)
-        if key not in self._cache:
-            self._cache[key] = build_supports(spec, self.graph)
-        return self._cache[key]
-
-
-def execute_job(graph: Graph, config: MatrixConfig, cache: SupportCache,
-                model_name: str, budget: int, run_index: int,
+def execute_job(graph: Graph, config: MatrixConfig, model_name: str,
+                budget: int, run_index: int,
                 alpha: float | None = None) -> RunResult:
     seed = split_seed_for(config.base_seed, budget, run_index)
     split = make_split(graph, budget, config.test_size, seed, run_index)
     if model_name == "ica":
         return run_ica_once(graph, split, config.ica, seed)
-    spec = model_spec_for(model_name, config, seed, alpha=alpha)
-    model = build_model(spec, graph, supports=cache.supports_for(spec))
-    return train_once(spec, graph, split, features=cache.features(),
-                      model=model)
+    return train_once(model_spec_for(model_name, config, seed, alpha=alpha),
+                      graph, split)
 
 
 _WORKER = {}
@@ -338,22 +309,19 @@ _WORKER = {}
 def _worker_init(graph, config):
     _WORKER["graph"] = graph
     _WORKER["config"] = config
-    _WORKER["cache"] = SupportCache(graph)
 
 
 def _worker_run(job):
     model_name, budget, run_index, alpha = job
-    return execute_job(_WORKER["graph"], _WORKER["config"],
-                       _WORKER["cache"], model_name, budget, run_index,
-                       alpha=alpha)
+    return execute_job(_WORKER["graph"], _WORKER["config"], model_name,
+                       budget, run_index, alpha=alpha)
 
 
 def _run_jobs(graph: Graph, config: MatrixConfig, jobs) -> list:
     """Run (model, budget, run_index, alpha) jobs, serially or on a
     process pool; results come back in job order either way."""
     if config.jobs == 1:
-        cache = SupportCache(graph)
-        return [execute_job(graph, config, cache, *job[:3], alpha=job[3])
+        return [execute_job(graph, config, *job[:3], alpha=job[3])
                 for job in jobs]
     with ProcessPoolExecutor(max_workers=config.jobs,
                              initializer=_worker_init,
@@ -390,18 +358,23 @@ def aggregate(runs, model_order=MODEL_ORDER) -> list:
     results = []
     for key in sorted(groups, key=lambda k: (order.get(k[0], 99), k[1])):
         model_name, budget = key
-        accs = np.array([r.test_accuracy for r in groups[key] if not r.failed])
-        n_failed = sum(1 for r in groups[key] if r.failed)
-        if accs.size == 0:
-            results.append(AggregateResult(model_name, budget, float("nan"),
-                                           float("nan"), 0, n_failed))
-            continue
-        se = float(np.std(accs, ddof=1) / np.sqrt(accs.size)) \
-            if accs.size > 1 else 0.0
-        results.append(AggregateResult(model_name, budget,
-                                       float(np.mean(accs)), se,
-                                       int(accs.size), n_failed))
+        accs = [r.test_accuracy for r in groups[key] if not r.failed]
+        n_failed = len(groups[key]) - len(accs)
+        # a cell with no finished run has no standard error either
+        mean, se = _mean_and_se(accs) if accs else (math.nan, math.nan)
+        results.append(AggregateResult(model_name, budget, mean, se,
+                                       len(accs), n_failed))
     return results
+
+
+def _mean_and_se(accs) -> tuple:
+    """Mean accuracy (nan for no runs) and its standard error (0.0 for
+    fewer than two runs)."""
+    accs = np.asarray(accs, dtype=np.float64)
+    mean = float(np.mean(accs)) if accs.size else float("nan")
+    se = float(np.std(accs, ddof=1) / np.sqrt(accs.size)) \
+        if accs.size > 1 else 0.0
+    return mean, se
 
 
 def alpha_sweep(config: MatrixConfig, grid=DEFAULT_ALPHA_GRID,
@@ -435,13 +408,9 @@ def alpha_sweep(config: MatrixConfig, grid=DEFAULT_ALPHA_GRID,
         for budget in config.budgets:
             curve = []
             for alpha in grid:
-                cell = [r for r in by_cell.get((model, budget, alpha), ())
-                        if not r.failed]
-                accs = np.array([r.test_accuracy for r in cell])
-                mean = float(np.mean(accs)) if accs.size else float("nan")
-                se = float(np.std(accs, ddof=1) / np.sqrt(accs.size)) \
-                    if accs.size > 1 else 0.0
-                curve.append((alpha, mean, se))
+                cell = by_cell.get((model, budget, alpha), ())
+                curve.append((alpha, *_mean_and_se(
+                    [r.test_accuracy for r in cell if not r.failed])))
             finite = [(mean, alpha) for alpha, mean, _ in curve
                       if math.isfinite(mean)]
             if not finite:
@@ -455,15 +424,13 @@ def alpha_sweep(config: MatrixConfig, grid=DEFAULT_ALPHA_GRID,
     return sweeps, runs
 
 
-def export_embeddings(model, graph: Graph, layer: str, path,
-                      features=None) -> None:
+def export_embeddings(model, graph: Graph, layer: str, path) -> None:
     """Write one node per row: node_id, true_label, then the requested
     layer's coordinates. Projection to 2-D is out of scope."""
     if layer not in EMBEDDING_LAYERS:
         raise ValueError(f"unknown embedding layer {layer!r}; "
                          f"expected one of {EMBEDDING_LAYERS}")
-    x = training_features(graph) if features is None else features
-    fwd = model.forward(x)
+    fwd = model.forward(graph.feature_operand)
     if layer == "hidden":
         emb = fwd.hidden
     elif layer == "output":

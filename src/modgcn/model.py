@@ -32,6 +32,7 @@ class ModelSpec:
     epochs: int = 100
     lr: float = 0.01
     seed: int = 0
+    lambda_max: float | None = None  # chebnet only; None means power iteration
 
     def __post_init__(self):
         if self.encoder not in ENCODERS:
@@ -48,6 +49,8 @@ class ModelSpec:
             raise ValueError("epochs must be >= 0 and lr > 0")
         if self.k_aux < 0:
             raise ValueError("k_aux must be >= 0")
+        if self.lambda_max is not None and not self.lambda_max > 0.0:
+            raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
 
     @property
     def effective_alpha(self) -> float:
@@ -110,21 +113,24 @@ class Model:
             p[...] = values[key]
 
 
-def build_model(spec: ModelSpec, graph: Graph, seed=None, supports=None,
-                lambda_max: float | None = None) -> Model:
-    """Assemble a model for ``graph``; the filter (see ``build_supports``)
-    is computed if not given."""
+def build_model(spec: ModelSpec, graph: Graph, seed=None) -> Model:
+    """Assemble a model for ``graph``. Its filter (see ``build_supports``)
+    is built on first use and kept in ``graph.filters``."""
     if seed is None:
         seed = spec.seed
-    if supports is None:
-        supports = build_supports(spec, graph, lambda_max=lambda_max)
-    in_dim = graph.features.shape[1]
     k = graph.num_classes
     if k < 2:
         raise ValueError("graph must carry at least 2 label classes")
-    layer1 = GraphConvLayer.create(supports, in_dim, spec.hidden_dim, "relu",
+    # keyed by what fixes the filter, and nothing else
+    key = (("gcn",) if spec.encoder == "gcn"
+           else ("chebnet", spec.cheb_order, spec.lambda_max))
+    cheb = graph.filters.get(key)
+    if cheb is None:
+        cheb = graph.filters[key] = build_supports(spec, graph)
+    in_dim = graph.features.shape[1]
+    layer1 = GraphConvLayer.create(cheb, in_dim, spec.hidden_dim, "relu",
                                    seed, layer_id=0)
-    layer2 = GraphConvLayer.create(supports, spec.hidden_dim, k, "softmax_rows",
+    layer2 = GraphConvLayer.create(cheb, spec.hidden_dim, k, "softmax_rows",
                                    seed, layer_id=1)
     aux = None
     if spec.variant == "aux":
@@ -134,13 +140,13 @@ def build_model(spec: ModelSpec, graph: Graph, seed=None, supports=None,
     return Model(spec, layer1, layer2, aux)
 
 
-def build_supports(spec: ModelSpec, graph: Graph,
-                   lambda_max: float | None = None) -> ChebFilter:
+def build_supports(spec: ModelSpec, graph: Graph) -> ChebFilter:
     """The encoder's graph filter: T_1 of the GCN support, or T_0..T_K
-    of the rescaled Laplacian."""
+    of the rescaled Laplacian at ``spec.lambda_max``."""
     if spec.encoder == "gcn":
         return ChebFilter(gcn_support(graph), order=1, lowest=1)
-    return build_chebyshev_supports(graph, spec.cheb_order, lambda_max=lambda_max)
+    return build_chebyshev_supports(graph, spec.cheb_order,
+                                    lambda_max=spec.lambda_max)
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -202,10 +208,9 @@ def _read_checkpoint(fh):
     return ModelSpec(**header["spec"]), arrays
 
 
-def load_model(path, graph: Graph, supports=None,
-               lambda_max: float | None = None) -> Model:
+def load_model(path, graph: Graph) -> Model:
     """Rebuild a model for ``graph`` from a checkpoint."""
     spec, arrays = load_checkpoint(path)
-    model = build_model(spec, graph, supports=supports, lambda_max=lambda_max)
+    model = build_model(spec, graph)
     model.set_params(arrays)
     return model

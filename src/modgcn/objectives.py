@@ -12,7 +12,7 @@ import numpy as np
 
 from .layers import softmax_rows_backward
 from .model import Model
-from .sparse import DegreeVector, Graph, degree_vector, modularity_apply
+from .sparse import Graph, modularity_apply
 
 LOG_CLAMP = 1e-12
 
@@ -66,21 +66,22 @@ def masked_cross_entropy(z: np.ndarray, mask: LabelMask):
     return loss, grad_pre
 
 
-def modularity_loss(g: Graph, degrees: DegreeVector, h: np.ndarray):
+def modularity_loss(g: Graph, h: np.ndarray):
     """Negated normalized modularity: loss = -tr(H^T B H) / 2e.
 
     Returns (loss, gradient w.r.t. H); B is symmetric, so the gradient is
     -(2 / 2e) * B @ H, computed through the lazy operator.
     """
-    bh = modularity_apply(g, degrees, h)
+    bh = modularity_apply(g, h)
     two_e = 2.0 * g.num_edges
     loss = -float(np.sum(h * bh)) / two_e
     return loss, -(2.0 / two_e) * bh
 
 
-def objective_for(model: Model, graph: Graph, mask: LabelMask, features=None):
+def objective_for(model: Model, graph: Graph, mask: LabelMask):
     """The training objective L = (1 - alpha) * CE - alpha * Q of every
-    variant, with alpha = ``model.spec.effective_alpha``.
+    variant, with alpha = ``model.spec.effective_alpha``, evaluated on
+    ``graph.feature_operand``.
 
     Q is the modularity of the output softmax matrix for ``mod`` (both
     signals share every parameter), of the auxiliary head's output for
@@ -92,12 +93,12 @@ def objective_for(model: Model, graph: Graph, mask: LabelMask, features=None):
     Returns (LossReport, parameter gradients, ForwardResult).
     """
     variant, alpha = model.spec.variant, model.spec.effective_alpha
-    fwd = model.forward(graph.features if features is None else features)
+    fwd = model.forward(graph.feature_operand)
     sup, grad_pre_sup = masked_cross_entropy(fwd.output, mask)
     q = 0.0
     if variant != "plain":
         scored = fwd.output if variant == "mod" else fwd.aux_out
-        mod_loss, grad_mod = modularity_loss(graph, degree_vector(graph), scored)
+        mod_loss, grad_mod = modularity_loss(graph, scored)
         q = -mod_loss
 
     delta2 = (1.0 - alpha) * grad_pre_sup

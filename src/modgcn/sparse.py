@@ -1,11 +1,12 @@
-"""Sparse graph core: CSR matrices, graph construction, the normalized
-graph operators, and the lazily-applied modularity operator.
+"""Sparse graph core: CSR matrices, graph construction, what a graph fixes
+(degrees, the layer-1 feature operand, a memo of built filters), the
+normalized graph operators, and the lazily-applied modularity operator.
 
 Dense matrices throughout the package are float64 numpy arrays in row-major
 order. CSR index arrays are int64.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -13,6 +14,9 @@ import numpy as np
 from . import kernels
 
 UNLABELED = -1
+
+# below this density the feature matrix goes through the sparse kernels
+SPARSE_FEATURE_DENSITY = 0.25
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,8 @@ class Graph:
 
     adjacency is symmetric, binary, zero-diagonal CSR; features is a dense
     (n, C) float64 array; labels holds class ids in 0..num_classes-1 with
-    UNLABELED (-1) for nodes without a label.
+    UNLABELED (-1) for nodes without a label. What the graph fixes is
+    derived on first use and lives and dies with the graph object.
     """
 
     adjacency: CsrMatrix
@@ -165,12 +170,30 @@ class Graph:
     def num_nodes(self) -> int:
         return self.adjacency.n_rows
 
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """Unweighted node degrees k_i; sum(degrees) == 2 * num_edges."""
+        return np.diff(self.adjacency.row_offsets).astype(np.float64)
 
-@dataclass(frozen=True)
-class DegreeVector:
-    """Unweighted node degrees k_i; sum(degrees) == 2 * num_edges."""
+    @cached_property
+    def feature_operand(self):
+        """The layer-1 input: the features as CSR when their density is
+        below SPARSE_FEATURE_DENSITY, else the dense array itself."""
+        feats = self.features
+        nnz = np.count_nonzero(feats)
+        if feats.size and nnz / feats.size < SPARSE_FEATURE_DENSITY:
+            return CsrMatrix.from_dense(feats)
+        return feats
 
-    degrees: np.ndarray
+    @cached_property
+    def filters(self) -> dict:
+        """Built graph filters, keyed by what fixes each (``model.build_model``
+        fills it)."""
+        return {}
+
+    def __getstate__(self):
+        # the fields only: a copy, such as a pool worker's, derives its own
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def build_graph(edge_list, features, labels) -> Graph:
@@ -199,20 +222,16 @@ def build_graph(edge_list, features, labels) -> Graph:
     return Graph(adjacency, features, labels, num_classes, adjacency.nnz // 2)
 
 
-def degree_vector(g: Graph) -> DegreeVector:
-    return DegreeVector(np.diff(g.adjacency.row_offsets).astype(np.float64))
-
-
 def gcn_support(g: Graph) -> CsrMatrix:
     """Self-loop-augmented symmetric normalization Dt^{-1/2}(A+I)Dt^{-1/2}."""
     a_tilde = sparse_add(g.adjacency, CsrMatrix.identity(g.num_nodes))
-    d_tilde = degree_vector(g).degrees + 1.0
+    d_tilde = g.degrees + 1.0
     return _scale_sym(a_tilde, 1.0 / np.sqrt(d_tilde))
 
 
 def normalized_laplacian(g: Graph) -> CsrMatrix:
     """I - D^{-1/2} A D^{-1/2}; rows of isolated nodes reduce to the identity."""
-    d = degree_vector(g).degrees
+    d = g.degrees
     s = np.zeros_like(d)
     nz = d > 0
     s[nz] = 1.0 / np.sqrt(d[nz])
@@ -237,23 +256,23 @@ def _check_modularity_args(g: Graph, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def modularity_apply(g: Graph, degrees: DegreeVector, h: np.ndarray) -> np.ndarray:
+def modularity_apply(g: Graph, h: np.ndarray) -> np.ndarray:
     """B @ H for the modularity matrix B = A - k k^T / 2e, applied lazily.
 
     The dense B is never formed: cost is O(nnz(A) * p + n * p).
     """
     h = _check_modularity_args(g, h)
-    k = degrees.degrees
+    k = g.degrees
     two_e = 2.0 * g.num_edges
     return g.adjacency.dot(h) - np.outer(k, k @ h) / two_e
 
 
-def modularity_trace(g: Graph, degrees: DegreeVector, h: np.ndarray) -> float:
+def modularity_trace(g: Graph, h: np.ndarray) -> float:
     """Raw partition score tr(H^T B H)."""
     h = _check_modularity_args(g, h)
-    return float(np.sum(h * modularity_apply(g, degrees, h)))
+    return float(np.sum(h * modularity_apply(g, h)))
 
 
-def modularity_score(g: Graph, degrees: DegreeVector, h: np.ndarray) -> float:
+def modularity_score(g: Graph, h: np.ndarray) -> float:
     """Normalized modularity Q = tr(H^T B H) / 2e."""
-    return modularity_trace(g, degrees, h) / (2.0 * g.num_edges)
+    return modularity_trace(g, h) / (2.0 * g.num_edges)

@@ -109,13 +109,12 @@ def rescale_laplacian(laplacian: CsrMatrix, lambda_max: float) -> CsrMatrix:
     return sparse_add(laplacian.scaled(2.0 / lambda_max), eye, cb=-1.0)
 
 
-def build_chebyshev_supports(g: Graph, order: int, tol: float = 1e-6,
-                             max_iters: int = 1000, seed=0,
+def build_chebyshev_supports(g: Graph, order: int,
                              lambda_max: float | None = None) -> ChebFilter:
     """The order-K ChebNet filter of ``g``: Laplacian, lambda_max by power
-    iteration (unless overridden), rescaled to Lt."""
+    iteration (unless given), rescaled to Lt."""
     lap = normalized_laplacian(g)
     if lambda_max is None:
-        lambda_max = power_iteration(lap, tol=tol, max_iters=max_iters, seed=seed)
+        lambda_max = power_iteration(lap)
         log.debug("power iteration lambda_max = %.8f", lambda_max)
     return ChebFilter(rescale_laplacian(lap, lambda_max), order, lambda_max=lambda_max)

@@ -27,7 +27,6 @@ from modgcn.model import ModelSpec, build_model
 from modgcn.objectives import LabelMask, objective_for
 from modgcn.sparse import (
     build_graph,
-    degree_vector,
     modularity_apply,
     modularity_score,
     normalized_laplacian,
@@ -75,21 +74,20 @@ def test_criterion_02_modularity_oracle():
     for _ in range(100):
         n = int(rng.integers(4, 51))
         g = random_graph(rng, n, p=float(rng.uniform(0.05, 0.5)))
-        deg = degree_vector(g)
         two_e = 2.0 * g.num_edges
         h = rng.standard_normal((n, int(rng.integers(2, 5))))
         a = g.adjacency.to_dense()
-        b = a - np.outer(deg.degrees, deg.degrees) / two_e
+        b = a - np.outer(g.degrees, g.degrees) / two_e
         worst = max(worst, float(np.max(np.abs(
-            modularity_apply(g, deg, h) - b @ h))))
+            modularity_apply(g, h) - b @ h))))
         dense_q = float(np.trace(h.T @ b @ h) / two_e)
-        worst = max(worst, abs(modularity_score(g, deg, h) - dense_q))
+        worst = max(worst, abs(modularity_score(g, h) - dense_q))
         ones = np.ones((n, 1))
-        worst = max(worst, abs(modularity_score(g, deg, ones)))
+        worst = max(worst, abs(modularity_score(g, ones)))
     pair = build_graph([(0, 1), (2, 3)], np.zeros((4, 1)),
                        np.array([0, 0, 1, 1]))
     h = np.array([[1.0, 0], [1, 0], [0, 1], [0, 1]])
-    exact = modularity_score(pair, degree_vector(pair), h)
+    exact = modularity_score(pair, h)
     ok = worst <= 1e-12 and exact == 0.5
     assert _report(2, ok, f"worst dense-oracle error {worst:.2e}, "
                           f"disjoint-edges Q = {exact}")

@@ -4,6 +4,7 @@ and the single-line error contract."""
 import pytest
 
 from modgcn.cli import DATA_DIR_ENV, build_parser, main
+from modgcn.model import load_checkpoint
 
 SUBCOMMANDS = ("train", "experiment", "sweep-alpha", "export-embeddings",
                "ica", "check-gradients")
@@ -110,6 +111,29 @@ class TestTrain:
             "--data-dir", str(tmp_path))
         assert code == 2
         assert err.startswith("error: ")
+        assert "\n" not in err.strip()
+
+
+    def test_lambda_max_is_saved(self, capsys, blobs_dataset, tmp_path):
+        ckpt = tmp_path / "model.ckpt"
+        code, _, err = run_cli(
+            capsys, "train", "--dataset", str(blobs_dataset),
+            "--data-dir", str(tmp_path), "--model", "chebnet",
+            "--lambda-max", "1.2", "--labels-per-class", "3",
+            "--test-size", "12", "--epochs", "3",
+            "--log", str(tmp_path / "log.csv"), "--save", str(ckpt))
+        assert code == 0 and err == ""
+        assert load_checkpoint(ckpt)[0].lambda_max == 1.2
+
+    @pytest.mark.parametrize("value", ["0", "-1.5", "nan"])
+    def test_non_positive_lambda_max_is_one_error_line(
+            self, capsys, blobs_dataset, tmp_path, value):
+        code, _, err = run_cli(
+            capsys, "train", "--dataset", str(blobs_dataset),
+            "--data-dir", str(tmp_path), "--model", "chebnet",
+            "--lambda-max", value, "--log", str(tmp_path / "log.csv"))
+        assert code == 2
+        assert err.startswith("error: lambda_max must be positive")
         assert "\n" not in err.strip()
 
 

@@ -2,12 +2,14 @@
 the alpha sweep, and the CSV/markdown writers."""
 
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import modgcn.harness as harness
+import modgcn.model as model_module
 from modgcn.datasets import load_dataset
 from modgcn.harness import (
     DEFAULT_ALPHA_GRID,
@@ -18,7 +20,6 @@ from modgcn.harness import (
     MatrixConfig,
     RunResult,
     Split,
-    SupportCache,
     SweepResult,
     accuracy_of,
     aggregate,
@@ -39,8 +40,8 @@ from modgcn.harness import (
     write_sweep_csv,
 )
 from modgcn.ica import IcaConfig
-from modgcn.model import ModelSpec, build_model, build_supports
-from modgcn.sparse import CsrMatrix
+from modgcn.model import ModelSpec, build_model
+from modgcn.sparse import CsrMatrix, build_graph
 
 from conftest import two_cliques_graph
 
@@ -114,7 +115,6 @@ class TestModelSpecFor:
 class TestTrainingFeatures:
     def test_sparse_features_become_csr(self):
         # one-hot rows in a 10-column matrix: density 0.1
-        from modgcn.sparse import build_graph
         feats = np.eye(10)[np.arange(8) % 10]
         g = build_graph([(i, i + 1) for i in range(7)], feats,
                         np.arange(8) % 2)
@@ -183,14 +183,16 @@ class TestTrainOnce:
         assert got == r.test_accuracy
 
     def test_precomputed_supports_match(self):
-        g = two_cliques_graph(scale=3.0)
+        # a run on a graph whose filter and features are already derived
+        # equals one on a fresh graph
         spec = small_spec()
-        plain = train_once(spec, g, clique_split())
-        shared = train_once(spec, g, clique_split(),
-                            features=training_features(g),
-                            model=build_model(spec, g,
-                                              supports=build_supports(spec, g)))
+        plain = train_once(spec, two_cliques_graph(scale=3.0), clique_split())
+        g = two_cliques_graph(scale=3.0)
+        build_model(spec, g)
+        training_features(g)
+        shared = train_once(spec, g, clique_split())
         assert plain.test_accuracy == shared.test_accuracy
+        assert plain.final_losses == shared.final_losses
 
 
 class TestIcaAndJobs:
@@ -201,26 +203,68 @@ class TestIcaAndJobs:
         assert r.model_name == "ica"
         assert r.test_accuracy == 1.0
 
-    def test_support_cache_reuses_objects(self):
-        g = two_cliques_graph()
-        cache = SupportCache(g)
-        spec = small_spec()
-        assert cache.supports_for(spec) is cache.supports_for(spec)
-        cheb = small_spec(encoder="chebnet")
-        assert cache.supports_for(cheb) is not cache.supports_for(spec)
-        assert cache.features() is cache.features()
-
     def test_execute_job_matches_train_once(self, blobs_graph):
         cfg = MatrixConfig(models=("gcn",), budgets=(3,), n_runs=1,
                            test_size=12, epochs=10)
-        cache = SupportCache(blobs_graph)
-        r = execute_job(blobs_graph, cfg, cache, "gcn", 3, 0)
+        r = execute_job(blobs_graph, cfg, "gcn", 3, 0)
         seed = split_seed_for(0, 3, 0)
         split = make_split(blobs_graph, 3, 12, seed, run_index=0)
         direct = train_once(model_spec_for("gcn", cfg, seed),
                             blobs_graph, split)
         assert r.test_accuracy == direct.test_accuracy
         assert r.split_seed == seed
+
+
+class TestGraphMemo:
+    def test_models_on_one_graph_share_the_filter(self, monkeypatch):
+        g = two_cliques_graph()
+        builds = []
+        real = model_module.build_supports
+
+        def counting(spec, graph):
+            builds.append(spec)
+            return real(spec, graph)
+        monkeypatch.setattr(model_module, "build_supports", counting)
+        a = build_model(small_spec(), g)
+        b = build_model(small_spec(variant="mod", alpha=0.5, hidden_dim=4,
+                                   cheb_order=3, seed=9), g)
+        assert a.layer1.filter is b.layer1.filter is a.layer2.filter
+        cheb = build_model(small_spec(encoder="chebnet"), g)
+        assert cheb.layer1.filter is not a.layer1.filter
+        assert build_model(small_spec(encoder="chebnet"), g).layer1.filter \
+            is cheb.layer1.filter
+        forced = build_model(small_spec(encoder="chebnet", lambda_max=1.5), g)
+        assert forced.layer1.filter.lambda_max == 1.5
+        assert len(builds) == 3
+        # another graph object derives its own
+        other = build_model(small_spec(), two_cliques_graph())
+        assert other.layer1.filter is not a.layer1.filter
+
+    def test_feature_operand_is_computed_once(self, monkeypatch):
+        feats = np.eye(10)[np.arange(8) % 10]  # density 0.1: CSR
+        g = build_graph([(i, i + 1) for i in range(7)], feats,
+                        np.arange(8) % 2)
+        calls = []
+        real = CsrMatrix.from_dense
+
+        def counting(cls, arr):
+            calls.append(arr)
+            return real(arr)
+        monkeypatch.setattr(CsrMatrix, "from_dense", classmethod(counting))
+        spec = small_spec(epochs=3)
+        split = Split(np.array([0, 1]), np.arange(2, 8), 1, 0)
+        train_once(spec, g, split)
+        train_once(spec, g, split)
+        assert training_features(g) is g.feature_operand
+        assert len(calls) == 1
+
+    def test_pickled_graph_derives_its_own(self):
+        g = two_cliques_graph()
+        build_model(small_spec(), g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert "filters" not in vars(copy) and "degrees" not in vars(copy)
+        np.testing.assert_array_equal(copy.degrees, g.degrees)
+        assert copy.filters == {}
 
 
 class TestRunMatrix:

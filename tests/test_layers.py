@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import random_graph, two_cliques_graph
 from modgcn.layers import (DenseLayer, GraphConvLayer, apply_activation,
                            glorot_init, softmax_rows)
 from modgcn.sparse import CsrMatrix, gcn_support
-from modgcn.spectral import ChebFilter
+from modgcn.spectral import ChebFilter, build_chebyshev_supports
 
 
 def gcn_filter(g):
@@ -93,6 +93,24 @@ class TestGraphConvLayer:
         dense_out, _ = layer.forward(h)
         sparse_out, _ = layer.forward(CsrMatrix.from_dense(h))
         np.testing.assert_allclose(sparse_out, dense_out, atol=1e-12)
+
+    def test_sparse_features_match_dense_features(self):
+        # the same input as CSR and as an ndarray: the two layer-1 operands
+        # a graph's feature_operand can be
+        g = two_cliques_graph()
+        rng = np.random.default_rng(8)
+        upstream = rng.standard_normal((8, 3))
+        for cheb in (gcn_filter(g), build_chebyshev_supports(g, order=2)):
+            layer = GraphConvLayer.create(cheb, 2, 3, "relu", 2, 0)
+            dense_out, dense_cache = layer.forward(g.features)
+            sparse_out, sparse_cache = layer.forward(
+                CsrMatrix.from_dense(g.features))
+            np.testing.assert_allclose(sparse_out, dense_out, atol=1e-12)
+            _, dense_ws, dense_b = layer.backward(dense_cache, upstream)
+            _, sparse_ws, sparse_b = layer.backward(sparse_cache, upstream)
+            for sw, dw in zip(sparse_ws, dense_ws, strict=True):
+                np.testing.assert_allclose(sw, dw, atol=1e-12)
+            np.testing.assert_allclose(sparse_b, dense_b, atol=1e-12)
 
     def test_sparse_input_backward_has_no_input_grad(self):
         rng = np.random.default_rng(4)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, two_cliques_graph
+from modgcn.harness import Split, train_once
 from modgcn.model import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, Model,
                           ModelSpec, build_model, load_checkpoint,
                           load_model, save_checkpoint)
@@ -41,6 +42,9 @@ class TestModelSpec:
             ModelSpec(hidden_dim=0)
         with pytest.raises(ValueError):
             ModelSpec(encoder="chebnet", cheb_order=-1)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="lambda_max must be positive"):
+                ModelSpec(encoder="chebnet", lambda_max=bad)
 
 
 class TestBuildModel:
@@ -128,6 +132,38 @@ class TestCheckpoints:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         restored = load_model(path, g)
+        np.testing.assert_array_equal(restored.forward(g.features).output,
+                                      model.forward(g.features).output)
+
+    def test_trained_chebnet_with_lambda_max_reloads_bitwise(self, tmp_path):
+        spec = ModelSpec(encoder="chebnet", lambda_max=1.2, hidden_dim=4,
+                         epochs=5, lr=0.05)
+        g = two_cliques_graph()
+        model = build_model(spec, g, seed=5)
+        split = Split(np.array([0, 4]), np.array([1, 2, 3, 5, 6, 7]), 1, 0)
+        train_once(spec, g, split, model=model)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        fresh = two_cliques_graph()
+        restored = load_model(path, fresh)
+        assert restored.spec.lambda_max == 1.2
+        assert restored.layer1.filter.lambda_max == 1.2
+        assert np.array_equal(restored.forward(fresh.feature_operand).output,
+                              model.forward(g.feature_operand).output)
+
+    def test_checkpoint_without_lambda_max_loads_as_none(self, tmp_path):
+        g = two_cliques_graph()
+        model = build_model(ModelSpec(encoder="chebnet", hidden_dim=4), g,
+                            seed=5)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[6:10])
+        header = json.loads(raw[10:10 + header_len])
+        del header["spec"]["lambda_max"]
+        path.write_bytes(_raw_checkpoint(header) + raw[10 + header_len:])
+        restored = load_model(path, g)
+        assert restored.spec.lambda_max is None
         np.testing.assert_array_equal(restored.forward(g.features).output,
                                       model.forward(g.features).output)
 

@@ -8,7 +8,6 @@ from modgcn.layers import softmax_rows
 from modgcn.model import ModelSpec, build_model
 from modgcn.objectives import (LabelMask, masked_cross_entropy,
                                modularity_loss, objective_for)
-from modgcn.sparse import degree_vector
 
 
 class TestLabelMask:
@@ -75,7 +74,7 @@ class TestModularityLoss:
         g = two_cliques_graph()
         h = np.zeros((8, 2))
         h[:4, 0] = h[4:, 1] = 1.0
-        loss, _ = modularity_loss(g, degree_vector(g), h)
+        loss, _ = modularity_loss(g, h)
         assert loss == pytest.approx(-(12.0 / 13.0 - 0.5), abs=1e-14)
 
     def test_gradient_matches_dense_formula(self):
@@ -85,7 +84,7 @@ class TestModularityLoss:
         a = g.adjacency.to_dense()
         k = a.sum(axis=1)
         b = a - np.outer(k, k) / (2.0 * g.num_edges)
-        _, grad = modularity_loss(g, degree_vector(g), h)
+        _, grad = modularity_loss(g, h)
         np.testing.assert_allclose(grad, -(2.0 / (2.0 * g.num_edges)) * b @ h,
                                    atol=1e-12)
 
@@ -115,7 +114,7 @@ class TestObjectiveWiring:
             0.7 * report.supervised - 0.3 * report.modularity_term, abs=1e-12)
         assert report.alpha == 0.3
         # scored on the output softmax matrix
-        q = -modularity_loss(g, degree_vector(g), fwd.output)[0]
+        q = -modularity_loss(g, fwd.output)[0]
         assert report.modularity_term == q
 
     def test_aux_objective_routes_alpha_to_aux_head(self):
@@ -127,7 +126,7 @@ class TestObjectiveWiring:
         assert report.total == pytest.approx(
             0.5 * report.supervised - 0.5 * report.modularity_term, abs=1e-12)
         # scored on the auxiliary head, not on the output
-        q = -modularity_loss(g, degree_vector(g), fwd.aux_out)[0]
+        q = -modularity_loss(g, fwd.aux_out)[0]
         assert report.modularity_term == q
 
     def test_aux_gradients_are_exact_zeros_at_alpha_zero(self):
@@ -147,17 +146,3 @@ class TestObjectiveWiring:
             report, grads, fwd = objective_for(model, g, mask)
             assert np.isfinite(report.total)
             assert set(grads) == set(model.params())
-
-    def test_sparse_features_match_dense_features(self):
-        from modgcn.sparse import CsrMatrix
-        g = two_cliques_graph()
-        mask = LabelMask.from_graph(g, [0, 4])
-        model = build_model(ModelSpec(variant="mod", alpha=0.3), g, seed=2)
-        dense_report, dense_grads, _ = objective_for(model, g, mask)
-        sparse_report, sparse_grads, _ = objective_for(
-            model, g, mask, features=CsrMatrix.from_dense(g.features))
-        assert sparse_report.total == pytest.approx(dense_report.total,
-                                                    abs=1e-12)
-        for key in dense_grads:
-            np.testing.assert_allclose(sparse_grads[key], dense_grads[key],
-                                       atol=1e-12)

@@ -1,5 +1,6 @@
-"""Property-based tests: kernels against dense oracles, and exact round
-trips of the results CSV and of checkpoints (need the `test` extras)."""
+"""Property-based tests: the CSR operations and kernels against dense
+oracles, and exact round trips of the results CSV and of checkpoints (need
+the `test` extras)."""
 
 import math
 import tempfile
@@ -18,16 +19,18 @@ from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E
                             write_results_csv)
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
                           load_checkpoint, save_checkpoint)
-from modgcn.sparse import CsrMatrix  # noqa: E402
+from modgcn.sparse import CsrMatrix, sparse_add  # noqa: E402
 
-# small exact values, so duplicates can cancel to exact zeros
+# small exact values, so duplicates can cancel to exact zeros and every
+# sum below is exact
 VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
+DIMS = st.integers(0, 7)  # 0 gives 0 x n and n x 0 shapes
 
 
 @st.composite
-def coo_and_operand(draw):
-    n_rows = draw(st.integers(0, 7))
-    n_cols = draw(st.integers(0, 7))
+def coo_matrix(draw, n_rows, n_cols):
+    """A CsrMatrix.from_coo of triplets with duplicates, duplicates that
+    cancel, stored zeros and empty rows, with its dense np.add.at oracle."""
     entries = []
     if n_rows and n_cols:
         entries = draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
@@ -36,30 +39,88 @@ def coo_and_operand(draw):
         # repeat a prefix negated: duplicates that must sum to zero and drop
         entries += [(r, c, -v) for r, c, v in entries[:draw(st.integers(0, len(entries)))]]
         entries = draw(st.permutations(entries))
+    rows = np.array([e[0] for e in entries], dtype=np.int64)
+    cols = np.array([e[1] for e in entries], dtype=np.int64)
+    vals = np.array([e[2] for e in entries], dtype=np.float64)
+    dense = np.zeros((n_rows, n_cols))
+    np.add.at(dense, (rows, cols), vals)
+    return CsrMatrix.from_coo(n_rows, n_cols, rows, cols, vals), dense
+
+
+@st.composite
+def coo_and_operand(draw):
+    n_rows, n_cols = draw(DIMS), draw(DIMS)
+    m, dense = draw(coo_matrix(n_rows, n_cols))
     x = draw(arrays(np.float64, (n_cols, draw(st.integers(0, 20))),
                     elements=st.floats(-1.0, 1.0)))
-    return n_rows, n_cols, entries, x
+    return m, dense, x
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(coo_and_operand())
 def test_every_backend_matches_dense_product(case):
-    n_rows, n_cols, entries, x = case
-    rows, cols, vals = (np.array([e[k] for e in entries]) for k in range(3))
-    m = CsrMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+    m, dense, x = case
     m.validate()
-    dense = np.zeros((n_rows, n_cols))
-    if entries:
-        np.add.at(dense, (rows.astype(np.int64), cols.astype(np.int64)), vals)
     previous = kernels.backend_name()
     try:
         for name in kernels.available_backends():
             kernels.set_backend(name)
-            got = kernels.csr_dense_matmul(n_rows, n_cols, m.row_offsets,
+            got = kernels.csr_dense_matmul(m.n_rows, m.n_cols, m.row_offsets,
                                            m.col_indices, m.values, x)
             np.testing.assert_allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
     finally:
         kernels.set_backend(previous)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(coo_and_operand())
+def test_from_coo_is_canonical_and_sums_duplicates(case):
+    m, dense, _ = case
+    m.validate()
+    assert m.shape == dense.shape
+    assert m.nnz == np.count_nonzero(dense)
+    np.testing.assert_array_equal(m.to_dense(), dense)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(coo_and_operand())
+def test_transpose_matches_dense_transpose(case):
+    m, dense, _ = case
+    m.T.validate()
+    assert m.T.shape == dense.T.shape
+    np.testing.assert_array_equal(m.T.to_dense(), dense.T)
+
+
+@st.composite
+def matrix_pair(draw):
+    n_rows, n_cols = draw(DIMS), draw(DIMS)
+    a, dense_a = draw(coo_matrix(n_rows, n_cols))
+    # b is sometimes a itself, so that ca = -cb cancels every entry
+    b, dense_b = draw(st.one_of(st.just((a, dense_a)),
+                                coo_matrix(n_rows, n_cols)))
+    return a, dense_a, b, dense_b, draw(VALUES), draw(VALUES)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(matrix_pair())
+def test_sparse_add_is_canonical_and_matches_dense(case):
+    a, dense_a, b, dense_b, ca, cb = case
+    got = sparse_add(a, b, ca, cb)
+    got.validate()
+    assert got.shape == dense_a.shape
+    np.testing.assert_array_equal(got.to_dense(), ca * dense_a + cb * dense_b)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(coo_and_operand())
+def test_dot_matches_dense_product(case):
+    m, dense, x = case
+    got = m.dot(x)
+    assert got.shape == (m.n_rows, x.shape[1])
+    np.testing.assert_allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
+    # a vector operand takes the same path as one column
+    v = x[:, 0] if x.shape[1] else np.ones(m.n_cols)
+    np.testing.assert_allclose(m.dot(v), dense @ v, rtol=1e-12, atol=1e-12)
 
 
 UNIT = st.floats(0.0, 1.0)
@@ -101,7 +162,9 @@ def model_specs(draw):
                      k_aux=draw(st.integers(0, 4)),
                      epochs=draw(st.integers(0, 10**6)),
                      lr=draw(st.floats(1e-300, 1e3)),
-                     seed=draw(st.integers(0, 2**31)))
+                     seed=draw(st.integers(0, 2**31)),
+                     lambda_max=draw(st.one_of(st.none(),
+                                               st.floats(1e-3, 1e3))))
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, two_cliques_graph
-from modgcn.sparse import (CsrMatrix, build_graph, degree_vector,
-                           gcn_support, modularity_apply, modularity_score,
+from modgcn.sparse import (CsrMatrix, build_graph, gcn_support,
+                           modularity_apply, modularity_score,
                            modularity_trace, normalized_laplacian,
                            sparse_add)
 
@@ -138,8 +138,9 @@ class TestBuildGraph:
 
     def test_degree_vector(self):
         g = two_cliques_graph()
-        d = degree_vector(g).degrees
+        d = g.degrees
         np.testing.assert_array_equal(d, [3, 3, 3, 4, 4, 3, 3, 3])
+        assert d.dtype == np.float64 and g.degrees is d
 
 
 class TestGcnSupport:
@@ -205,12 +206,12 @@ class TestModularity:
             h = rng.standard_normal((g.num_nodes, 3))
             b = dense_modularity(g)
             np.testing.assert_allclose(
-                modularity_apply(g, degree_vector(g), h), b @ h, atol=1e-12)
+                modularity_apply(g, h), b @ h, atol=1e-12)
             want_trace = float(np.trace(h.T @ b @ h))
-            assert modularity_trace(g, degree_vector(g), h) == pytest.approx(
+            assert modularity_trace(g, h) == pytest.approx(
                 want_trace, abs=1e-12 * max(1.0, abs(want_trace)))
             want_q = want_trace / (2.0 * g.num_edges)
-            assert modularity_score(g, degree_vector(g), h) == pytest.approx(
+            assert modularity_score(g, h) == pytest.approx(
                 want_q, abs=1e-12)
 
     def test_all_ones_assignment_scores_zero(self):
@@ -218,7 +219,7 @@ class TestModularity:
         for _ in range(10):
             g = random_graph(rng, 20, p=0.2)
             h = np.ones((20, 1))
-            assert abs(modularity_score(g, degree_vector(g), h)) < 1e-12
+            assert abs(modularity_score(g, h)) < 1e-12
 
     def test_two_disjoint_edges_fixture_is_half(self):
         # 2 communities, each one whole edge: Q = 1 - 2*(1/2)^2 = 1/2
@@ -227,8 +228,8 @@ class TestModularity:
         h = np.zeros((4, 2))
         h[[0, 1], 0] = 1.0
         h[[2, 3], 1] = 1.0
-        assert modularity_score(g, degree_vector(g), h) == 0.5
-        assert modularity_trace(g, degree_vector(g), h) == 2.0
+        assert modularity_score(g, h) == 0.5
+        assert modularity_trace(g, h) == 2.0
 
     def test_two_cliques_partition_score(self):
         # 13 edges, 12 within; degree halves are equal: Q = 12/13 - 1/2
@@ -236,10 +237,10 @@ class TestModularity:
         h = np.zeros((8, 2))
         h[:4, 0] = 1.0
         h[4:, 1] = 1.0
-        assert modularity_score(g, degree_vector(g), h) == pytest.approx(
+        assert modularity_score(g, h) == pytest.approx(
             12.0 / 13.0 - 0.5, abs=1e-14)
 
     def test_empty_graph_is_an_error(self):
         g = build_graph([], np.zeros((3, 1)), np.array([0, 1, 0]))
         with pytest.raises(ValueError, match="modularity undefined"):
-            modularity_score(g, degree_vector(g), np.ones((3, 1)))
+            modularity_score(g, np.ones((3, 1)))
