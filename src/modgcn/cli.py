@@ -143,12 +143,12 @@ def _spec_from_args(args) -> ModelSpec:
 
 
 def _cmd_train(args) -> int:
-    graph = _load_graph(args)
     spec = _spec_from_args(args)
+    graph = _load_graph(args)
     split = make_split(graph, args.labels_per_class, args.test_size,
                        args.seed)
     model = build_model(spec, graph)
-    result = train_once(spec, graph, split, log_path=args.log, model=model)
+    result = train_once(model, graph, split, log_path=args.log)
     if result.failed:
         print(f"error: run failed: {result.note}", file=sys.stderr)
         return 1
@@ -204,12 +204,12 @@ def _cmd_sweep_alpha(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
-    graph = _load_graph(args)
     spec = _spec_from_args(args)
+    graph = _load_graph(args)
     split = make_split(graph, args.labels_per_class, args.test_size,
                        args.seed)
     model = build_model(spec, graph)
-    result = train_once(spec, graph, split, model=model)
+    result = train_once(model, graph, split)
     if result.failed:
         print(f"error: run failed: {result.note}", file=sys.stderr)
         return 1

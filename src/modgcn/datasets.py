@@ -6,6 +6,7 @@ of scope: file paths are supplied by the caller (see scripts/fetch_cora.sh).
 """
 
 import hashlib
+import math
 import os
 import warnings
 import zipfile
@@ -229,22 +230,56 @@ def save_graph_cache(g: Graph, path: Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def read_npz(path, what: str, parse):
+    """Return ``parse(arrays)`` for the .npz archive at ``path``, where
+    ``arrays`` maps each member's name to its array, in archive order.
+
+    Every member's .npy header is checked against the member's stored size
+    before any data is read, so a corrupt shape allocates nothing; pickled
+    members are refused, and the zip CRC catches corrupted data. Any
+    failure, in the file or in ``parse``, is one ValueError that names
+    ``path`` as a malformed ``what``.
+    """
+    try:
+        if not zipfile.is_zipfile(path):
+            raise ValueError("not an .npz archive")
+        with np.load(path, allow_pickle=False) as data:
+            for info in data.zip.infolist():
+                _check_npy_header(data.zip, info)
+            return parse({name: data[name] for name in data.files})
+    except (ValueError, TypeError, KeyError, OSError, EOFError,
+            zipfile.BadZipFile) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed {what} {path}: {detail}") from exc
+
+
+def _check_npy_header(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> None:
+    with archive.open(info) as fh:
+        version = np.lib.format.read_magic(fh)
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, _, dtype = read_header(fh)
+        claimed = fh.tell() + math.prod(shape) * dtype.itemsize
+    if claimed != info.file_size:
+        raise ValueError(f"member {info.filename!r} claims a {dtype} array "
+                         f"of shape {shape} but stores {info.file_size} bytes")
+
+
 def load_graph_cache(path: Path) -> Graph:
     """Read a cache written by :func:`save_graph_cache`.
 
     Raises one ValueError naming ``path`` when the file is unreadable or the
     graph in it breaks an invariant that later code relies on.
     """
-    try:
-        with np.load(path) as data:
-            n_rows, n_cols, num_classes, num_edges = (int(v) for v in data["meta"])
-            adjacency = CsrMatrix(n_rows, n_cols, data["row_offsets"],
-                                  data["col_indices"], data["values"])
-            features, labels = data["features"], data["labels"]
-        _check_cached_graph(adjacency, features, labels, num_classes, num_edges)
-    except (ValueError, TypeError, KeyError, OSError, EOFError,
-            zipfile.BadZipFile) as exc:
-        raise ValueError(f"malformed graph cache {path}: {exc}") from exc
+    return read_npz(path, "graph cache", _cached_graph)
+
+
+def _cached_graph(arrays: dict) -> Graph:
+    n_rows, n_cols, num_classes, num_edges = (int(v) for v in arrays["meta"])
+    adjacency = CsrMatrix(n_rows, n_cols, arrays["row_offsets"],
+                          arrays["col_indices"], arrays["values"])
+    features, labels = arrays["features"], arrays["labels"]
+    _check_cached_graph(adjacency, features, labels, num_classes, num_edges)
     return Graph(adjacency, features, labels, num_classes, num_edges)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import SplitSpec, load_dataset, stratified_split
 from .ica import IcaConfig, ica_train_predict
-from .model import ModelSpec, build_model
+from .model import Model, ModelSpec, build_model
 from .objectives import LabelMask, LossReport, objective_for
 from .optim import AdamState, adam_step
 from .sparse import Graph
@@ -227,21 +227,19 @@ def accuracy_of(probs: np.ndarray, labels: np.ndarray,
     return float(np.mean(preds == labels[ids]))
 
 
-def train_once(spec: ModelSpec, graph: Graph, split: Split,
-               log_path=None, model=None) -> RunResult:
-    """Full-batch training for spec.epochs with no early stopping.
+def train_once(model: Model, graph: Graph, split: Split,
+               log_path=None) -> RunResult:
+    """Full-batch training of ``model``, in place, for its spec's epochs
+    at its spec's learning rate, with no early stopping.
 
     The training log holds epochs+1 rows; row e is the state after e
     optimizer steps, so row 0 is the initialization and the last row is
     the final model. A non-finite loss or gradient aborts the run, which
-    is recorded as failed. ``model`` defaults to ``build_model(spec,
-    graph)``; pass one to keep the trained weights (it is updated in
-    place)."""
+    is recorded as failed."""
+    spec = model.spec
     mask = LabelMask.from_graph(graph, split.train_ids)
-    if model is None:
-        model = build_model(spec, graph)
     params = model.params()
-    state = AdamState.create(params, lr=spec.lr)
+    state = AdamState.create(params, spec.lr)
 
     rows = []
     report = None
@@ -270,10 +268,10 @@ def train_once(spec: ModelSpec, graph: Graph, split: Split,
     if failed:
         logger.warning("run failed (%s, seed %d): %s",
                        spec.model_name, split.seed, note)
-        return RunResult(spec.model_name, spec.variant, spec.effective_alpha,
+        return RunResult(spec.model_name, spec.variant, spec.alpha,
                          split.labels_per_class, split.run_index, split.seed,
                          float("nan"), epochs_run, report, True, note)
-    return RunResult(spec.model_name, spec.variant, spec.effective_alpha,
+    return RunResult(spec.model_name, spec.variant, spec.alpha,
                      split.labels_per_class, split.run_index, split.seed,
                      rows[-1][5], epochs_run, report)
 
@@ -299,8 +297,8 @@ def execute_job(graph: Graph, config: MatrixConfig, model_name: str,
     split = make_split(graph, budget, config.test_size, seed, run_index)
     if model_name == "ica":
         return run_ica_once(graph, split, config.ica, seed)
-    return train_once(model_spec_for(model_name, config, seed, alpha=alpha),
-                      graph, split)
+    spec = model_spec_for(model_name, config, seed, alpha=alpha)
+    return train_once(build_model(spec, graph), graph, split)
 
 
 _WORKER = {}
@@ -358,23 +356,16 @@ def aggregate(runs, model_order=MODEL_ORDER) -> list:
     results = []
     for key in sorted(groups, key=lambda k: (order.get(k[0], 99), k[1])):
         model_name, budget = key
-        accs = [r.test_accuracy for r in groups[key] if not r.failed]
-        n_failed = len(groups[key]) - len(accs)
-        # a cell with no finished run has no standard error either
-        mean, se = _mean_and_se(accs) if accs else (math.nan, math.nan)
+        accs = np.array([r.test_accuracy for r in groups[key]
+                         if not r.failed], dtype=np.float64)
+        mean = se = math.nan  # a cell with no finished run has neither
+        if accs.size:
+            mean = float(np.mean(accs))
+            se = float(np.std(accs, ddof=1) / np.sqrt(accs.size)) \
+                if accs.size > 1 else 0.0
         results.append(AggregateResult(model_name, budget, mean, se,
-                                       len(accs), n_failed))
+                                       accs.size, len(groups[key]) - accs.size))
     return results
-
-
-def _mean_and_se(accs) -> tuple:
-    """Mean accuracy (nan for no runs) and its standard error (0.0 for
-    fewer than two runs)."""
-    accs = np.asarray(accs, dtype=np.float64)
-    mean = float(np.mean(accs)) if accs.size else float("nan")
-    se = float(np.std(accs, ddof=1) / np.sqrt(accs.size)) \
-        if accs.size > 1 else 0.0
-    return mean, se
 
 
 def alpha_sweep(config: MatrixConfig, grid=DEFAULT_ALPHA_GRID,
@@ -399,18 +390,15 @@ def alpha_sweep(config: MatrixConfig, grid=DEFAULT_ALPHA_GRID,
             for alpha in grid
             for run in range(config.n_runs)]
     runs = _run_jobs(graph, config, jobs)
-    by_cell = {}
-    for r in runs:
-        by_cell.setdefault(
-            (r.model_name, r.labels_per_class, r.alpha), []).append(r)
+    # a curve point is the aggregate cell of the runs at one alpha
+    points = {(a.model_name, a.labels_per_class, alpha):
+              (alpha, a.mean_accuracy, a.standard_error)
+              for alpha in grid
+              for a in aggregate([r for r in runs if r.alpha == alpha], models)}
     sweeps = []
     for model in models:
         for budget in config.budgets:
-            curve = []
-            for alpha in grid:
-                cell = by_cell.get((model, budget, alpha), ())
-                curve.append((alpha, *_mean_and_se(
-                    [r.test_accuracy for r in cell if not r.failed])))
+            curve = [points[model, budget, alpha] for alpha in grid]
             finite = [(mean, alpha) for alpha, mean, _ in curve
                       if math.isfinite(mean)]
             if not finite:

@@ -113,9 +113,9 @@ def ica_train_predict(g: Graph, train_ids, test_ids,
     y = _onehot(train_labels, k)
 
     attr_clf = _train_logistic(g.features[train_ids], y, cfg, seed, layer_id=0)
-    rel_train = neighbor_label_counts(g, state)
-    full_x = np.hstack([g.features, rel_train])
-    full_clf = _train_logistic(full_x[train_ids], y, cfg, seed, layer_id=1)
+    rel_train = neighbor_label_counts(g, state)[train_ids]
+    full_clf = _train_logistic(np.hstack([g.features[train_ids], rel_train]),
+                               y, cfg, seed, layer_id=1)
 
     unlabeled = np.setdiff1d(np.arange(n, dtype=np.int64), train_ids,
                              assume_unique=False)

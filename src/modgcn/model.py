@@ -1,13 +1,11 @@
 """Two-layer graph-convolutional models and checkpoint serialization."""
 
 import json
-import math
-import os
-import struct
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .datasets import read_npz
 from .layers import DenseLayer, GraphConvLayer
 from .sparse import Graph, gcn_support
 from .spectral import ChebFilter, build_chebyshev_supports
@@ -15,13 +13,13 @@ from .spectral import ChebFilter, build_chebyshev_supports
 ENCODERS = ("gcn", "chebnet")
 VARIANTS = ("plain", "mod", "aux")
 
-CHECKPOINT_MAGIC = b"MGCN"
-CHECKPOINT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture and hyperparameter description of one training run."""
+    """Architecture and hyperparameter description of one training run.
+
+    A field that the run would ignore must keep its default: alpha is for
+    the mod and aux variants, k_aux for aux, lambda_max for chebnet."""
 
     encoder: str = "gcn"
     cheb_order: int = 2
@@ -51,10 +49,13 @@ class ModelSpec:
             raise ValueError("k_aux must be >= 0")
         if self.lambda_max is not None and not self.lambda_max > 0.0:
             raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
-
-    @property
-    def effective_alpha(self) -> float:
-        return 0.0 if self.variant == "plain" else self.alpha
+        if self.variant == "plain" and self.alpha != 0.0:
+            raise ValueError(f"alpha={self.alpha} needs the mod or aux variant")
+        if self.variant != "aux" and self.k_aux != 0:
+            raise ValueError(f"k_aux={self.k_aux} needs the aux variant")
+        if self.encoder != "chebnet" and self.lambda_max is not None:
+            raise ValueError(f"lambda_max={self.lambda_max} needs the "
+                             f"chebnet encoder")
 
     @property
     def model_name(self) -> str:
@@ -113,11 +114,10 @@ class Model:
             p[...] = values[key]
 
 
-def build_model(spec: ModelSpec, graph: Graph, seed=None) -> Model:
-    """Assemble a model for ``graph``. Its filter (see ``build_supports``)
-    is built on first use and kept in ``graph.filters``."""
-    if seed is None:
-        seed = spec.seed
+def build_model(spec: ModelSpec, graph: Graph) -> Model:
+    """Assemble a model for ``graph``, initialised from ``spec.seed``. Its
+    filter (see ``build_supports``) is built on first use and kept in
+    ``graph.filters``."""
     k = graph.num_classes
     if k < 2:
         raise ValueError("graph must carry at least 2 label classes")
@@ -129,14 +129,14 @@ def build_model(spec: ModelSpec, graph: Graph, seed=None) -> Model:
         cheb = graph.filters[key] = build_supports(spec, graph)
     in_dim = graph.features.shape[1]
     layer1 = GraphConvLayer.create(cheb, in_dim, spec.hidden_dim, "relu",
-                                   seed, layer_id=0)
+                                   spec.seed, layer_id=0)
     layer2 = GraphConvLayer.create(cheb, spec.hidden_dim, k, "softmax_rows",
-                                   seed, layer_id=1)
+                                   spec.seed, layer_id=1)
     aux = None
     if spec.variant == "aux":
         k_aux = spec.k_aux if spec.k_aux > 0 else k
         aux = DenseLayer.create(spec.hidden_dim, k_aux, "softmax_rows",
-                                seed, layer_id=2)
+                                spec.seed, layer_id=2)
     return Model(spec, layer1, layer2, aux)
 
 
@@ -150,67 +150,38 @@ def build_supports(spec: ModelSpec, graph: Graph) -> ChebFilter:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Write the model weights and spec to ``path``.
-
-    Layout: 4-byte magic "MGCN", u16 little-endian format version, u32
-    little-endian JSON header length, the UTF-8 JSON header, then the raw
-    float64 little-endian array data in header order (C order).
-    """
-    params = model.params()
-    header = {
-        "spec": asdict(model.spec),
-        "arrays": [{"name": k, "shape": list(v.shape)} for k, v in params.items()],
-    }
-    blob = json.dumps(header).encode("utf-8")
+    """Write ``model`` to ``path`` as an uncompressed .npz: a ``spec``
+    member holding the JSON of ``asdict(model.spec)``, then every
+    ``Model.params()`` array under its name, in order."""
+    # a file object, so that numpy does not append ".npz" to the name
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(blob)))
-        fh.write(blob)
-        for v in params.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+        np.savez(fh, spec=np.array(json.dumps(asdict(model.spec))),
+                 **model.params())
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelSpec, {name: array}). A malformed
     file is one ValueError that names it."""
-    try:
-        with open(path, "rb") as fh:
-            return _read_checkpoint(fh)
-    except (ValueError, TypeError, KeyError, struct.error) as exc:
-        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"malformed checkpoint {path}: {detail}") from exc
+    return read_npz(path, "checkpoint", _checkpoint_contents)
 
 
-def _read_checkpoint(fh):
-    size = os.fstat(fh.fileno()).st_size
-
-    def read_exactly(n):
-        # checked against the file size first, so a corrupt length never
-        # asks for more memory than the file holds
-        if not 0 <= n <= size - fh.tell():
-            raise ValueError("truncated checkpoint")
-        return fh.read(n)
-
-    magic = fh.read(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-    version, header_len = struct.unpack("<HI", fh.read(6))
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    header = json.loads(read_exactly(header_len).decode("utf-8"))
-    arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        buf = read_exactly(8 * math.prod(shape))
-        arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    if fh.read(1):
-        raise ValueError("trailing bytes after the last array in checkpoint")
-    return ModelSpec(**header["spec"]), arrays
+def _checkpoint_contents(arrays: dict):
+    spec = ModelSpec(**json.loads(str(arrays.pop("spec"))))
+    for name, value in arrays.items():
+        if value.dtype != np.float64:
+            raise ValueError(f"array {name!r} is {value.dtype}, not float64")
+    return spec, arrays
 
 
 def load_model(path, graph: Graph) -> Model:
-    """Rebuild a model for ``graph`` from a checkpoint."""
+    """Rebuild a model for ``graph`` from a checkpoint. Weights that do not
+    fit the model its spec builds on ``graph`` are one ValueError that
+    names the file."""
     spec, arrays = load_checkpoint(path)
     model = build_model(spec, graph)
-    model.set_params(arrays)
+    try:
+        model.set_params(arrays)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} does not fit {spec.model_name} "
+                         f"on this graph: {exc}") from exc
     return model

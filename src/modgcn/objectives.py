@@ -80,7 +80,7 @@ def modularity_loss(g: Graph, h: np.ndarray):
 
 def objective_for(model: Model, graph: Graph, mask: LabelMask):
     """The training objective L = (1 - alpha) * CE - alpha * Q of every
-    variant, with alpha = ``model.spec.effective_alpha``, evaluated on
+    variant, with alpha = ``model.spec.alpha``, evaluated on
     ``graph.feature_operand``.
 
     Q is the modularity of the output softmax matrix for ``mod`` (both
@@ -92,7 +92,7 @@ def objective_for(model: Model, graph: Graph, mask: LabelMask):
 
     Returns (LossReport, parameter gradients, ForwardResult).
     """
-    variant, alpha = model.spec.variant, model.spec.effective_alpha
+    variant, alpha = model.spec.variant, model.spec.alpha
     fwd = model.forward(graph.feature_operand)
     sup, grad_pre_sup = masked_cross_entropy(fwd.output, mask)
     q = 0.0

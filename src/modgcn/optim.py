@@ -4,23 +4,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Kingma & Ba's defaults
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """Bias-corrected Adam; moment buffers are keyed like the parameters."""
 
-    lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
     @classmethod
-    def create(cls, params: dict, lr: float = 0.01, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def create(cls, params: dict, lr: float) -> "AdamState":
+        state = cls(lr)
         state.m = {k: np.zeros_like(p) for k, p in params.items()}
         state.v = {k: np.zeros_like(p) for k, p in params.items()}
         return state
@@ -34,8 +35,8 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
@@ -45,8 +46,8 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
             raise ValueError(f"non-finite gradient in {key!r}")
         m = state.m[key]
         v = state.v[key]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -138,7 +138,7 @@ def test_criterion_04_alpha_zero_degeneracy(tmp_path):
         for variant in ("plain", "mod", "aux"):
             spec = replace(plain, variant=variant, alpha=0.0)
             path = tmp_path / f"{encoder}-{variant}.csv"
-            train_once(spec, g, split, log_path=path)
+            train_once(build_model(spec, g), g, split, log_path=path)
             logs[variant] = _log_columns(path, cols)
         for variant in ("mod", "aux"):
             diffs = [abs(a - b)
@@ -282,7 +282,7 @@ def test_criterion_12_alpha_embedding_export(cora_graph, tmp_path):
         spec = ModelSpec(encoder="chebnet", variant="mod", alpha=alpha,
                          hidden_dim=16, epochs=100, lr=0.01, seed=seed)
         model = build_model(spec, cora_graph)
-        result = train_once(spec, cora_graph, split, model=model)
+        result = train_once(model, cora_graph, split)
         accuracy[alpha] = result.test_accuracy
         out = tmp_path / f"embeddings_a{alpha}.tsv"
         export_embeddings(model, cora_graph, "hidden", out)

@@ -125,6 +125,24 @@ class TestTrain:
         assert code == 0 and err == ""
         assert load_checkpoint(ckpt)[0].lambda_max == 1.2
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--model", "gcn", "--lambda-max", "1.2"),
+         "lambda_max=1.2 needs the chebnet encoder"),
+        (("--variant", "plain", "--alpha", "0.5"),
+         "alpha=0.5 needs the mod or aux variant"),
+        (("--variant", "mod", "--alpha", "0.5", "--k-aux", "3"),
+         "k_aux=3 needs the aux variant"),
+    ], ids=["lambda_max-gcn", "alpha-plain", "k_aux-mod"])
+    def test_field_the_run_ignores_is_one_error_line(
+            self, capsys, blobs_dataset, tmp_path, flags, message):
+        log = tmp_path / "log.csv"
+        code, _, err = run_cli(
+            capsys, "train", "--dataset", str(blobs_dataset),
+            "--data-dir", str(tmp_path), *flags, "--log", str(log))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not log.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1.5", "nan"])
     def test_non_positive_lambda_max_is_one_error_line(
             self, capsys, blobs_dataset, tmp_path, value):

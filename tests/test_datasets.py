@@ -1,6 +1,8 @@
 """LINQS parsing, feature scaling, stratified splits, and the graph cache."""
 
 import dataclasses
+import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -251,6 +253,24 @@ class TestCache:
             load_graph_cache(path)
         assert str(path) in str(err.value)
         assert "\n" not in str(err.value)
+
+    def test_member_header_claiming_more_than_it_stores(self, tmp_path):
+        # a header claiming 10**10 float64 entries must allocate nothing
+        path = tmp_path / "g.npz"
+        save_graph_cache(synthetic_graph(n=30), path)
+        with zipfile.ZipFile(path) as archive:
+            members = {i.filename: archive.read(i) for i in archive.infolist()}
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            buf, {"descr": "<f8", "fortran_order": False,
+                  "shape": (10**5, 10**5)})
+        members["features.npy"] = buf.getvalue() + bytes(64)
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+        with pytest.raises(ValueError, match="'features.npy' claims") as err:
+            load_graph_cache(path)
+        assert str(path) in str(err.value)
 
     def test_unreadable_cache_is_one_error_naming_the_file(self, tmp_path):
         path = tmp_path / "bad.npz"

@@ -1,6 +1,7 @@
 """Experiment harness: paired splits, run bookkeeping, aggregation,
 the alpha sweep, and the CSV/markdown writers."""
 
+import inspect
 import math
 import pickle
 from pathlib import Path
@@ -137,16 +138,33 @@ class TestTrainingFeatures:
 class TestTrainOnce:
     def test_learns_the_cliques(self):
         g = two_cliques_graph(scale=3.0)
-        r = train_once(small_spec(epochs=60), g, clique_split())
+        r = train_once(build_model(small_spec(epochs=60), g), g,
+                       clique_split())
         assert not r.failed
         assert r.test_accuracy == 1.0
         assert r.epochs_run == 60
         assert r.model_name == "gcn" and r.variant == "plain"
 
+    def test_takes_the_model_and_nothing_that_restates_it(self):
+        params = inspect.signature(train_once).parameters
+        assert list(params) == ["model", "graph", "split", "log_path"]
+        assert params["log_path"].default is None
+
+    def test_run_is_described_by_the_model_spec(self, tmp_path):
+        g = two_cliques_graph(scale=3.0)
+        spec = small_spec(variant="mod", alpha=0.9, epochs=7)
+        log = tmp_path / "log.csv"
+        r = train_once(build_model(spec, g), g, clique_split(), log_path=log)
+        assert (r.model_name, r.variant, r.alpha) == ("gcn-mod", "mod", 0.9)
+        assert r.epochs_run == 7 and r.final_losses.alpha == 0.9
+        rows = [line.split(",") for line in log.read_text().split()[1:]]
+        assert len(rows) == 8
+        assert all(float(row[3]) != 0.0 for row in rows)  # modularity_term
+
     def test_deterministic(self):
         g = two_cliques_graph(scale=3.0)
-        a = train_once(small_spec(), g, clique_split())
-        b = train_once(small_spec(), g, clique_split())
+        a = train_once(build_model(small_spec(), g), g, clique_split())
+        b = train_once(build_model(small_spec(), g), g, clique_split())
         assert a.test_accuracy == b.test_accuracy
         assert a.final_losses.total == b.final_losses.total
 
@@ -154,7 +172,7 @@ class TestTrainOnce:
         g = two_cliques_graph(scale=3.0)
         log = tmp_path / "log.csv"
         spec = small_spec(epochs=7)
-        r = train_once(spec, g, clique_split(), log_path=log)
+        r = train_once(build_model(spec, g), g, clique_split(), log_path=log)
         lines = log.read_text().strip().split("\n")
         assert lines[0] == ",".join(LOG_HEADER)
         assert len(lines) == 1 + 8  # header + epochs 0..7
@@ -166,8 +184,8 @@ class TestTrainOnce:
     def test_divergence_marks_run_failed(self):
         g = two_cliques_graph(scale=3.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            r = train_once(small_spec(lr=1e160, epochs=20), g,
-                           clique_split())
+            r = train_once(build_model(small_spec(lr=1e160, epochs=20), g),
+                           g, clique_split())
         assert r.failed
         assert math.isnan(r.test_accuracy)
         assert r.note != ""
@@ -177,7 +195,7 @@ class TestTrainOnce:
         g = two_cliques_graph(scale=3.0)
         spec = small_spec(epochs=25)
         model = build_model(spec, g)
-        r = train_once(spec, g, clique_split(), model=model)
+        r = train_once(model, g, clique_split())
         fwd = model.forward(training_features(g))
         got = accuracy_of(fwd.output, g.labels, clique_split().test_ids)
         assert got == r.test_accuracy
@@ -186,11 +204,12 @@ class TestTrainOnce:
         # a run on a graph whose filter and features are already derived
         # equals one on a fresh graph
         spec = small_spec()
-        plain = train_once(spec, two_cliques_graph(scale=3.0), clique_split())
+        fresh = two_cliques_graph(scale=3.0)
+        plain = train_once(build_model(spec, fresh), fresh, clique_split())
         g = two_cliques_graph(scale=3.0)
         build_model(spec, g)
         training_features(g)
-        shared = train_once(spec, g, clique_split())
+        shared = train_once(build_model(spec, g), g, clique_split())
         assert plain.test_accuracy == shared.test_accuracy
         assert plain.final_losses == shared.final_losses
 
@@ -209,8 +228,9 @@ class TestIcaAndJobs:
         r = execute_job(blobs_graph, cfg, "gcn", 3, 0)
         seed = split_seed_for(0, 3, 0)
         split = make_split(blobs_graph, 3, 12, seed, run_index=0)
-        direct = train_once(model_spec_for("gcn", cfg, seed),
-                            blobs_graph, split)
+        direct = train_once(
+            build_model(model_spec_for("gcn", cfg, seed), blobs_graph),
+            blobs_graph, split)
         assert r.test_accuracy == direct.test_accuracy
         assert r.split_seed == seed
 
@@ -253,8 +273,8 @@ class TestGraphMemo:
         monkeypatch.setattr(CsrMatrix, "from_dense", classmethod(counting))
         spec = small_spec(epochs=3)
         split = Split(np.array([0, 1]), np.arange(2, 8), 1, 0)
-        train_once(spec, g, split)
-        train_once(spec, g, split)
+        train_once(build_model(spec, g), g, split)
+        train_once(build_model(spec, g), g, split)
         assert training_features(g) is g.feature_operand
         assert len(calls) == 1
 
@@ -405,6 +425,22 @@ class TestAlphaSweep:
         assert sweep.best_alpha == 0.6
         assert sweep.curve[0][1] == pytest.approx(0.3)  # surviving run only
 
+    def test_all_failed_cell_has_nan_standard_error(self, monkeypatch,
+                                                    tmp_path):
+        acc_for = lambda a, r: float("nan") if a == 0.3 else 0.5 + 0.1 * r
+        monkeypatch.setattr(
+            harness, "_run_jobs",
+            lambda g, c, jobs: self.fake_runs(jobs, acc_for))
+        cfg = MatrixConfig(models=("gcn-mod",), budgets=(2,), n_runs=2)
+        (sweep,), _ = alpha_sweep(cfg, grid=(0.3, 0.6),
+                                  graph=two_cliques_graph())
+        alpha, mean, se = sweep.curve[0]
+        assert alpha == 0.3 and math.isnan(mean) and math.isnan(se)
+        assert sweep.best_alpha == 0.6
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, [sweep])
+        assert path.read_text().split()[1] == "gcn-mod,2,0.3,nan,nan,0.6"
+
     def test_all_failed_cell_raises(self, monkeypatch):
         monkeypatch.setattr(
             harness, "_run_jobs",
@@ -447,7 +483,7 @@ class TestExportEmbeddings:
     def test_output_layer_rows_are_distributions(self, tmp_path):
         g = two_cliques_graph(scale=3.0)
         model = build_model(small_spec(), g)
-        train_once(small_spec(), g, clique_split(), model=model)
+        train_once(model, g, clique_split())
         out = tmp_path / "emb.tsv"
         export_embeddings(model, g, "output", out)
         header, rows = self.read_tsv(out)

@@ -92,7 +92,7 @@ class TestModularityLoss:
 class TestObjectiveWiring:
     def test_plain_report_has_zero_modularity(self, monkeypatch):
         g = two_cliques_graph()
-        model = build_model(ModelSpec(alpha=0.5), g, seed=0)
+        model = build_model(ModelSpec(), g)
         mask = LabelMask.from_graph(g, [0, 4])
 
         def unexpected(*args):
@@ -107,7 +107,7 @@ class TestObjectiveWiring:
 
     def test_output_reg_total_arithmetic(self):
         g = two_cliques_graph()
-        model = build_model(ModelSpec(variant="mod", alpha=0.3), g, seed=0)
+        model = build_model(ModelSpec(variant="mod", alpha=0.3), g)
         mask = LabelMask.from_graph(g, [0, 4])
         report, _, fwd = objective_for(model, g, mask)
         assert report.total == pytest.approx(
@@ -119,7 +119,7 @@ class TestObjectiveWiring:
 
     def test_aux_objective_routes_alpha_to_aux_head(self):
         g = two_cliques_graph()
-        model = build_model(ModelSpec(variant="aux", alpha=0.5), g, seed=0)
+        model = build_model(ModelSpec(variant="aux", alpha=0.5), g)
         mask = LabelMask.from_graph(g, [0, 4])
         report, grads, fwd = objective_for(model, g, mask)
         assert "aux.w" in grads and "aux.b" in grads
@@ -131,7 +131,7 @@ class TestObjectiveWiring:
 
     def test_aux_gradients_are_exact_zeros_at_alpha_zero(self):
         g = two_cliques_graph()
-        model = build_model(ModelSpec(variant="aux", alpha=0.0), g, seed=0)
+        model = build_model(ModelSpec(variant="aux", alpha=0.0), g)
         mask = LabelMask.from_graph(g, [0, 4])
         _, grads, _ = objective_for(model, g, mask)
         assert np.all(grads["aux.w"] == 0.0)
@@ -140,9 +140,10 @@ class TestObjectiveWiring:
     def test_objective_for_dispatches_on_variant(self):
         g = two_cliques_graph()
         mask = LabelMask.from_graph(g, [0, 4])
-        for spec in (ModelSpec(), ModelSpec(variant="mod", alpha=0.4),
-                     ModelSpec(variant="aux", alpha=0.4)):
-            model = build_model(spec, g, seed=1)
+        for spec in (ModelSpec(seed=1),
+                     ModelSpec(variant="mod", alpha=0.4, seed=1),
+                     ModelSpec(variant="aux", alpha=0.4, seed=1)):
+            model = build_model(spec, g)
             report, grads, fwd = objective_for(model, g, mask)
             assert np.isfinite(report.total)
             assert set(grads) == set(model.params())

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modgcn.optim import AdamState, adam_step
+from modgcn.optim import BETA1, BETA2, EPS, AdamState, adam_step
 
 
 def test_first_step_moves_by_lr_for_large_gradient():
@@ -18,10 +18,10 @@ def test_first_step_moves_by_lr_for_large_gradient():
 
 
 def test_two_steps_match_manual_recurrence():
-    lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    lr, b1, b2, eps = 0.05, BETA1, BETA2, EPS
     p = np.array([0.7])
     params = {"w": p.copy()}
-    state = AdamState.create(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    state = AdamState.create(params, lr=lr)
     g1, g2 = np.array([0.3]), np.array([-0.2])
 
     m = v = np.zeros(1)

@@ -155,16 +155,21 @@ def test_results_csv_round_trip_is_exact(runs):
 
 @st.composite
 def model_specs(draw):
+    """Valid specs only: alpha, k_aux and lambda_max keep their defaults
+    where the run would ignore them."""
     variant = draw(st.sampled_from(VARIANTS))
-    return ModelSpec(encoder=draw(st.sampled_from(ENCODERS)),
+    encoder = draw(st.sampled_from(ENCODERS))
+    return ModelSpec(encoder=encoder,
                      cheb_order=draw(st.integers(0, 3)), variant=variant,
-                     hidden_dim=draw(st.integers(1, 6)), alpha=draw(UNIT),
-                     k_aux=draw(st.integers(0, 4)),
+                     hidden_dim=draw(st.integers(1, 6)),
+                     alpha=0.0 if variant == "plain" else draw(UNIT),
+                     k_aux=draw(st.integers(0, 4)) if variant == "aux" else 0,
                      epochs=draw(st.integers(0, 10**6)),
                      lr=draw(st.floats(1e-300, 1e3)),
                      seed=draw(st.integers(0, 2**31)),
                      lambda_max=draw(st.one_of(st.none(),
-                                               st.floats(1e-3, 1e3))))
+                                               st.floats(1e-3, 1e3)))
+                     if encoder == "chebnet" else None)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
