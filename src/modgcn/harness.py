@@ -250,10 +250,11 @@ def train_once(model: Model, graph: Graph, split: Split,
         if not math.isfinite(report.total):
             failed, note = True, f"non-finite loss at epoch {epoch}"
             break
-        rows.append((epoch, report.total, report.supervised,
-                     report.modularity_term,
-                     accuracy_of(fwd.output, graph.labels, split.train_ids),
-                     accuracy_of(fwd.output, graph.labels, split.test_ids)))
+        if log_path is not None:
+            rows.append((epoch, report.total, report.supervised,
+                         report.modularity_term,
+                         accuracy_of(fwd.output, graph.labels, split.train_ids),
+                         accuracy_of(fwd.output, graph.labels, split.test_ids)))
         epochs_run = epoch
         if epoch == spec.epochs:
             break
@@ -271,9 +272,12 @@ def train_once(model: Model, graph: Graph, split: Split,
         return RunResult(spec.model_name, spec.variant, spec.alpha,
                          split.labels_per_class, split.run_index, split.seed,
                          float("nan"), epochs_run, report, True, note)
+    # the final forward pass scores the run; a log already holds its score
+    test_accuracy = rows[-1][5] if rows else accuracy_of(
+        fwd.output, graph.labels, split.test_ids)
     return RunResult(spec.model_name, spec.variant, spec.alpha,
                      split.labels_per_class, split.run_index, split.seed,
-                     rows[-1][5], epochs_run, report)
+                     test_accuracy, epochs_run, report)
 
 
 def run_ica_once(graph: Graph, split: Split, cfg: IcaConfig,

@@ -31,6 +31,10 @@ class LabelMask:
             raise ValueError("empty training set")
         if train_ids.min() < 0 or train_ids.max() >= g.num_nodes:
             raise ValueError("train id out of range")
+        # the loss would count a repeated node twice, its fused gradient once
+        ids, counts = np.unique(train_ids, return_counts=True)
+        if counts.max() > 1:
+            raise ValueError(f"train id {ids[counts > 1][0]} is repeated")
         labels = g.labels[train_ids]
         if np.any(labels < 0):
             raise ValueError("training set contains unlabeled nodes")

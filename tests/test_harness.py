@@ -181,15 +181,48 @@ class TestTrainOnce:
         assert first[0] == "0" and last[0] == "7"
         assert float(last[5]) == r.test_accuracy
 
-    def test_divergence_marks_run_failed(self):
+    def test_divergence_marks_run_failed(self, tmp_path):
         g = two_cliques_graph(scale=3.0)
+        spec = small_spec(lr=1e160, epochs=20)
         with np.errstate(over="ignore", invalid="ignore"):
-            r = train_once(build_model(small_spec(lr=1e160, epochs=20), g),
-                           g, clique_split())
+            r = train_once(build_model(spec, g), g, clique_split())
+            logged = train_once(build_model(spec, g), g, clique_split(),
+                                log_path=tmp_path / "log.csv")
         assert r.failed
         assert math.isnan(r.test_accuracy)
         assert r.note != ""
         assert r.epochs_run < 20
+        assert logged.failed and math.isnan(logged.test_accuracy)
+        assert (logged.note, logged.epochs_run) == (r.note, r.epochs_run)
+
+    def test_unlogged_run_scores_accuracy_once(self, monkeypatch, tmp_path):
+        g = two_cliques_graph(scale=3.0)
+        calls = []
+        real = harness.accuracy_of
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(harness, "accuracy_of", counting)
+        spec = small_spec(epochs=7)
+        train_once(build_model(spec, g), g, clique_split())
+        assert len(calls) == 1
+        calls.clear()
+        train_once(build_model(spec, g), g, clique_split(),
+                   log_path=tmp_path / "log.csv")
+        assert len(calls) == 2 * (7 + 1)
+
+    @pytest.mark.parametrize("variant, alpha",
+                             [("plain", 0.0), ("mod", 0.5), ("aux", 0.5)])
+    def test_log_does_not_change_the_run(self, tmp_path, variant, alpha):
+        g = two_cliques_graph(scale=3.0)
+        spec = small_spec(variant=variant, alpha=alpha, epochs=5)
+        quiet = train_once(build_model(spec, g), g, clique_split())
+        logged = train_once(build_model(spec, g), g, clique_split(),
+                            log_path=tmp_path / "log.csv")
+        assert quiet.test_accuracy == logged.test_accuracy
+        assert quiet.epochs_run == logged.epochs_run == 5
+        assert quiet.final_losses == logged.final_losses
 
     def test_passed_model_keeps_trained_weights(self):
         g = two_cliques_graph(scale=3.0)

@@ -25,6 +25,12 @@ class TestLabelMask:
         with pytest.raises(ValueError, match="out of range"):
             LabelMask.from_graph(g, [99])
 
+    def test_rejects_repeated_train_id(self):
+        # the loss would count node 0 twice while its fused gradient
+        # counts it once
+        with pytest.raises(ValueError, match="train id 0 is repeated"):
+            LabelMask.from_graph(two_cliques_graph(), [0, 0, 4])
+
     def test_rejects_unlabeled_train_node(self):
         g = two_cliques_graph()
         labels = g.labels.copy()

@@ -1,6 +1,7 @@
 """Property-based tests: the CSR operations and kernels against dense
-oracles, and exact round trips of the results CSV and of checkpoints (need
-the `test` extras)."""
+oracles, the softmax's class-axis reductions against NumPy's bits, and
+exact round trips of the results CSV and of checkpoints (need the `test`
+extras)."""
 
 import math
 import tempfile
@@ -17,6 +18,8 @@ from conftest import two_cliques_graph  # noqa: E402
 from modgcn import kernels  # noqa: E402
 from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E402
                             write_results_csv)
+from modgcn.layers import (row_max, row_sum, softmax_rows,  # noqa: E402
+                           softmax_rows_backward)
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
                           load_checkpoint, save_checkpoint)
 from modgcn.sparse import CsrMatrix, sparse_add  # noqa: E402
@@ -191,3 +194,97 @@ def test_checkpoint_round_trip_is_bitwise(spec, data):
     for name, value in params.items():
         assert arrays_back[name].shape == value.shape
         assert arrays_back[name].tobytes() == value.tobytes()
+
+
+# The class-axis reductions against NumPy's own: every entry kind that can
+# change a bit (signed zeros, infinities, nan, subnormals, overflow-sized
+# magnitudes), at widths on both sides of NumPy's 8-column switch. Inputs
+# carry the positive default nan (a leading negative nan is the one case
+# row_max documents); negative nans still arise inside the softmax
+# (inf - inf), which the reference comparisons cover.
+EDGE_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               1e300, -1e300, 1e-300, -1e-300]
+ENTRIES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(-50.0, 50.0))
+
+
+def softmax_reference(m):
+    shifted = m - m.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_backward_reference(out, grad_out):
+    return out * (grad_out - np.sum(grad_out * out, axis=1, keepdims=True))
+
+
+@st.composite
+def class_matrices(draw, shape=None):
+    """A float64 matrix, C-ordered or, half the time, a transposed view."""
+    if shape is None:
+        shape = (draw(st.integers(0, 40)), draw(st.integers(0, 20)))
+    if draw(st.booleans()):
+        return draw(arrays(np.float64, shape, elements=ENTRIES))
+    return draw(arrays(np.float64, shape[::-1], elements=ENTRIES)).T
+
+
+def cora_shaped(seed):
+    """2708 x 7 logits with every edge value sprinkled in."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((2708, 7)) * 10.0 ** rng.integers(-3, 4, (2708, 7))
+    spots = rng.random(m.shape) < 0.05
+    m[spots] = rng.choice(EDGE_VALUES, size=int(spots.sum()))
+    return m
+
+
+def _same(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _check_row_reductions(m):
+    _same(row_sum(m), m.sum(axis=1, keepdims=True))
+    if m.shape[1] == 0:
+        with pytest.raises(ValueError):
+            m.max(axis=1)
+        with pytest.raises(ValueError):
+            row_max(m)
+    else:
+        _same(row_max(m), m.max(axis=1, keepdims=True))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(class_matrices())
+def test_row_reductions_match_numpy_bitwise(m):
+    with np.errstate(all="ignore"):
+        _check_row_reductions(m)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(class_matrices())
+def test_softmax_rows_matches_the_reference_bitwise(m):
+    with np.errstate(all="ignore"):
+        if m.shape[1] == 0:
+            with pytest.raises(ValueError):
+                softmax_rows(m)
+        else:
+            _same(softmax_rows(m), softmax_reference(m))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_softmax_rows_backward_matches_the_reference_bitwise(data):
+    out = data.draw(class_matrices(), label="out")
+    grad = data.draw(class_matrices(out.shape), label="grad_out")
+    with np.errstate(all="ignore"):
+        _same(softmax_rows_backward(out, grad),
+              softmax_backward_reference(out, grad))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_class_axis_reductions_on_a_cora_shaped_output(seed):
+    m, grad = cora_shaped(seed), cora_shaped(seed + 100)
+    with np.errstate(all="ignore"):
+        _check_row_reductions(m)
+        out = softmax_rows(m)
+        _same(out, softmax_reference(m))
+        _same(softmax_rows_backward(out, grad),
+              softmax_backward_reference(out, grad))
