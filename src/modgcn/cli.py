@@ -13,11 +13,10 @@ from pathlib import Path
 
 from . import gradcheck, kernels
 from .datasets import FEATURE_MODES, load_dataset
-from .harness import (DEFAULT_ALPHA_GRID, EMBEDDING_LAYERS, MODEL_ORDER,
-                      MatrixConfig, alpha_sweep, export_embeddings,
-                      load_matrix_config, make_split, model_spec_for,
-                      run_ica_once, run_matrix, train_once, write_results_csv,
-                      write_sweep_csv)
+from .harness import (DEFAULT_ALPHA_GRID, EMBEDDING_LAYERS, MatrixConfig,
+                      alpha_sweep, export_embeddings, load_matrix_config,
+                      make_split, run_ica_once, run_matrix, train_once,
+                      write_results_csv, write_sweep_csv)
 from .ica import IcaConfig
 from .model import (ENCODERS, VARIANTS, ModelSpec, build_model,
                     save_checkpoint)

@@ -52,19 +52,12 @@ def gradients_close(analytic, numeric, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL) -> 
     return np.allclose(analytic, numeric, rtol=rtol, atol=atol)
 
 
-def random_instance(rng: np.random.Generator, variant: str, encoder: str,
-                    n_max: int = 10):
+def random_instance(rng: np.random.Generator, variant: str, encoder: str):
     """Small random graph + matching model + label mask for one check."""
-    n = int(rng.integers(4, n_max + 1))
+    n = int(rng.integers(4, 11))
     n_feats = int(rng.integers(3, 7))
     k = int(rng.integers(2, 5))
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < 0.45]
-    if not edges:
-        edges = [(0, 1)]
-    features = rng.standard_normal((n, n_feats))
-    labels = np.arange(n) % k  # keeps every class populated
-    graph = build_graph(edges, features, labels)
+    graph = _random_graph(rng, n, 0.45, n_feats, k)
     hidden_dim = int(rng.integers(3, 6))
     # drawn for plain too, so that the later draws do not shift
     alpha = float(rng.uniform(0.05, 0.95))
@@ -76,6 +69,15 @@ def random_instance(rng: np.random.Generator, variant: str, encoder: str,
     model_seed = int(rng.integers(0, 2**31))
     model = _build_away_from_relu_kink(spec, graph, model_seed)
     return graph, model, mask
+
+
+def _random_graph(rng, n, p, n_feats, k) -> Graph:
+    """n nodes, each pair an edge with probability p (edge (0, 1) if none
+    is drawn), standard-normal features, and labels 0..k-1 in turn, which
+    keeps every class populated."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    return build_graph(edges or [(0, 1)], rng.standard_normal((n, n_feats)),
+                       np.arange(n) % k)
 
 
 def _build_away_from_relu_kink(spec: ModelSpec, graph: Graph, seed: int,
@@ -90,120 +92,76 @@ def _build_away_from_relu_kink(spec: ModelSpec, graph: Graph, seed: int,
     return model
 
 
-def check_model_gradients(graph, model, mask, h=DEFAULT_H,
-                          rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL):
+def _compare(loss, checks):
+    """One CheckResult per (name, analytic gradient, array) in ``checks``,
+    against central differences of the scalar ``loss()`` w.r.t. the array."""
+    results = []
+    for name, analytic, arr in checks:
+        numeric = numerical_gradient(loss, arr)
+        err = float(np.max(np.abs(analytic - numeric))) if numeric.size else 0.0
+        results.append(CheckResult(name, err, gradients_close(analytic, numeric)))
+    return results
+
+
+def check_model_gradients(graph, model, mask):
     """Compare analytic parameter gradients of the model's objective
     against central finite differences of its total loss."""
     _, grads, _ = objective_for(model, graph, mask)
-    results = []
-    for name, param in model.params().items():
-        numeric = numerical_gradient(
-            lambda: objective_for(model, graph, mask)[0].total, param, h)
-        err = float(np.max(np.abs(grads[name] - numeric))) if numeric.size else 0.0
-        ok = gradients_close(grads[name], numeric, rtol, atol)
-        results.append(CheckResult(f"{model.spec.model_name}:{name}", err, ok))
-    return results
+    return _compare(lambda: objective_for(model, graph, mask)[0].total,
+                    [(f"{model.spec.model_name}:{name}", grads[name], param)
+                     for name, param in model.params().items()])
 
 
 def check_layer_gradients(rng: np.random.Generator, activation: str):
-    """Standalone graph-conv layer checks, for the GCN filter and a K=3
-    Chebyshev filter: weights, bias, and input gradient under the loss
-    sum(R * layer(H))."""
+    """Standalone layer checks, for a graph-conv layer with the GCN filter
+    and with a K=3 Chebyshev filter, and for a dense layer: every parameter
+    and the input gradient under the loss sum(R * layer(H))."""
     n, c = 6, 4
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-    edges = edges or [(0, 1)]
-    graph = build_graph(edges, rng.standard_normal((n, c)), np.arange(n) % 2)
+    graph = _random_graph(rng, n, 0.5, c, 2)
     results = []
     for encoder in ("gcn", "chebnet"):
         cheb = build_supports(ModelSpec(encoder=encoder, cheb_order=3), graph)
-        results.extend(_check_conv_layer(rng, cheb, c, activation,
-                                         f"gconv-{encoder}[{activation}]"))
+        results.extend(_check_layer(
+            rng, n, c, f"gconv-{encoder}[{activation}]",
+            lambda seed: GraphConvLayer.create(cheb, c, 3, activation, seed,
+                                               layer_id=0)))
+    results.extend(_check_layer(
+        rng, 7, 5, f"dense[{activation}]",
+        lambda seed: DenseLayer.create(5, 3, activation, seed, layer_id=0)))
     return results
 
 
-def _check_conv_layer(rng, cheb, c, activation, label):
-    n, f = cheb.operator.n_rows, 3
-    layer = GraphConvLayer.create(cheb, c, f, activation,
-                                  int(rng.integers(0, 2**31)), layer_id=0)
+def _check_layer(rng, n, c, label, make_layer):
+    """Check the layer that ``make_layer(seed)`` builds on an (n, c) input."""
+    layer = make_layer(int(rng.integers(0, 2**31)))
     h_in = rng.standard_normal((n, c))
-    r = rng.standard_normal((n, f))
+    out, cache = layer.forward(h_in)
+    r = rng.standard_normal(out.shape)
 
     def loss():
-        out, _ = layer.forward(h_in)
-        return float(np.sum(r * out))
+        return float(np.sum(r * layer.forward(h_in)[0]))
 
-    _, cache = layer.forward(h_in)
-    grad_in, grad_ws, grad_b = layer.backward(cache, r)
-    results = []
-    for s, w in enumerate(layer.weights):
-        numeric = numerical_gradient(loss, w)
-        results.append(CheckResult(
-            f"{label}.w{s}",
-            float(np.max(np.abs(grad_ws[s] - numeric))),
-            gradients_close(grad_ws[s], numeric)))
-    numeric = numerical_gradient(loss, layer.bias)
-    results.append(CheckResult(f"{label}.b",
-                               float(np.max(np.abs(grad_b - numeric))),
-                               gradients_close(grad_b, numeric)))
-    numeric = numerical_gradient(loss, h_in)
-    results.append(CheckResult(f"{label}.input",
-                               float(np.max(np.abs(grad_in - numeric))),
-                               gradients_close(grad_in, numeric)))
-    return results
-
-
-def check_dense_layer_gradients(rng: np.random.Generator, activation: str):
-    n, c, f = 7, 5, 3
-    layer = DenseLayer.create(c, f, activation, int(rng.integers(0, 2**31)),
-                              layer_id=0)
-    h_in = rng.standard_normal((n, c))
-    r = rng.standard_normal((n, f))
-
-    def loss():
-        out, _ = layer.forward(h_in)
-        return float(np.sum(r * out))
-
-    _, cache = layer.forward(h_in)
-    grad_in, grad_w, grad_b = layer.backward(cache, r)
-    results = []
-    for name, analytic, arr in (("w", grad_w, layer.weight),
-                                ("b", grad_b, layer.bias),
-                                ("input", grad_in, h_in)):
-        numeric = numerical_gradient(loss, arr)
-        results.append(CheckResult(f"dense[{activation}].{name}",
-                                   float(np.max(np.abs(analytic - numeric))),
-                                   gradients_close(analytic, numeric)))
-    return results
+    grad_in, grads = layer.backward(cache, r)
+    checks = [(name, g, p) for (name, p), g
+              in zip(layer.param_items(label), grads, strict=True)]
+    return _compare(loss, checks + [(f"{label}.input", grad_in, h_in)])
 
 
 def check_loss_gradients(rng: np.random.Generator):
     """Masked cross-entropy (through the softmax) and the modularity term."""
     n, k = 8, 3
     logits = rng.standard_normal((n, k))
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
-    edges = edges or [(0, 1)]
-    graph = build_graph(edges, rng.standard_normal((n, 2)), np.arange(n) % k)
+    graph = _random_graph(rng, n, 0.4, 2, k)
     mask = LabelMask.from_graph(graph, np.arange(0, n, 2))
-
-    def ce_loss():
-        return masked_cross_entropy(softmax_rows(logits), mask)[0]
-
     _, grad_pre = masked_cross_entropy(softmax_rows(logits), mask)
-    numeric = numerical_gradient(ce_loss, logits)
-    results = [CheckResult("masked_cross_entropy.logits",
-                           float(np.max(np.abs(grad_pre - numeric))),
-                           gradients_close(grad_pre, numeric))]
+    results = _compare(
+        lambda: masked_cross_entropy(softmax_rows(logits), mask)[0],
+        [("masked_cross_entropy.logits", grad_pre, logits)])
 
     h = rng.standard_normal((n, k))
-
-    def mod_loss():
-        return modularity_loss(graph, h)[0]
-
     _, grad_h = modularity_loss(graph, h)
-    numeric = numerical_gradient(mod_loss, h)
-    results.append(CheckResult("modularity_loss.h",
-                               float(np.max(np.abs(grad_h - numeric))),
-                               gradients_close(grad_h, numeric)))
+    results.extend(_compare(lambda: modularity_loss(graph, h)[0],
+                            [("modularity_loss.h", grad_h, h)]))
     return results
 
 
@@ -217,7 +175,6 @@ def run_full_suite(seed: int = 0, instances: int = 20):
     results = []
     for activation in ("identity", "relu", "softmax_rows"):
         results.extend(check_layer_gradients(rng, activation))
-        results.extend(check_dense_layer_gradients(rng, activation))
     results.extend(check_loss_gradients(rng))
     combos = [(e, v) for e in ("gcn", "chebnet") for v in ("plain", "mod", "aux")]
     for i in range(instances):

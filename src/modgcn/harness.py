@@ -110,12 +110,21 @@ class MatrixConfig:
                                  f"expected one of {MODEL_ORDER}")
         if self.n_runs < 1 or self.jobs < 1:
             raise ValueError("n_runs and jobs must be >= 1")
+        # a repeat would count the same runs twice in one cell
+        _reject_repeat("model", self.models)
+        _reject_repeat("budget", self.budgets)
 
     def alpha_for(self, model_name: str) -> float:
         for name, value in self.alpha_overrides:
             if name == model_name:
                 return value
         return self.alpha
+
+
+def _reject_repeat(what: str, values) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{what} {value!r} is repeated")
 
 
 def _split_list(raw):
@@ -382,6 +391,7 @@ def alpha_sweep(config: MatrixConfig, grid=DEFAULT_ALPHA_GRID,
     grid = tuple(grid)
     if not grid:
         raise ValueError("alpha sweep needs a non-empty grid")
+    _reject_repeat("alpha", grid)
     if graph is None:
         graph = load_dataset(config.dataset, config.data_dir,
                              config.features)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .layers import DenseLayer
 from .optim import AdamState, adam_step
-from .sparse import Graph
+from .sparse import Graph, node_ids
 
 logger = logging.getLogger(__name__)
 
@@ -49,8 +49,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
+    """One row per label; the row of an unknown label (below zero) is 0."""
     out = np.zeros((labels.size, k))
-    out[np.arange(labels.size), labels] = 1.0
+    known = labels >= 0
+    out[np.flatnonzero(known), labels[known]] = 1.0
     return out
 
 
@@ -65,10 +67,10 @@ def _train_logistic(x, y_onehot, cfg: IcaConfig, seed, layer_id) -> DenseLayer:
     for _ in range(cfg.epochs):
         _, cache = layer.forward(x)
         grad_pre = (_sigmoid(cache.pre) - y_onehot) / m
-        _, grad_w, grad_b = layer.backward_from_pre(cache, grad_pre)
+        _, (grad_w, grad_b) = layer.backward_from_pre(cache, grad_pre)
         if cfg.l2 > 0:
             grad_w = grad_w + cfg.l2 * layer.weight
-        adam_step(state, params, {"clf.w": grad_w, "clf.b": grad_b})
+        adam_step(state, params, dict(zip(params, (grad_w, grad_b), strict=True)))
     return layer
 
 
@@ -77,15 +79,7 @@ def neighbor_label_counts(g: Graph, labels: np.ndarray) -> np.ndarray:
 
     Entries of ``labels`` below zero are unknown and contribute nothing.
     """
-    known = _onehot_known(labels, g.num_classes)
-    return g.adjacency.dot(known)
-
-
-def _onehot_known(labels: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((labels.size, k))
-    mask = labels >= 0
-    out[np.flatnonzero(mask), labels[mask]] = 1.0
-    return out
+    return g.adjacency.dot(_onehot(labels, g.num_classes))
 
 
 def ica_train_predict(g: Graph, train_ids, test_ids,
@@ -99,9 +93,9 @@ def ica_train_predict(g: Graph, train_ids, test_ids,
     attributes plus the counts of its neighbors' current labels, until no
     label changes or max_iters sweeps.
     """
-    train_ids = np.asarray(train_ids, dtype=np.int64)
-    test_ids = np.asarray(test_ids, dtype=np.int64)
     n, k = g.num_nodes, g.num_classes
+    train_ids = node_ids(train_ids, "train ids", n)
+    test_ids = node_ids(test_ids, "test ids", n)
     train_labels = g.labels[train_ids]
     present = np.unique(train_labels)
     if present.size < k or present[0] < 0:

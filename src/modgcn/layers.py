@@ -3,7 +3,8 @@
 Forward passes return a cache holding everything the hand-derived backward
 pass needs. Layers apply sigma'(pre-activation) themselves; callers that fuse
 softmax with cross-entropy feed the pre-activation gradient straight into
-``backward_from_pre``.
+``backward_from_pre``. Both backward methods return (grad_in, grads), where
+``grads`` lists one gradient per ``param_items`` entry, in that order.
 """
 
 from dataclasses import dataclass
@@ -135,15 +136,15 @@ class GraphConvLayer:
     def backward_from_pre(self, cache: LayerCache, delta: np.ndarray):
         """Gradients given d(loss)/d(pre-activation).
 
-        Returns (grad_in, grad_weights, grad_bias); grad_in is None when the
-        layer input was a sparse feature matrix (no upstream layer).
+        Returns (grad_in, [*grad_weights, grad_bias]); grad_in is None when
+        the layer input was a sparse feature matrix (no upstream layer).
         """
         h_in = cache.h_in
         us = self.filter.basis(delta)
         grad_weights = [h_in.T.dot(u) for u in us]
         grad_in = None if isinstance(h_in, CsrMatrix) else sum(
             u @ w.T for u, w in zip(us, self.weights))
-        return grad_in, grad_weights, delta.sum(axis=0, keepdims=True)
+        return grad_in, [*grad_weights, delta.sum(axis=0, keepdims=True)]
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray):
         delta = activation_backward(self.activation, cache.pre, cache.out, grad_out)
@@ -153,11 +154,6 @@ class GraphConvLayer:
         for s, w in enumerate(self.weights):
             yield f"{prefix}.w{s}", w
         yield f"{prefix}.b", self.bias
-
-    def grad_items(self, prefix, grad_weights, grad_bias):
-        for s, gw in enumerate(grad_weights):
-            yield f"{prefix}.w{s}", gw
-        yield f"{prefix}.b", grad_bias
 
 
 class DenseLayer:
@@ -186,7 +182,7 @@ class DenseLayer:
     def backward_from_pre(self, cache: LayerCache, delta: np.ndarray):
         grad_w = cache.h_in.T @ delta
         grad_in = delta @ self.weight.T
-        return grad_in, grad_w, delta.sum(axis=0, keepdims=True)
+        return grad_in, [grad_w, delta.sum(axis=0, keepdims=True)]
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray):
         delta = activation_backward(self.activation, cache.pre, cache.out, grad_out)

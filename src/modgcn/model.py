@@ -95,12 +95,10 @@ class Model:
         return ForwardResult(hidden, output, aux_out, cache1, cache2, cache_aux)
 
     def params(self) -> dict:
-        items = {}
-        items.update(self.layer1.param_items("layer1"))
-        items.update(self.layer2.param_items("layer2"))
-        if self.aux is not None:
-            items.update(self.aux.param_items("aux"))
-        return items
+        layers = (("layer1", self.layer1), ("layer2", self.layer2),
+                  ("aux", self.aux))
+        return {name: p for prefix, layer in layers if layer is not None
+                for name, p in layer.param_items(prefix)}
 
     def set_params(self, values: dict) -> None:
         params = self.params()

@@ -12,7 +12,7 @@ import numpy as np
 
 from .layers import softmax_rows_backward
 from .model import Model
-from .sparse import Graph, modularity_apply
+from .sparse import Graph, modularity_apply, node_ids
 
 LOG_CLAMP = 1e-12
 
@@ -26,11 +26,9 @@ class LabelMask:
 
     @classmethod
     def from_graph(cls, g: Graph, train_ids) -> "LabelMask":
-        train_ids = np.asarray(train_ids, dtype=np.int64)
+        train_ids = node_ids(train_ids, "train ids", g.num_nodes)
         if len(train_ids) == 0:
             raise ValueError("empty training set")
-        if train_ids.min() < 0 or train_ids.max() >= g.num_nodes:
-            raise ValueError("train id out of range")
         # the loss would count a repeated node twice, its fused gradient once
         ids, counts = np.unique(train_ids, return_counts=True)
         if counts.max() > 1:
@@ -94,7 +92,8 @@ def objective_for(model: Model, graph: Graph, mask: LabelMask):
     only the alpha-scaled modularity signal, and the shared first layer the
     sum of both.
 
-    Returns (LossReport, parameter gradients, ForwardResult).
+    Returns (LossReport, gradients, ForwardResult); the gradients are a
+    dict keyed and ordered like ``model.params()``.
     """
     variant, alpha = model.spec.variant, model.spec.alpha
     fwd = model.forward(graph.feature_operand)
@@ -109,18 +108,17 @@ def objective_for(model: Model, graph: Graph, mask: LabelMask):
     if variant == "mod" and alpha > 0.0:
         # route the modularity gradient through the output softmax
         delta2 += alpha * softmax_rows_backward(fwd.output, grad_mod)
-    grad_hidden, gw2, gb2 = model.layer2.backward_from_pre(fwd.cache2, delta2)
-    aux_grads = {}
+    grad_hidden, grads2 = model.layer2.backward_from_pre(fwd.cache2, delta2)
+    grads_aux = []
     if model.aux is not None:
         # scaling the upstream gradient by alpha scales every aux gradient
         # with it, so alpha = 0 yields exact zeros
-        grad_in_aux, aux_grads["aux.w"], aux_grads["aux.b"] = model.aux.backward(
-            fwd.cache_aux, alpha * grad_mod)
+        grad_in_aux, grads_aux = model.aux.backward(fwd.cache_aux,
+                                                    alpha * grad_mod)
         grad_hidden = grad_hidden + grad_in_aux
-    _, gw1, gb1 = model.layer1.backward(fwd.cache1, grad_hidden)
+    _, grads1 = model.layer1.backward(fwd.cache1, grad_hidden)
 
-    grads = dict(model.layer1.grad_items("layer1", gw1, gb1))
-    grads.update(model.layer2.grad_items("layer2", gw2, gb2))
-    grads.update(aux_grads)
+    grads = dict(zip(model.params(), [*grads1, *grads2, *grads_aux],
+                     strict=True))
     total = (1.0 - alpha) * sup - alpha * q
     return LossReport(total, sup, q, alpha), grads, fwd

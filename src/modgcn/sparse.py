@@ -196,6 +196,21 @@ class Graph:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def node_ids(ids, what: str, num_nodes: int) -> np.ndarray:
+    """``ids`` as int64 ids of nodes 0..num_nodes-1. A non-integer dtype or
+    an id out of range is a ValueError, not a cast or a wrap (floats
+    truncate, a boolean mask reads as nodes 1 and 0, id -1 is the last
+    node); an empty array passes, for the caller to name in its own terms."""
+    arr = np.asarray(ids)
+    if not arr.size:
+        return arr.astype(np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{what} must be integer node ids, not {arr.dtype}")
+    if arr.min() < 0 or arr.max() >= num_nodes:
+        raise ValueError(f"{what} out of range")
+    return arr.astype(np.int64, copy=False)
+
+
 def build_graph(edge_list, features, labels) -> Graph:
     """Assemble a Graph from an undirected edge list.
 

@@ -185,6 +185,15 @@ class TestExperiment:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_repeated_model_is_one_error_line(self, capsys, blobs_dataset,
+                                              tmp_path):
+        cfg = write_config(tmp_path / "exp.cfg", blobs_dataset,
+                           tmp_path / "out", models="gcn, gcn")
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg))
+        assert code == 2
+        assert err == f"error: {cfg}: model 'gcn' is repeated\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepAlpha:
     def test_small_grid(self, capsys, blobs_dataset, tmp_path):
@@ -207,6 +216,16 @@ class TestSweepAlpha:
                                "--grid", "0.5")
         assert code == 2
         assert "no mod/aux model" in err
+
+    def test_repeated_alpha_is_one_error_line(self, capsys, blobs_dataset,
+                                              tmp_path):
+        cfg = write_config(tmp_path / "exp.cfg", blobs_dataset,
+                           tmp_path / "out", models="gcn-mod")
+        code, _, err = run_cli(capsys, "sweep-alpha", "--config", str(cfg),
+                               "--grid", "0.5,0.2,0.5")
+        assert code == 2
+        assert err == "error: alpha 0.5 is repeated\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestExportEmbeddings:

@@ -34,6 +34,17 @@ def test_layer_checks_pass():
             assert result.ok, result
 
 
+def test_layer_check_names():
+    names = [r.name for r in check_layer_gradients(np.random.default_rng(0),
+                                                   "relu")]
+    assert names == [
+        "gconv-gcn[relu].w0", "gconv-gcn[relu].b", "gconv-gcn[relu].input",
+        "gconv-chebnet[relu].w0", "gconv-chebnet[relu].w1",
+        "gconv-chebnet[relu].w2", "gconv-chebnet[relu].w3",
+        "gconv-chebnet[relu].b", "gconv-chebnet[relu].input",
+        "dense[relu].w", "dense[relu].b", "dense[relu].input"]
+
+
 def test_loss_checks_pass():
     rng = np.random.default_rng(3)
     for result in check_loss_gradients(rng):

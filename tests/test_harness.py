@@ -493,6 +493,13 @@ class TestAlphaSweep:
         with pytest.raises(ValueError, match="no mod/aux model"):
             alpha_sweep(plain_cfg, grid=(0.5,), graph=g)
 
+    def test_repeated_alpha_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_jobs",
+                            lambda g, c, jobs: pytest.fail("ran jobs"))
+        cfg = MatrixConfig(models=("gcn-mod",), budgets=(2,), n_runs=3)
+        with pytest.raises(ValueError, match="alpha 0.5 is repeated"):
+            alpha_sweep(cfg, grid=(0.1, 0.5, 0.5), graph=two_cliques_graph())
+
     def test_default_grid_spans_open_interval(self):
         assert DEFAULT_ALPHA_GRID == (0.1, 0.2, 0.3, 0.4, 0.5,
                                       0.6, 0.7, 0.8, 0.9)
@@ -670,9 +677,12 @@ lr = 0.2
         ("epochs = 5\n", "no section headers"),
         ("[experiment]\nepochs = 5\nepochs = 6\n", "'epochs'"),
         ("[experiment]\nepochs = ten\n", "\\[experiment\\] epochs"),
+        ("[experiment]\nmodels = gcn, gcn\n", "model 'gcn' is repeated"),
+        ("[experiment]\nbudgets = 3, 3\n", "budget 3 is repeated"),
     ], ids=["experiment-key", "ica-key", "alpha-typo", "alpha-plain",
             "alpha-ica", "section", "model-name", "ica-value",
-            "no-header", "duplicate-key", "bad-value"])
+            "no-header", "duplicate-key", "bad-value", "repeated-model",
+            "repeated-budget"])
     def test_bad_config_is_one_error_naming_the_file(self, tmp_path, text,
                                                      key):
         path = tmp_path / "typo.cfg"

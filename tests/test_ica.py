@@ -43,6 +43,19 @@ class TestIca:
         with pytest.raises(ValueError, match="absent"):
             ica_train_predict(g, np.array([0, 1]), np.array([5]))
 
+    # a cast or a wrap would read each of these as some other node
+    @pytest.mark.parametrize("train, test, message", [
+        ([0.7, 4.2], [1, 5], "train ids must be integer"),
+        ([0, 4], [1.0, 5.0], "test ids must be integer"),
+        ([0, 4], np.arange(8) >= 4, "test ids must be integer"),
+        ([0, -4], [1, 5], "train ids out of range"),
+        ([0, 4], [1, 8], "test ids out of range"),
+    ], ids=["float-train", "float-test", "bool-test", "negative-train",
+            "past-end-test"])
+    def test_bad_node_ids_are_an_error(self, train, test, message):
+        with pytest.raises(ValueError, match=message):
+            ica_train_predict(two_cliques_graph(), train, test)
+
     def test_two_clique_fixture_fully_recovered(self):
         g = two_cliques_graph(scale=3.0)
         train = np.array([0, 4])

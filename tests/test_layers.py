@@ -106,11 +106,10 @@ class TestGraphConvLayer:
             sparse_out, sparse_cache = layer.forward(
                 CsrMatrix.from_dense(g.features))
             np.testing.assert_allclose(sparse_out, dense_out, atol=1e-12)
-            _, dense_ws, dense_b = layer.backward(dense_cache, upstream)
-            _, sparse_ws, sparse_b = layer.backward(sparse_cache, upstream)
-            for sw, dw in zip(sparse_ws, dense_ws, strict=True):
-                np.testing.assert_allclose(sw, dw, atol=1e-12)
-            np.testing.assert_allclose(sparse_b, dense_b, atol=1e-12)
+            _, dense_grads = layer.backward(dense_cache, upstream)
+            _, sparse_grads = layer.backward(sparse_cache, upstream)
+            for sg, dg in zip(sparse_grads, dense_grads, strict=True):
+                np.testing.assert_allclose(sg, dg, atol=1e-12)
 
     def test_sparse_input_backward_has_no_input_grad(self):
         rng = np.random.default_rng(4)
@@ -118,10 +117,10 @@ class TestGraphConvLayer:
         layer = GraphConvLayer.create(gcn_filter(g), 4, 2, "relu", 3, 0)
         h = CsrMatrix.from_dense(rng.standard_normal((6, 4)))
         _, cache = layer.forward(h)
-        grad_in, grad_ws, grad_b = layer.backward(
+        grad_in, (grad_w, grad_b) = layer.backward(
             cache, rng.standard_normal((6, 2)))
         assert grad_in is None
-        assert grad_ws[0].shape == (4, 2)
+        assert grad_w.shape == (4, 2)
         assert grad_b.shape == (1, 2)
 
     def test_per_support_seeding_is_stable(self):
@@ -140,6 +139,27 @@ class TestGraphConvLayer:
         layer = GraphConvLayer.create(gcn_filter(g), 3, 2, "relu", 0, 0)
         names = [name for name, _ in layer.param_items("layer1")]
         assert names == ["layer1.w0", "layer1.b"]
+        # one weight matrix per Chebyshev term
+        cheb = GraphConvLayer.create(build_chebyshev_supports(g, order=3),
+                                     3, 2, "relu", 0, 0)
+        names = [name for name, _ in cheb.param_items("layer1")]
+        assert names == ["layer1.w0", "layer1.w1", "layer1.w2", "layer1.w3",
+                         "layer1.b"]
+
+    @pytest.mark.parametrize("make", [
+        lambda g: GraphConvLayer.create(gcn_filter(g), 3, 2, "relu", 0, 0),
+        lambda g: GraphConvLayer.create(build_chebyshev_supports(g, order=3),
+                                        3, 2, "relu", 0, 0),
+        lambda g: DenseLayer.create(3, 2, "softmax_rows", 0, 2),
+    ], ids=["gcn", "chebnet-3", "dense"])
+    def test_backward_returns_grads_in_param_order(self, make):
+        rng = np.random.default_rng(9)
+        layer = make(random_graph(rng, 6))
+        out, cache = layer.forward(rng.standard_normal((6, 3)))
+        _, grads = layer.backward(cache, rng.standard_normal(out.shape))
+        params = [p for _, p in layer.param_items("x")]
+        assert len(grads) == len(params)
+        assert [g.shape for g in grads] == [p.shape for p in params]
 
     def test_input_width_mismatch(self):
         rng = np.random.default_rng(7)

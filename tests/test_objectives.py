@@ -25,6 +25,13 @@ class TestLabelMask:
         with pytest.raises(ValueError, match="out of range"):
             LabelMask.from_graph(g, [99])
 
+    @pytest.mark.parametrize("ids", [np.array([0.7, 4.2]), [True, False]],
+                             ids=["float", "bool"])
+    def test_rejects_non_integer_ids(self, ids):
+        # a cast would train on nodes 0 and 4, or 1 and 0
+        with pytest.raises(ValueError, match="train ids must be integer"):
+            LabelMask.from_graph(two_cliques_graph(), ids)
+
     def test_rejects_repeated_train_id(self):
         # the loss would count node 0 twice while its fused gradient
         # counts it once
@@ -144,12 +151,19 @@ class TestObjectiveWiring:
         assert np.all(grads["aux.b"] == 0.0)
 
     def test_objective_for_dispatches_on_variant(self):
+        # every encoder x variant: gradients keyed and ordered like params
         g = two_cliques_graph()
         mask = LabelMask.from_graph(g, [0, 4])
-        for spec in (ModelSpec(seed=1),
-                     ModelSpec(variant="mod", alpha=0.4, seed=1),
-                     ModelSpec(variant="aux", alpha=0.4, seed=1)):
-            model = build_model(spec, g)
-            report, grads, fwd = objective_for(model, g, mask)
-            assert np.isfinite(report.total)
-            assert set(grads) == set(model.params())
+        for encoder in ("gcn", "chebnet"):
+            for spec in (ModelSpec(encoder=encoder, seed=1),
+                         ModelSpec(encoder=encoder, variant="mod", alpha=0.4,
+                                   seed=1),
+                         ModelSpec(encoder=encoder, variant="aux", alpha=0.4,
+                                   seed=1)):
+                model = build_model(spec, g)
+                report, grads, fwd = objective_for(model, g, mask)
+                assert np.isfinite(report.total)
+                params = model.params()
+                assert list(grads) == list(params)
+                for name, p in params.items():
+                    assert grads[name].shape == p.shape, name
