@@ -89,35 +89,40 @@ def load_linqs(src: DatasetSource) -> Graph:
     0..k-1 in lexicographic order; citation edges are symmetrized and any
     referencing an unknown id are dropped with a single count warning.
     """
-    ids, rows, names = [], [], []
-    n_cols = None
+    # one matrix, filled row by row, and the lines freed before the graph
+    # is built: per-row arrays stacked at the end held the features twice
     with open(src.content_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if n_cols is None:
-                n_cols = len(fields)
-                if n_cols < 3:
-                    raise ValueError(
-                        f"{src.content_path}:{lineno}: expected "
-                        f"`id w_1..w_C class`, got {n_cols} columns")
-            if len(fields) != n_cols:
-                raise ValueError(
-                    f"{src.content_path}:{lineno}: expected {n_cols} "
-                    f"columns, got {len(fields)}")
-            ids.append(fields[0])
-            rows.append(np.array(fields[1:-1], dtype=np.float64))
-            names.append(fields[-1])
-    if n_cols is None:
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1)
+                 if not line.isspace()]
+    if not lines:
         raise ValueError(f"{src.content_path}: empty .content file")
+    first_lineno, first_line = lines[0]
+    n_cols = len(first_line.split())
+    if n_cols < 3:
+        raise ValueError(
+            f"{src.content_path}:{first_lineno}: expected "
+            f"`id w_1..w_C class`, got {n_cols} columns")
+    features = np.empty((len(lines), n_cols - 2))
+    ids, names = [], []
+    for row, (lineno, line) in enumerate(lines):
+        fields = line.split()
+        if len(fields) != n_cols:
+            raise ValueError(
+                f"{src.content_path}:{lineno}: expected {n_cols} "
+                f"columns, got {len(fields)}")
+        ids.append(fields[0])
+        try:
+            features[row] = fields[1:-1]
+        except ValueError as err:
+            raise ValueError(f"{src.content_path}:{lineno}: {err}") from None
+        names.append(fields[-1])
+    del lines
 
     index = {node_id: i for i, node_id in enumerate(ids)}
     if len(index) != len(ids):
         raise ValueError(f"{src.content_path}: duplicate node ids")
     class_names = sorted(set(names))
     class_index = {c: i for i, c in enumerate(class_names)}
-    features = np.stack(rows)
     labels = np.array([class_index[c] for c in names], dtype=np.int64)
 
     edges, dropped = [], 0

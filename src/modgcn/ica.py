@@ -4,7 +4,8 @@ Collective classification with a one-vs-rest logistic regression as the
 local classifier. Node features for the classifier are the concatenation
 [attributes || per-class neighbor-label counts], where the counts only see
 labels that are currently known. Inference sweeps nodes in ascending id
-order, each update immediately visible to later nodes.
+order, each update immediately visible to later nodes, and re-scores only
+the nodes whose neighbors changed label since their last visit.
 """
 
 import logging
@@ -14,7 +15,7 @@ import numpy as np
 
 from .layers import DenseLayer
 from .optim import AdamState, adam_step
-from .sparse import Graph, node_ids
+from .sparse import CsrMatrix, Graph, node_ids, train_node_ids
 
 logger = logging.getLogger(__name__)
 
@@ -58,18 +59,23 @@ def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
 
 def _train_logistic(x, y_onehot, cfg: IcaConfig, seed, layer_id) -> DenseLayer:
     """One-vs-rest logistic regression: a dense layer with per-column
-    sigmoid cross-entropy, full-batch Adam."""
+    sigmoid cross-entropy, full-batch Adam.
+
+    Each step makes the products of ``DenseLayer.forward`` and
+    ``backward_from_pre`` on the same operands, less the input gradient,
+    which nothing here reads."""
     layer = DenseLayer.create(x.shape[1], y_onehot.shape[1], "identity",
                               seed, layer_id)
     params = dict(layer.param_items("clf"))
     state = AdamState.create(params, lr=cfg.lr)
     m = x.shape[0]
     for _ in range(cfg.epochs):
-        _, cache = layer.forward(x)
-        grad_pre = (_sigmoid(cache.pre) - y_onehot) / m
-        _, (grad_w, grad_b) = layer.backward_from_pre(cache, grad_pre)
+        pre = x @ layer.weight + layer.bias
+        grad_pre = (_sigmoid(pre) - y_onehot) / m
+        grad_w = x.T @ grad_pre
         if cfg.l2 > 0:
             grad_w = grad_w + cfg.l2 * layer.weight
+        grad_b = grad_pre.sum(axis=0, keepdims=True)
         adam_step(state, params, dict(zip(params, (grad_w, grad_b), strict=True)))
     return layer
 
@@ -80,6 +86,46 @@ def neighbor_label_counts(g: Graph, labels: np.ndarray) -> np.ndarray:
     Entries of ``labels`` below zero are unknown and contribute nothing.
     """
     return g.adjacency.dot(_onehot(labels, g.num_classes))
+
+
+def relabel(adjacency: CsrMatrix, state: np.ndarray, unlabeled: np.ndarray,
+            base_logits: np.ndarray, w_rel: np.ndarray, max_iters: int):
+    """ICA's inference sweeps, in place on ``state``; returns
+    ``(iterations, converged, visits)``.
+
+    Each sweep visits ``unlabeled`` in ascending id and sets node i to
+    ``argmax(base_logits[i] + counts_i @ w_rel)``, where ``counts_i`` counts
+    the current labels of i's neighbors, until a sweep changes nothing or
+    ``max_iters`` sweeps. Every node must hold a label (no -1). A node's
+    score depends only on its neighbors' labels, so a node none of whose
+    neighbors changed since its last visit would score the same bits
+    again: it is skipped. A change marks the neighbors stale at once, so
+    a later neighbor is still visited in the same sweep. Labels and
+    iterations equal those of sweeps that re-score every node.
+    """
+    stale = np.ones(state.size, dtype=bool)
+    offsets = adjacency.row_offsets.tolist()
+    cols = adjacency.col_indices
+    k = w_rel.shape[0]
+    order = unlabeled.tolist()
+    visits = 0
+    for sweep in range(max_iters):
+        changed = 0
+        for i in order:
+            if not stale[i]:
+                continue
+            stale[i] = False
+            visits += 1
+            nbrs = cols[offsets[i]:offsets[i + 1]]
+            counts = np.bincount(state[nbrs], minlength=k)
+            new = int(np.argmax(base_logits[i] + counts @ w_rel))
+            if new != state[i]:
+                state[i] = new
+                stale[nbrs] = True
+                changed += 1
+        if changed == 0:
+            return sweep + 1, True, visits
+    return max_iters, False, visits
 
 
 def ica_train_predict(g: Graph, train_ids, test_ids,
@@ -94,7 +140,7 @@ def ica_train_predict(g: Graph, train_ids, test_ids,
     label changes or max_iters sweeps.
     """
     n, k = g.num_nodes, g.num_classes
-    train_ids = node_ids(train_ids, "train ids", n)
+    train_ids = train_node_ids(train_ids, n)
     test_ids = node_ids(test_ids, "test ids", n)
     train_labels = g.labels[train_ids]
     present = np.unique(train_labels)
@@ -120,21 +166,8 @@ def ica_train_predict(g: Graph, train_ids, test_ids,
     n_attr = g.features.shape[1]
     w_attr, w_rel = full_clf.weight[:n_attr], full_clf.weight[n_attr:]
     base_logits = g.features @ w_attr + full_clf.bias
-    offsets, cols = g.adjacency.row_offsets, g.adjacency.col_indices
-
-    iterations = 0
-    for sweep in range(cfg.max_iters):
-        changed = 0
-        for i in unlabeled:
-            nbr_labels = state[cols[offsets[i]:offsets[i + 1]]]
-            counts = np.bincount(nbr_labels[nbr_labels >= 0], minlength=k)
-            new = int(np.argmax(base_logits[i] + counts @ w_rel))
-            if new != state[i]:
-                state[i] = new
-                changed += 1
-        iterations = sweep + 1
-        if changed == 0:
-            break
-    logger.info("ica: converged=%s after %d sweep(s)",
-                changed == 0, iterations)
+    iterations, converged, visits = relabel(
+        g.adjacency, state, unlabeled, base_logits, w_rel, cfg.max_iters)
+    logger.info("ica: converged=%s after %d sweep(s), %d of %d node visits",
+                converged, iterations, visits, iterations * unlabeled.size)
     return IcaResult(state[test_ids].copy(), iterations)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .layers import softmax_rows_backward
 from .model import Model
-from .sparse import Graph, modularity_apply, node_ids
+from .sparse import Graph, modularity_apply, train_node_ids
 
 LOG_CLAMP = 1e-12
 
@@ -26,13 +26,10 @@ class LabelMask:
 
     @classmethod
     def from_graph(cls, g: Graph, train_ids) -> "LabelMask":
-        train_ids = node_ids(train_ids, "train ids", g.num_nodes)
+        # the loss would count a repeated node twice, its fused gradient once
+        train_ids = train_node_ids(train_ids, g.num_nodes)
         if len(train_ids) == 0:
             raise ValueError("empty training set")
-        # the loss would count a repeated node twice, its fused gradient once
-        ids, counts = np.unique(train_ids, return_counts=True)
-        if counts.max() > 1:
-            raise ValueError(f"train id {ids[counts > 1][0]} is repeated")
         labels = g.labels[train_ids]
         if np.any(labels < 0):
             raise ValueError("training set contains unlabeled nodes")

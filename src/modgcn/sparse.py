@@ -211,6 +211,17 @@ def node_ids(ids, what: str, num_nodes: int) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def train_node_ids(ids, num_nodes: int) -> np.ndarray:
+    """``node_ids`` for a training set, where a repeated id is a ValueError
+    too: a trainer would count the repeated node twice."""
+    ids = node_ids(ids, "train ids", num_nodes)
+    if ids.size:
+        unique, counts = np.unique(ids, return_counts=True)
+        if counts.max() > 1:
+            raise ValueError(f"train id {unique[counts > 1][0]} is repeated")
+    return ids
+
+
 def build_graph(edge_list, features, labels) -> Graph:
     """Assemble a Graph from an undirected edge list.
 

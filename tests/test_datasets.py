@@ -64,6 +64,28 @@ class TestLoadLinqs:
         with pytest.raises(ValueError, match="columns"):
             load_linqs(tiny_source(tmp_path, content=bad))
 
+    def test_features_equal_a_per_row_parse(self, tmp_path):
+        # integers, shortest reprs, subnormals, signed zeros and more digits
+        # than a double holds, and a blank line, each row parsed as numpy
+        # parses a list of tokens
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
+        rows = [[repr(v) for v in row] for row in values.tolist()]
+        rows[0] = ["0", "1", "-0", "1e-320", "3.14159265358979323846264"]
+        rows[1][:2] = ["0.1", "-2.5E+3"]
+        content = "".join(f"n{i}\t" + "\t".join(row) + f"\tc{i % 2}\n"
+                          + "\n" * (i == 2) for i, row in enumerate(rows))
+        g = load_linqs(tiny_source(tmp_path, content=content))
+        want = np.stack([np.array(row, dtype=np.float64) for row in rows])
+        assert g.features.shape == want.shape
+        assert g.features.tobytes() == want.tobytes()
+
+    def test_non_numeric_feature_names_its_line(self, tmp_path):
+        bad = TINY_CONTENT + "\nn4\t1\tx\t0\tphysics\n"  # line 5
+        with pytest.raises(ValueError, match=r"tiny\.content:5: .*'x'") as err:
+            load_linqs(tiny_source(tmp_path, content=bad))
+        assert "\n" not in str(err.value)
+
     def test_malformed_cites_line(self, tmp_path):
         with pytest.raises(ValueError, match="cited citing"):
             load_linqs(tiny_source(tmp_path, cites="n1\tn2\tn3\n"))

@@ -1,10 +1,16 @@
 """ICA protocol behavior on hand-traceable fixtures."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
 from conftest import two_cliques_graph
-from modgcn.ica import (IcaConfig, ica_train_predict, neighbor_label_counts)
+from modgcn.ica import (IcaConfig, _onehot, _sigmoid, _train_logistic,
+                        ica_train_predict, neighbor_label_counts)
+from modgcn.layers import DenseLayer
+from modgcn.optim import AdamState, adam_step
 from modgcn.sparse import build_graph
 
 
@@ -37,6 +43,37 @@ class TestNeighborCounts:
         np.testing.assert_array_equal(counts[0], [0.0, 0.0])
 
 
+def dense_layer_logistic(x, y_onehot, cfg, seed, layer_id):
+    """The local classifier's training loop driven by ``DenseLayer``'s own
+    forward and backward_from_pre, input gradient included."""
+    layer = DenseLayer.create(x.shape[1], y_onehot.shape[1], "identity",
+                              seed, layer_id)
+    params = dict(layer.param_items("clf"))
+    state = AdamState.create(params, lr=cfg.lr)
+    for _ in range(cfg.epochs):
+        _, cache = layer.forward(x)
+        grad_pre = (_sigmoid(cache.pre) - y_onehot) / x.shape[0]
+        _, (grad_w, grad_b) = layer.backward_from_pre(cache, grad_pre)
+        if cfg.l2 > 0:
+            grad_w = grad_w + cfg.l2 * layer.weight
+        adam_step(state, params, dict(zip(params, (grad_w, grad_b), strict=True)))
+    return layer
+
+
+class TestLogistic:
+    @pytest.mark.parametrize("epochs, l2", [(5, 0.0), (20, 0.0), (20, 0.01)])
+    def test_weights_equal_the_dense_layer_loop(self, epochs, l2):
+        # the relational classifier's input: attributes || neighbor counts
+        g = two_cliques_graph(scale=3.0)
+        x = np.hstack([g.features, neighbor_label_counts(g, g.labels)])
+        y = _onehot(g.labels, g.num_classes)
+        cfg = IcaConfig(epochs=epochs, l2=l2)
+        got = _train_logistic(x, y, cfg, seed=3, layer_id=1)
+        want = dense_layer_logistic(x, y, cfg, seed=3, layer_id=1)
+        assert got.weight.tobytes() == want.weight.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
 class TestIca:
     def test_class_absent_from_training_is_an_error(self):
         g = two_cliques_graph()
@@ -50,8 +87,10 @@ class TestIca:
         ([0, 4], np.arange(8) >= 4, "test ids must be integer"),
         ([0, -4], [1, 5], "train ids out of range"),
         ([0, 4], [1, 8], "test ids out of range"),
+        # the classifiers would fit node 4's row twice
+        ([0, 4, 4], [1, 5], "train id 4 is repeated"),
     ], ids=["float-train", "float-test", "bool-test", "negative-train",
-            "past-end-test"])
+            "past-end-test", "repeated-train"])
     def test_bad_node_ids_are_an_error(self, train, test, message):
         with pytest.raises(ValueError, match=message):
             ica_train_predict(two_cliques_graph(), train, test)
@@ -99,3 +138,15 @@ class TestIca:
         result = ica_train_predict(g, train, test, IcaConfig(max_iters=3),
                                    seed=0)
         assert result.iterations <= 3
+
+    def test_log_reports_visits_against_full_sweeps(self, caplog):
+        g = two_cliques_graph(scale=3.0)
+        with caplog.at_level(logging.INFO, logger="modgcn.ica"):
+            result = ica_train_predict(g, [0, 4], [1, 5])
+        (record,) = caplog.records
+        match = re.fullmatch(r"ica: converged=True after (\d+) sweep\(s\), "
+                             r"(\d+) of (\d+) node visits", record.getMessage())
+        sweeps, visits, full = map(int, match.groups())
+        # 6 unlabeled nodes, each scored at least in the first sweep
+        assert sweeps == result.iterations and full == 6 * sweeps
+        assert 6 <= visits <= full

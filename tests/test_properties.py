@@ -1,7 +1,7 @@
 """Property-based tests: the CSR operations and kernels against dense
-oracles, the softmax's class-axis reductions against NumPy's bits, and
-exact round trips of the results CSV and of checkpoints (need the `test`
-extras)."""
+oracles, the softmax's class-axis reductions against NumPy's bits, ICA's
+stale-node sweeps against full sweeps, and exact round trips of the
+results CSV and of checkpoints (need the `test` extras)."""
 
 import math
 import tempfile
@@ -18,11 +18,12 @@ from conftest import two_cliques_graph  # noqa: E402
 from modgcn import kernels  # noqa: E402
 from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E402
                             write_results_csv)
+from modgcn.ica import relabel  # noqa: E402
 from modgcn.layers import (row_max, row_sum, softmax_rows,  # noqa: E402
                            softmax_rows_backward)
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
                           load_checkpoint, save_checkpoint)
-from modgcn.sparse import CsrMatrix, sparse_add  # noqa: E402
+from modgcn.sparse import CsrMatrix, build_graph, sparse_add  # noqa: E402
 
 # small exact values, so duplicates can cancel to exact zeros and every
 # sum below is exact
@@ -288,3 +289,80 @@ def test_class_axis_reductions_on_a_cora_shaped_output(seed):
         _same(out, softmax_reference(m))
         _same(softmax_rows_backward(out, grad),
               softmax_backward_reference(out, grad))
+
+
+def full_sweeps(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
+    """ICA's sweeps re-scoring every unlabeled node on every sweep, in place
+    on ``state``; returns the number of sweeps made."""
+    offsets, cols = adjacency.row_offsets, adjacency.col_indices
+    k = w_rel.shape[0]
+    for sweep in range(max_iters):
+        changed = 0
+        for i in unlabeled:
+            nbr_labels = state[cols[offsets[i]:offsets[i + 1]]]
+            counts = np.bincount(nbr_labels[nbr_labels >= 0], minlength=k)
+            new = int(np.argmax(base_logits[i] + counts @ w_rel))
+            if new != state[i]:
+                state[i] = new
+                changed += 1
+        if changed == 0:
+            return sweep + 1
+    return max_iters
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A small graph, a full labelling, the nodes to sweep, and logits and
+    weights drawn from few values, so that ties and flips are common.
+
+    Every element is drawn (``arrays``' default fill makes most of an array
+    one value), and at least 10 edges (self-loops drop out): sparse or
+    near-constant inputs hardly ever flip a label twice, and then cannot
+    tell a correct stale-flag sweep from a wrong one."""
+    def each(dtype, shape, elements):
+        return draw(arrays(dtype, shape, elements=elements,
+                           fill=st.nothing()))
+
+    n = draw(st.integers(1, 20))
+    k = draw(st.integers(1, 5))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), min_size=10, max_size=60))
+    adjacency = build_graph(edges, np.zeros((n, 1)), np.zeros(n)).adjacency
+    logits = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+    return (adjacency, each(np.int64, n, st.integers(0, k - 1)),
+            np.flatnonzero(each(np.bool_, n, st.booleans())),
+            each(np.float64, (n, k), logits), each(np.float64, (k, k), logits),
+            draw(st.integers(1, 10)))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(sweep_inputs())
+def test_stale_node_sweeps_match_full_sweeps(inputs):
+    adjacency, state, unlabeled, base_logits, w_rel, max_iters = inputs
+    want = state.copy()
+    iterations = full_sweeps(adjacency, want, unlabeled, base_logits, w_rel,
+                             max_iters)
+    got = state.copy()
+    assert relabel(adjacency, got, unlabeled, base_logits, w_rel,
+                   max_iters)[0] == iterations
+    _same(got, want)
+
+
+def test_node_marked_earlier_in_a_sweep_is_visited_in_it():
+    # a star: node 0 joined to nodes 1 and 2, all unlabeled, all in class 0.
+    # Sweep 1 flips only node 2, so node 1 starts sweep 2 clean. Sweep 2
+    # flips node 0 first, and node 1 must be re-scored in that same sweep,
+    # where it flips too; deferred to sweep 3, the run takes 4 sweeps.
+    adjacency = build_graph([(0, 1), (0, 2)], np.zeros((3, 1)),
+                            np.zeros(3)).adjacency
+    base_logits = np.array([[0.0, -1.0], [1.0, 1.0], [-2.0, 1.0]])
+    w_rel = np.array([[1.0, 1.0], [-2.0, 2.0]])
+    state = np.zeros(3, dtype=np.int64)
+    want = state.copy()
+    assert full_sweeps(adjacency, want, np.arange(3), base_logits, w_rel,
+                       10) == 3
+    # sweep 3 visits only node 0, which node 1's flip marked
+    assert relabel(adjacency, state, np.arange(3), base_logits, w_rel,
+                   10) == (3, True, 7)
+    _same(state, want)
+    np.testing.assert_array_equal(state, [1, 1, 1])
