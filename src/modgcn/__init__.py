@@ -6,14 +6,13 @@ of folding network modularity into the training objective. Pure NumPy with
 an optional compiled kernel backend; see modgcn.kernels.
 """
 
-from .datasets import (DatasetSource, SplitSpec, load_dataset, load_linqs,
+from .datasets import (DatasetSource, Split, load_dataset, load_linqs,
                        preprocess_features, resolve_dataset,
                        stratified_split)
 from .gradcheck import numerical_gradient, run_full_suite
-from .harness import (AggregateResult, MatrixConfig, RunResult, Split,
-                      SweepResult, alpha_sweep, export_embeddings,
-                      load_matrix_config, make_split, run_matrix,
-                      train_once)
+from .harness import (AggregateResult, MatrixConfig, RunResult, SweepResult,
+                      alpha_sweep, export_embeddings, load_matrix_config,
+                      run_matrix, train_once)
 from .ica import IcaConfig, IcaResult, ica_train_predict
 from .layers import DenseLayer, GraphConvLayer
 from .model import (Model, ModelSpec, build_model, load_checkpoint,
@@ -33,12 +32,12 @@ __all__ = [
     "AdamState", "AggregateResult", "ChebFilter", "CsrMatrix",
     "DatasetSource", "DenseLayer", "Graph",
     "GraphConvLayer", "IcaConfig", "IcaResult", "LabelMask", "LossReport",
-    "MatrixConfig", "Model", "ModelSpec", "RunResult", "Split", "SplitSpec",
+    "MatrixConfig", "Model", "ModelSpec", "RunResult", "Split",
     "SweepResult", "adam_step", "alpha_sweep", "build_chebyshev_supports",
     "build_graph", "build_model", "export_embeddings",
     "gcn_support", "ica_train_predict",
     "load_checkpoint", "load_dataset", "load_linqs", "load_matrix_config",
-    "load_model", "make_split", "masked_cross_entropy", "modularity_apply",
+    "load_model", "masked_cross_entropy", "modularity_apply",
     "modularity_loss", "modularity_score", "modularity_trace",
     "normalized_laplacian", "numerical_gradient", "objective_for",
     "power_iteration", "preprocess_features", "rescale_laplacian",

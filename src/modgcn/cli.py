@@ -12,10 +12,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck, kernels
-from .datasets import FEATURE_MODES, load_dataset
+from .datasets import FEATURE_MODES, load_dataset, stratified_split
 from .harness import (DEFAULT_ALPHA_GRID, EMBEDDING_LAYERS, MatrixConfig,
                       alpha_sweep, export_embeddings, load_matrix_config,
-                      make_split, run_ica_once, run_matrix, train_once,
+                      run_ica_once, run_matrix, train_once,
                       write_results_csv, write_sweep_csv)
 from .ica import IcaConfig
 from .model import (ENCODERS, VARIANTS, ModelSpec, build_model,
@@ -65,6 +65,15 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_matrix_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="INI experiment config")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (overrides config)")
+    p.add_argument("--out-dir", default=None, help="overrides config")
+    p.add_argument("--data-dir", default=None,
+                   help=f"overrides config and {DATA_DIR_ENV}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modgcn",
@@ -82,21 +91,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write final weights to this checkpoint path")
 
     p = sub.add_parser("experiment", help="run a config-defined matrix")
-    p.add_argument("--config", required=True, help="INI experiment config")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (overrides config)")
-    p.add_argument("--out-dir", default=None, help="overrides config")
-    p.add_argument("--data-dir", default=None,
-                   help=f"overrides config and {DATA_DIR_ENV}")
+    _add_matrix_flags(p)
 
     p = sub.add_parser("sweep-alpha",
                        help="grid-search alpha for mod/aux models")
-    p.add_argument("--config", required=True, help="INI experiment config")
+    _add_matrix_flags(p)
     p.add_argument("--grid", default=None,
                    help="comma-separated alphas (default 0.1..0.9)")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out-dir", default=None)
-    p.add_argument("--data-dir", default=None)
 
     p = sub.add_parser("export-embeddings",
                        help="train one model and dump a layer as TSV")
@@ -141,16 +142,26 @@ def _spec_from_args(args) -> ModelSpec:
                      lr=args.lr, seed=args.seed, lambda_max=args.lambda_max)
 
 
-def _cmd_train(args) -> int:
+def _train_from_args(args, log_path=None):
+    """Train the model and split that the flags describe. Returns (model,
+    graph, result), or None once a failed run has been reported."""
     spec = _spec_from_args(args)
     graph = _load_graph(args)
-    split = make_split(graph, args.labels_per_class, args.test_size,
-                       args.seed)
+    split = stratified_split(graph, args.labels_per_class, args.test_size,
+                             args.seed)
     model = build_model(spec, graph)
-    result = train_once(model, graph, split, log_path=args.log)
+    result = train_once(model, graph, split, log_path=log_path)
     if result.failed:
         print(f"error: run failed: {result.note}", file=sys.stderr)
+        return None
+    return model, graph, result
+
+
+def _cmd_train(args) -> int:
+    run = _train_from_args(args, log_path=args.log)
+    if run is None:
         return 1
+    model, _, result = run
     print(f"wrote {args.log}")
     if args.save:
         save_checkpoint(model, args.save)
@@ -203,15 +214,11 @@ def _cmd_sweep_alpha(args) -> int:
 
 
 def _cmd_export_embeddings(args) -> int:
-    spec = _spec_from_args(args)
-    graph = _load_graph(args)
-    split = make_split(graph, args.labels_per_class, args.test_size,
-                       args.seed)
-    model = build_model(spec, graph)
-    result = train_once(model, graph, split)
-    if result.failed:
-        print(f"error: run failed: {result.note}", file=sys.stderr)
+    run = _train_from_args(args)
+    if run is None:
         return 1
+    model, graph, result = run
+    spec = model.spec
     out = args.out or f"embeddings_{spec.model_name}_a{spec.alpha}.tsv"
     export_embeddings(model, graph, args.layer, out)
     print(f"wrote {out} (layer={args.layer}, "
@@ -223,9 +230,9 @@ def _cmd_ica(args) -> int:
     graph = _load_graph(args)
     cfg = IcaConfig(max_iters=args.max_iters, epochs=args.clf_epochs,
                     lr=args.clf_lr, l2=args.clf_l2)
-    split = make_split(graph, args.labels_per_class, args.test_size,
-                       args.seed)
-    result = run_ica_once(graph, split, cfg, args.seed)
+    split = stratified_split(graph, args.labels_per_class, args.test_size,
+                             args.seed)
+    result = run_ica_once(graph, split, cfg)
     if result.failed:
         print(f"error: {result.note}", file=sys.stderr)
         return 1

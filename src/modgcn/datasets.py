@@ -40,18 +40,14 @@ class DatasetSource:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    """Label budget per class, test-set size, and the sampling seed."""
+class Split:
+    """A train/test split with the budget, seed and run index that made it."""
 
+    train_ids: np.ndarray
+    test_ids: np.ndarray
     labels_per_class: int
-    test_size: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.labels_per_class < 1:
-            raise ValueError("labels_per_class must be >= 1")
-        if self.test_size < 1:
-            raise ValueError("test_size must be >= 1")
+    seed: int
+    run_index: int = 0
 
 
 def resolve_dataset(dataset: str, data_dir: str) -> DatasetSource:
@@ -170,34 +166,38 @@ def preprocess_features(g: Graph, mode: str = "row_normalize") -> Graph:
                  g.num_classes, g.num_edges)
 
 
-def stratified_split(g: Graph, spec: SplitSpec):
+def stratified_split(g: Graph, labels_per_class: int, test_size: int = 1000,
+                     seed: int = 0, run_index: int = 0) -> Split:
     """Sample ``labels_per_class`` train ids uniformly per class, then
     ``test_size`` test ids from the remaining labeled nodes. Disjoint,
-    deterministic given the seed."""
+    deterministic given the seed; ``run_index`` is only recorded."""
+    if labels_per_class < 1:
+        raise ValueError("labels_per_class must be >= 1")
+    if test_size < 1:
+        raise ValueError("test_size must be >= 1")
     labeled = np.flatnonzero(g.labels >= 0)
-    needed = spec.labels_per_class * g.num_classes + spec.test_size
+    needed = labels_per_class * g.num_classes + test_size
     if needed > labeled.size:
         raise ValueError(
             f"split needs {needed} labeled nodes, graph has {labeled.size}")
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     picks = []
     for c in range(g.num_classes):
         members = np.flatnonzero(g.labels == c)
-        if members.size < spec.labels_per_class:
+        if members.size < labels_per_class:
             raise ValueError(
                 f"class {c} has {members.size} nodes, "
-                f"need {spec.labels_per_class}")
-        picks.append(rng.choice(members, size=spec.labels_per_class,
+                f"need {labels_per_class}")
+        picks.append(rng.choice(members, size=labels_per_class,
                                 replace=False))
     train_ids = np.sort(np.concatenate(picks))
     remaining = np.setdiff1d(labeled, train_ids, assume_unique=True)
-    if remaining.size < spec.test_size:
+    if remaining.size < test_size:
         raise ValueError(
             f"only {remaining.size} nodes left for a test set of "
-            f"{spec.test_size}")
-    test_ids = np.sort(rng.choice(remaining, size=spec.test_size,
-                                  replace=False))
-    return train_ids, test_ids
+            f"{test_size}")
+    test_ids = np.sort(rng.choice(remaining, size=test_size, replace=False))
+    return Split(train_ids, test_ids, labels_per_class, seed, run_index)
 
 
 def _file_digest(path: Path, h) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import SplitSpec, load_dataset, stratified_split
+from .datasets import Split, load_dataset, stratified_split
 from .ica import IcaConfig, ica_train_predict
 from .model import Model, ModelSpec, build_model
 from .objectives import LabelMask, LossReport, objective_for
@@ -34,17 +34,6 @@ RESULTS_HEADER = ("model", "variant", "alpha", "labels_per_class",
 LOG_HEADER = ("epoch", "total", "supervised", "modularity_term",
               "train_acc", "test_acc")
 EMBEDDING_LAYERS = ("hidden", "output", "aux")
-
-
-@dataclass(frozen=True)
-class Split:
-    """One train/test split plus the bookkeeping that identifies it."""
-
-    train_ids: np.ndarray
-    test_ids: np.ndarray
-    labels_per_class: int
-    seed: int
-    run_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,6 +99,17 @@ class MatrixConfig:
                                  f"expected one of {MODEL_ORDER}")
         if self.n_runs < 1 or self.jobs < 1:
             raise ValueError("n_runs and jobs must be >= 1")
+        if self.test_size < 1:
+            raise ValueError("test_size must be >= 1")
+        # split_seed_for packs base seed, budget and run index into one
+        # integer; outside these ranges two cells would share a seed
+        if self.n_runs > 1000:
+            raise ValueError("n_runs must be <= 1000")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
+        for budget in self.budgets:
+            if not 1 <= budget <= 999:
+                raise ValueError(f"budgets: {budget!r} is outside 1..999")
         # a repeat would count the same runs twice in one cell
         _reject_repeat("model", self.models)
         _reject_repeat("budget", self.budgets)
@@ -188,13 +188,6 @@ def split_seed_for(base_seed: int, budget: int, run_index: int) -> int:
     """Split seeds depend only on (base seed, budget, run index), so every
     model at the same run index sees the same train/test ids."""
     return base_seed * 1_000_000 + budget * 1_000 + run_index
-
-
-def make_split(graph: Graph, labels_per_class: int, test_size: int,
-               seed: int, run_index: int = 0) -> Split:
-    train_ids, test_ids = stratified_split(
-        graph, SplitSpec(labels_per_class, test_size, seed))
-    return Split(train_ids, test_ids, labels_per_class, seed, run_index)
 
 
 def _parse_model_name(model_name: str) -> tuple:
@@ -289,11 +282,10 @@ def train_once(model: Model, graph: Graph, split: Split,
                      test_accuracy, epochs_run, report)
 
 
-def run_ica_once(graph: Graph, split: Split, cfg: IcaConfig,
-                 seed: int) -> RunResult:
+def run_ica_once(graph: Graph, split: Split, cfg: IcaConfig) -> RunResult:
     try:
         result = ica_train_predict(graph, split.train_ids, split.test_ids,
-                                   cfg, seed=seed)
+                                   cfg, seed=split.seed)
     except ValueError as exc:
         return RunResult("ica", "plain", 0.0, split.labels_per_class,
                          split.run_index, split.seed, float("nan"), 0,
@@ -306,11 +298,12 @@ def run_ica_once(graph: Graph, split: Split, cfg: IcaConfig,
 def execute_job(graph: Graph, config: MatrixConfig, model_name: str,
                 budget: int, run_index: int,
                 alpha: float | None = None) -> RunResult:
-    seed = split_seed_for(config.base_seed, budget, run_index)
-    split = make_split(graph, budget, config.test_size, seed, run_index)
+    split = stratified_split(
+        graph, budget, config.test_size,
+        split_seed_for(config.base_seed, budget, run_index), run_index)
     if model_name == "ica":
-        return run_ica_once(graph, split, config.ica, seed)
-    spec = model_spec_for(model_name, config, seed, alpha=alpha)
+        return run_ica_once(graph, split, config.ica)
+    spec = model_spec_for(model_name, config, split.seed, alpha=alpha)
     return train_once(build_model(spec, graph), graph, split)
 
 

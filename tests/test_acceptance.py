@@ -10,15 +10,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from modgcn.datasets import load_dataset
+from modgcn.datasets import Split, load_dataset, stratified_split
 from modgcn.gradcheck import run_full_suite
 from modgcn.harness import (
     DEFAULT_ALPHA_GRID,
     MatrixConfig,
-    Split,
     alpha_sweep,
     export_embeddings,
-    make_split,
     run_matrix,
     split_seed_for,
     train_once,
@@ -275,7 +273,7 @@ def test_criterion_11_gcn_mod_sparse_regime(cora_graph, tmp_path):
 @requires_cora
 def test_criterion_12_alpha_embedding_export(cora_graph, tmp_path):
     seed = split_seed_for(0, 5, 0)
-    split = make_split(cora_graph, 5, 1000, seed)
+    split = stratified_split(cora_graph, 5, 1000, seed)
     accuracy = {}
     shapes_ok = True
     for alpha in (0.0, 0.5, 1.0):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import TINY_CITES, TINY_CONTENT, write_tiny_dataset
 from modgcn import datasets
-from modgcn.datasets import (DatasetSource, SplitSpec, content_hash,
+from modgcn.datasets import (DatasetSource, Split, content_hash,
                              load_dataset, load_graph_cache, load_linqs,
                              preprocess_features, resolve_dataset,
                              save_graph_cache, stratified_split)
@@ -139,39 +139,55 @@ def synthetic_graph(n=200, num_classes=4, seed=0):
 class TestStratifiedSplit:
     def test_sizes_and_disjointness(self):
         g = synthetic_graph()
-        train, test = stratified_split(g, SplitSpec(5, test_size=100,
-                                                    seed=1))
-        assert len(train) == 5 * 4
-        assert len(test) == 100
-        assert len(np.intersect1d(train, test)) == 0
+        split = stratified_split(g, 5, test_size=100, seed=1)
+        assert len(split.train_ids) == 5 * 4
+        assert len(split.test_ids) == 100
+        assert len(np.intersect1d(split.train_ids, split.test_ids)) == 0
 
     def test_per_class_counts_equal(self):
         g = synthetic_graph()
-        train, _ = stratified_split(g, SplitSpec(7, test_size=50, seed=2))
-        counts = np.bincount(g.labels[train], minlength=4)
+        split = stratified_split(g, 7, test_size=50, seed=2)
+        counts = np.bincount(g.labels[split.train_ids], minlength=4)
         np.testing.assert_array_equal(counts, [7, 7, 7, 7])
+
+    def test_split_records_what_made_it(self):
+        g = synthetic_graph()
+        split = stratified_split(g, 5, test_size=100, seed=11, run_index=4)
+        assert isinstance(split, Split)
+        assert (split.labels_per_class, split.seed, split.run_index) == \
+            (5, 11, 4)
+        assert stratified_split(g, 5, test_size=100, seed=11).run_index == 0
+
+    def test_draw_order_is_pinned(self):
+        # the ids every results.csv is built on: a change to the order of
+        # the rng draws moves them
+        split = stratified_split(synthetic_graph(n=20), 2, test_size=5,
+                                 seed=7)
+        np.testing.assert_array_equal(split.train_ids,
+                                      [6, 7, 9, 12, 13, 14, 16, 19])
+        np.testing.assert_array_equal(split.test_ids, [0, 1, 4, 10, 15])
 
     def test_same_seed_same_split(self):
         g = synthetic_graph()
-        a = stratified_split(g, SplitSpec(5, test_size=100, seed=3))
-        b = stratified_split(g, SplitSpec(5, test_size=100, seed=3))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        a = stratified_split(g, 5, test_size=100, seed=3)
+        b = stratified_split(g, 5, test_size=100, seed=3)
+        np.testing.assert_array_equal(a.train_ids, b.train_ids)
+        np.testing.assert_array_equal(a.test_ids, b.test_ids)
 
     def test_different_seed_different_split(self):
         g = synthetic_graph()
-        a, _ = stratified_split(g, SplitSpec(5, test_size=100, seed=4))
-        b, _ = stratified_split(g, SplitSpec(5, test_size=100, seed=5))
-        assert not np.array_equal(a, b)
+        a = stratified_split(g, 5, test_size=100, seed=4)
+        b = stratified_split(g, 5, test_size=100, seed=5)
+        assert not np.array_equal(a.train_ids, b.train_ids)
 
     def test_property_balance_and_disjointness_1000_seeds(self):
         g = synthetic_graph()
         for seed in range(1000):
-            train, test = stratified_split(g, SplitSpec(3, test_size=40,
-                                                        seed=seed))
-            assert len(np.intersect1d(train, test)) == 0
+            split = stratified_split(g, 3, test_size=40, seed=seed)
+            assert len(np.intersect1d(split.train_ids, split.test_ids)) == 0
             np.testing.assert_array_equal(
-                np.bincount(g.labels[train], minlength=4), [3, 3, 3, 3])
+                np.bincount(g.labels[split.train_ids], minlength=4),
+                [3, 3, 3, 3])
 
     def test_class_too_small(self):
         # 17 of class 0 but only 3 of class 1: the total is plenty,
@@ -180,12 +196,19 @@ class TestStratifiedSplit:
         g = build_graph([(i, i + 1) for i in range(19)],
                         np.ones((20, 2)), labels)
         with pytest.raises(ValueError, match="class"):
-            stratified_split(g, SplitSpec(4, test_size=2, seed=0))
+            stratified_split(g, 4, test_size=2, seed=0)
 
     def test_test_set_too_large(self):
         g = synthetic_graph(n=20)
         with pytest.raises(ValueError, match="labeled nodes"):
-            stratified_split(g, SplitSpec(2, test_size=500, seed=0))
+            stratified_split(g, 2, test_size=500, seed=0)
+
+    @pytest.mark.parametrize("labels_per_class, test_size, field", [
+        (0, 5, "labels_per_class"), (2, 0, "test_size")])
+    def test_sizes_below_one(self, labels_per_class, test_size, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            stratified_split(synthetic_graph(n=20), labels_per_class,
+                             test_size=test_size, seed=0)
 
 
 class TestCache:

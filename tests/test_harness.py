@@ -11,7 +11,7 @@ import pytest
 
 import modgcn.harness as harness
 import modgcn.model as model_module
-from modgcn.datasets import load_dataset
+from modgcn.datasets import Split, load_dataset, stratified_split
 from modgcn.harness import (
     DEFAULT_ALPHA_GRID,
     LOG_HEADER,
@@ -20,7 +20,6 @@ from modgcn.harness import (
     AggregateResult,
     MatrixConfig,
     RunResult,
-    Split,
     SweepResult,
     accuracy_of,
     aggregate,
@@ -28,7 +27,6 @@ from modgcn.harness import (
     execute_job,
     export_embeddings,
     load_matrix_config,
-    make_split,
     model_spec_for,
     read_results_csv,
     run_ica_once,
@@ -74,9 +72,9 @@ class TestSeedsAndSplits:
                  for b in (5, 8, 11, 14, 17, 20) for r in range(20)}
         assert len(seeds) == 6 * 20
 
-    def test_make_split_deterministic(self, blobs_graph):
-        a = make_split(blobs_graph, 3, 12, seed=11)
-        b = make_split(blobs_graph, 3, 12, seed=11)
+    def test_split_deterministic(self, blobs_graph):
+        a = stratified_split(blobs_graph, 3, 12, seed=11)
+        b = stratified_split(blobs_graph, 3, 12, seed=11)
         np.testing.assert_array_equal(a.train_ids, b.train_ids)
         np.testing.assert_array_equal(a.test_ids, b.test_ids)
         assert a.labels_per_class == 3 and a.seed == 11
@@ -84,8 +82,8 @@ class TestSeedsAndSplits:
     def test_models_share_splits_at_same_run_index(self, blobs_graph):
         # the pairing guarantee: the split depends on the seed only
         seed = split_seed_for(0, 3, 4)
-        for_gcn = make_split(blobs_graph, 3, 12, seed, run_index=4)
-        for_cheb = make_split(blobs_graph, 3, 12, seed, run_index=4)
+        for_gcn = stratified_split(blobs_graph, 3, 12, seed, run_index=4)
+        for_cheb = stratified_split(blobs_graph, 3, 12, seed, run_index=4)
         np.testing.assert_array_equal(for_gcn.train_ids, for_cheb.train_ids)
 
 
@@ -250,7 +248,7 @@ class TestTrainOnce:
 class TestIcaAndJobs:
     def test_run_ica_once(self):
         g = two_cliques_graph(scale=3.0)
-        r = run_ica_once(g, clique_split(), IcaConfig(), seed=0)
+        r = run_ica_once(g, clique_split(), IcaConfig())
         assert not r.failed
         assert r.model_name == "ica"
         assert r.test_accuracy == 1.0
@@ -260,7 +258,7 @@ class TestIcaAndJobs:
                            test_size=12, epochs=10)
         r = execute_job(blobs_graph, cfg, "gcn", 3, 0)
         seed = split_seed_for(0, 3, 0)
-        split = make_split(blobs_graph, 3, 12, seed, run_index=0)
+        split = stratified_split(blobs_graph, 3, 12, seed, run_index=0)
         direct = train_once(
             build_model(model_spec_for("gcn", cfg, seed), blobs_graph),
             blobs_graph, split)
@@ -620,6 +618,25 @@ class TestMatrixConfig:
         with pytest.raises(ValueError, match=">= 1"):
             MatrixConfig(jobs=0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # budget 5 at run 1000 and budget 6 at run 0 both get seed 6000
+        ("n_runs", 1001, "n_runs must be <= 1000"),
+        ("budgets", (5, 1000), "budgets: 1000 is outside 1..999"),
+        ("budgets", (0,), "budgets: 0 is outside 1..999"),
+        ("base_seed", -1, "base_seed must be >= 0"),
+        ("test_size", 0, "test_size must be >= 1"),
+    ], ids=["n_runs", "budget-high", "budget-zero", "base_seed", "test_size"])
+    def test_ranges_that_would_collide_or_fail_are_refused(self, field,
+                                                            value, message):
+        with pytest.raises(ValueError, match=message):
+            MatrixConfig(**{field: value})
+
+    def test_widest_ranges_give_distinct_seeds(self):
+        cfg = MatrixConfig(budgets=(1, 999), n_runs=1000, base_seed=0)
+        seeds = {split_seed_for(base, b, r) for base in (0, 1)
+                 for b in cfg.budgets for r in range(cfg.n_runs)}
+        assert len(seeds) == 2 * 2 * 1000
+
     def test_defaults(self):
         cfg = MatrixConfig()
         assert cfg.models == MODEL_ORDER
@@ -679,10 +696,12 @@ lr = 0.2
         ("[experiment]\nepochs = ten\n", "\\[experiment\\] epochs"),
         ("[experiment]\nmodels = gcn, gcn\n", "model 'gcn' is repeated"),
         ("[experiment]\nbudgets = 3, 3\n", "budget 3 is repeated"),
+        ("[experiment]\nbudgets = 5, 1000\n", "budgets: 1000 is outside"),
+        ("[experiment]\nn_runs = 1001\n", "n_runs must be <= 1000"),
     ], ids=["experiment-key", "ica-key", "alpha-typo", "alpha-plain",
             "alpha-ica", "section", "model-name", "ica-value",
             "no-header", "duplicate-key", "bad-value", "repeated-model",
-            "repeated-budget"])
+            "repeated-budget", "budget-range", "n-runs-range"])
     def test_bad_config_is_one_error_naming_the_file(self, tmp_path, text,
                                                      key):
         path = tmp_path / "typo.cfg"

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, two_cliques_graph
-from modgcn.harness import Split, train_once
+from modgcn.datasets import Split
+from modgcn.harness import train_once
 from modgcn.model import (Model, ModelSpec, build_model, load_checkpoint,
                           load_model, save_checkpoint)
 

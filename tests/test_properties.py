@@ -31,6 +31,13 @@ VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0])
 DIMS = st.integers(0, 7)  # 0 gives 0 x n and n x 0 shapes
 
 
+def every_element(dtype, shape, elements):
+    """An array strategy that draws each element: under ``arrays``' default
+    fill most of an array repeats one value, which the checks below would
+    then hardly exercise."""
+    return arrays(dtype, shape, elements=elements, fill=st.nothing())
+
+
 @st.composite
 def coo_matrix(draw, n_rows, n_cols):
     """A CsrMatrix.from_coo of triplets with duplicates, duplicates that
@@ -55,8 +62,8 @@ def coo_matrix(draw, n_rows, n_cols):
 def coo_and_operand(draw):
     n_rows, n_cols = draw(DIMS), draw(DIMS)
     m, dense = draw(coo_matrix(n_rows, n_cols))
-    x = draw(arrays(np.float64, (n_cols, draw(st.integers(0, 20))),
-                    elements=st.floats(-1.0, 1.0)))
+    x = draw(every_element(np.float64, (n_cols, draw(st.integers(0, 20))),
+                           st.floats(-1.0, 1.0)))
     return m, dense, x
 
 
@@ -182,7 +189,7 @@ def test_checkpoint_round_trip_is_bitwise(spec, data):
     model = build_model(spec, two_cliques_graph())
     # any float64 bit pattern must survive: nan, inf, -0.0, subnormals
     model.set_params({
-        name: data.draw(arrays(np.float64, p.shape, elements=st.floats()),
+        name: data.draw(every_element(np.float64, p.shape, st.floats()),
                         label=name)
         for name, p in model.params().items()})
     with tempfile.TemporaryDirectory() as tmp:
@@ -222,10 +229,12 @@ def softmax_backward_reference(out, grad_out):
 def class_matrices(draw, shape=None):
     """A float64 matrix, C-ordered or, half the time, a transposed view."""
     if shape is None:
-        shape = (draw(st.integers(0, 40)), draw(st.integers(0, 20)))
+        # widths reach past the 8-column switch; every entry is drawn, so
+        # the shapes stay small
+        shape = (draw(st.integers(0, 10)), draw(st.integers(0, 12)))
     if draw(st.booleans()):
-        return draw(arrays(np.float64, shape, elements=ENTRIES))
-    return draw(arrays(np.float64, shape[::-1], elements=ENTRIES)).T
+        return draw(every_element(np.float64, shape, ENTRIES))
+    return draw(every_element(np.float64, shape[::-1], ENTRIES)).T
 
 
 def cora_shaped(seed):
@@ -315,13 +324,11 @@ def sweep_inputs(draw):
     """A small graph, a full labelling, the nodes to sweep, and logits and
     weights drawn from few values, so that ties and flips are common.
 
-    Every element is drawn (``arrays``' default fill makes most of an array
-    one value), and at least 10 edges (self-loops drop out): sparse or
-    near-constant inputs hardly ever flip a label twice, and then cannot
-    tell a correct stale-flag sweep from a wrong one."""
+    Every element is drawn, and at least 10 edges (self-loops drop out):
+    sparse or near-constant inputs hardly ever flip a label twice, and then
+    cannot tell a correct stale-flag sweep from a wrong one."""
     def each(dtype, shape, elements):
-        return draw(arrays(dtype, shape, elements=elements,
-                           fill=st.nothing()))
+        return draw(every_element(dtype, shape, elements))
 
     n = draw(st.integers(1, 20))
     k = draw(st.integers(1, 5))
