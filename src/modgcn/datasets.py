@@ -10,7 +10,7 @@ import math
 import os
 import warnings
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ FEATURE_MODES = ("none", "row_normalize")
 
 # part of every cache file name; bump it when the cache layout or the checks
 # on load change, so that older files are ignored rather than misread
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 # loader self-checks: (nodes, feature dim, classes)
 KNOWN_DATASETS = {
@@ -85,34 +85,43 @@ def load_linqs(src: DatasetSource) -> Graph:
     0..k-1 in lexicographic order; citation edges are symmetrized and any
     referencing an unknown id are dropped with a single count warning.
     """
-    # one matrix, filled row by row, and the lines freed before the graph
-    # is built: per-row arrays stacked at the end held the features twice
+    # numpy parses each row into one reused buffer and only the row's
+    # nonzeros are kept: the features are CSR from the first line on
+    ids, names, row_cols, row_vals = [], [], [], []
+    n_cols = row = None
     with open(src.content_path) as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1)
-                 if not line.isspace()]
-    if not lines:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if row is None:
+                n_cols = len(fields)
+                if n_cols < 3:
+                    raise ValueError(
+                        f"{src.content_path}:{lineno}: expected "
+                        f"`id w_1..w_C class`, got {n_cols} columns")
+                row = np.empty(n_cols - 2)
+            if len(fields) != n_cols:
+                raise ValueError(
+                    f"{src.content_path}:{lineno}: expected {n_cols} "
+                    f"columns, got {len(fields)}")
+            try:
+                row[:] = fields[1:-1]
+            except ValueError as err:
+                raise ValueError(f"{src.content_path}:{lineno}: {err}") from None
+            # a -0 token is a zero like any other and is not stored
+            nonzero = np.flatnonzero(row)
+            row_cols.append(nonzero)
+            row_vals.append(row[nonzero])
+            ids.append(fields[0])
+            names.append(fields[-1])
+    if not ids:
         raise ValueError(f"{src.content_path}: empty .content file")
-    first_lineno, first_line = lines[0]
-    n_cols = len(first_line.split())
-    if n_cols < 3:
-        raise ValueError(
-            f"{src.content_path}:{first_lineno}: expected "
-            f"`id w_1..w_C class`, got {n_cols} columns")
-    features = np.empty((len(lines), n_cols - 2))
-    ids, names = [], []
-    for row, (lineno, line) in enumerate(lines):
-        fields = line.split()
-        if len(fields) != n_cols:
-            raise ValueError(
-                f"{src.content_path}:{lineno}: expected {n_cols} "
-                f"columns, got {len(fields)}")
-        ids.append(fields[0])
-        try:
-            features[row] = fields[1:-1]
-        except ValueError as err:
-            raise ValueError(f"{src.content_path}:{lineno}: {err}") from None
-        names.append(fields[-1])
-    del lines
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum([c.size for c in row_cols], out=offsets[1:])
+    features = CsrMatrix(len(ids), n_cols - 2, offsets,
+                         np.concatenate(row_cols, dtype=np.int64),
+                         np.concatenate(row_vals))
 
     index = {node_id: i for i, node_id in enumerate(ids)}
     if len(index) != len(ids):
@@ -144,7 +153,7 @@ def load_linqs(src: DatasetSource) -> Graph:
     graph = build_graph(edges, features, labels)
     expected = KNOWN_DATASETS.get(src.name)
     if expected is not None:
-        got = (graph.num_nodes, features.shape[1], graph.num_classes)
+        got = (graph.num_nodes, features.n_cols, graph.num_classes)
         if got != expected:
             raise ValueError(
                 f"{src.name}: loaded (nodes, features, classes)={got}, "
@@ -153,17 +162,25 @@ def load_linqs(src: DatasetSource) -> Graph:
 
 
 def preprocess_features(g: Graph, mode: str = "row_normalize") -> Graph:
-    """Feature scaling. row_normalize divides each row by its L1 norm
-    (zero rows untouched); none returns the graph unchanged."""
+    """Feature scaling. row_normalize multiplies each row's stored entries
+    by 1 / its L1 norm, summed over those entries in column order (zero
+    rows untouched; a product that underflows to 0 is dropped); none
+    returns the graph unchanged."""
     if mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature mode {mode!r}; "
                          f"expected one of {FEATURE_MODES}")
     if mode == "none":
         return g
-    norms = np.abs(g.features).sum(axis=1, keepdims=True)
+    x = g.feature_csr
+    rows = np.repeat(np.arange(x.n_rows), np.diff(x.row_offsets))
+    norms = np.bincount(rows, weights=np.abs(x.values), minlength=x.n_rows)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    return Graph(g.adjacency, g.features * scale, g.labels,
-                 g.num_classes, g.num_edges)
+    values = x.values * scale[rows]
+    keep = values != 0.0
+    offsets = np.zeros_like(x.row_offsets)
+    np.cumsum(np.bincount(rows[keep], minlength=x.n_rows), out=offsets[1:])
+    return replace(g, feature_csr=CsrMatrix(
+        x.n_rows, x.n_cols, offsets, x.col_indices[keep], values[keep]))
 
 
 def stratified_split(g: Graph, labels_per_class: int, test_size: int = 1000,
@@ -222,17 +239,27 @@ def save_graph_cache(g: Graph, path: Path) -> None:
         # a file object, so that numpy does not append ".npz" to the name
         with open(tmp, "wb") as fh:
             np.savez_compressed(
-                fh,
-                row_offsets=g.adjacency.row_offsets,
-                col_indices=g.adjacency.col_indices,
-                values=g.adjacency.values,
-                features=g.features,
+                fh, **_csr_members("", g.adjacency),
+                **_csr_members("feature_", g.feature_csr),
                 labels=g.labels,
                 meta=np.array([g.adjacency.n_rows, g.adjacency.n_cols,
-                               g.num_classes, g.num_edges], dtype=np.int64))
+                               g.num_classes, g.num_edges,
+                               g.feature_csr.n_cols], dtype=np.int64))
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+_CSR_FIELDS = ("row_offsets", "col_indices", "values")
+
+
+def _csr_members(prefix: str, m: CsrMatrix) -> dict:
+    return {prefix + name: getattr(m, name) for name in _CSR_FIELDS}
+
+
+def _csr_from(arrays: dict, prefix: str, n_rows: int, n_cols: int) -> CsrMatrix:
+    return CsrMatrix(n_rows, n_cols, *(arrays[prefix + name]
+                                       for name in _CSR_FIELDS))
 
 
 def read_npz(path, what: str, parse):
@@ -280,22 +307,29 @@ def load_graph_cache(path: Path) -> Graph:
 
 
 def _cached_graph(arrays: dict) -> Graph:
-    n_rows, n_cols, num_classes, num_edges = (int(v) for v in arrays["meta"])
-    adjacency = CsrMatrix(n_rows, n_cols, arrays["row_offsets"],
-                          arrays["col_indices"], arrays["values"])
-    features, labels = arrays["features"], arrays["labels"]
+    meta = arrays["meta"]
+    if meta.shape != (5,):
+        raise ValueError(f"meta must hold 5 counts, got {meta.shape}")
+    n_rows, n_cols, num_classes, num_edges, n_features = (int(v) for v in meta)
+    adjacency = _csr_from(arrays, "", n_rows, n_cols)
+    features = _csr_from(arrays, "feature_", n_rows, n_features)
+    labels = arrays["labels"]
     _check_cached_graph(adjacency, features, labels, num_classes, num_edges)
     return Graph(adjacency, features, labels, num_classes, num_edges)
 
 
 def _check_cached_graph(adjacency, features, labels, num_classes, num_edges):
-    adjacency.validate()
     n = adjacency.n_rows
+    if features.row_offsets.shape != (n + 1,):
+        raise ValueError(f"features must have {n} rows, got row_offsets of "
+                         f"shape {features.row_offsets.shape}")
+    for what, m in (("adjacency", adjacency), ("features", features)):
+        try:
+            m.validate()
+        except ValueError as exc:
+            raise ValueError(f"{what}: {exc}") from None
     if adjacency.n_cols != n:
         raise ValueError(f"adjacency is {adjacency.shape}, not square")
-    if features.dtype != np.float64 or features.ndim != 2 or features.shape[0] != n:
-        raise ValueError(f"features must be float64 with {n} rows, got "
-                         f"{features.dtype} {features.shape}")
     if labels.dtype != np.int64 or labels.shape != (n,):
         raise ValueError(f"labels must be int64 of length {n}, got "
                          f"{labels.dtype} {labels.shape}")

@@ -9,7 +9,6 @@ model spec; worker scheduling cannot change any number in the outputs.
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -327,6 +326,8 @@ def _run_jobs(graph: Graph, config: MatrixConfig, jobs) -> list:
     if config.jobs == 1:
         return [execute_job(graph, config, *job[:3], alpha=job[3])
                 for job in jobs]
+    # imported here: it pulls in multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=config.jobs,
                              initializer=_worker_init,
                              initargs=(graph, config)) as pool:

@@ -125,7 +125,7 @@ def build_model(spec: ModelSpec, graph: Graph) -> Model:
     cheb = graph.filters.get(key)
     if cheb is None:
         cheb = graph.filters[key] = build_supports(spec, graph)
-    in_dim = graph.features.shape[1]
+    in_dim = graph.feature_csr.n_cols
     layer1 = GraphConvLayer.create(cheb, in_dim, spec.hidden_dim, "relu",
                                    spec.seed, layer_id=0)
     layer2 = GraphConvLayer.create(cheb, spec.hidden_dim, k, "softmax_rows",

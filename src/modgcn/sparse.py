@@ -1,6 +1,7 @@
 """Sparse graph core: CSR matrices, graph construction, what a graph fixes
-(degrees, the layer-1 feature operand, a memo of built filters), the
-normalized graph operators, and the lazily-applied modularity operator.
+(degrees, the dense features, the layer-1 feature operand, a memo of built
+filters), the normalized graph operators, and the lazily-applied modularity
+operator.
 
 Dense matrices throughout the package are float64 numpy arrays in row-major
 order. CSR index arrays are int64.
@@ -154,14 +155,15 @@ def sparse_add(a: CsrMatrix, b: CsrMatrix, ca: float = 1.0, cb: float = 1.0) -> 
 class Graph:
     """Undirected attributed graph.
 
-    adjacency is symmetric, binary, zero-diagonal CSR; features is a dense
-    (n, C) float64 array; labels holds class ids in 0..num_classes-1 with
-    UNLABELED (-1) for nodes without a label. What the graph fixes is
-    derived on first use and lives and dies with the graph object.
+    adjacency is symmetric, binary, zero-diagonal CSR; feature_csr holds
+    the (n, C) node features as canonical CSR; labels holds class ids in
+    0..num_classes-1 with UNLABELED (-1) for nodes without a label. What
+    the graph fixes is derived on first use and lives and dies with the
+    graph object.
     """
 
     adjacency: CsrMatrix
-    features: np.ndarray
+    feature_csr: CsrMatrix
     labels: np.ndarray
     num_classes: int
     num_edges: int
@@ -176,14 +178,20 @@ class Graph:
         return np.diff(self.adjacency.row_offsets).astype(np.float64)
 
     @cached_property
+    def features(self) -> np.ndarray:
+        """The features as a dense (n, C) float64 array, built on first use
+        (by ICA; training reads ``feature_operand``)."""
+        return self.feature_csr.to_dense()
+
+    @cached_property
     def feature_operand(self):
-        """The layer-1 input: the features as CSR when their density is
-        below SPARSE_FEATURE_DENSITY, else the dense array itself."""
-        feats = self.features
-        nnz = np.count_nonzero(feats)
-        if feats.size and nnz / feats.size < SPARSE_FEATURE_DENSITY:
-            return CsrMatrix.from_dense(feats)
-        return feats
+        """The layer-1 input: ``feature_csr`` itself when the feature
+        density is below SPARSE_FEATURE_DENSITY, else the dense array."""
+        x = self.feature_csr
+        size = x.n_rows * x.n_cols
+        if size and x.nnz / size < SPARSE_FEATURE_DENSITY:
+            return x
+        return self.features
 
     @cached_property
     def filters(self) -> dict:
@@ -223,15 +231,20 @@ def train_node_ids(ids, num_nodes: int) -> np.ndarray:
 
 
 def build_graph(edge_list, features, labels) -> Graph:
-    """Assemble a Graph from an undirected edge list.
+    """Assemble a Graph from an undirected edge list and a dense or CSR
+    (n, C) feature matrix.
 
     Self-loops are dropped, duplicate edges (in either orientation) are
     deduplicated, and the adjacency is symmetrized.
     """
-    features = np.ascontiguousarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be a 2-D matrix")
-    n = features.shape[0]
+    if isinstance(features, CsrMatrix):
+        features.validate()
+    else:
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ValueError("features must be a 2-D matrix")
+        features = CsrMatrix.from_dense(features)
+    n = features.n_rows
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != n:
         raise ValueError(f"label list length {len(labels)} != node count {n}")

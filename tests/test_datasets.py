@@ -67,7 +67,8 @@ class TestLoadLinqs:
     def test_features_equal_a_per_row_parse(self, tmp_path):
         # integers, shortest reprs, subnormals, signed zeros and more digits
         # than a double holds, and a blank line, each row parsed as numpy
-        # parses a list of tokens
+        # parses a list of tokens; the one exception is -0, a zero that is
+        # not stored and so reads back as +0.0
         rng = np.random.default_rng(0)
         values = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-300, 300, (6, 5))
         rows = [[repr(v) for v in row] for row in values.tolist()]
@@ -77,6 +78,10 @@ class TestLoadLinqs:
                           + "\n" * (i == 2) for i, row in enumerate(rows))
         g = load_linqs(tiny_source(tmp_path, content=content))
         want = np.stack([np.array(row, dtype=np.float64) for row in rows])
+        assert np.signbit(want[0, 2]) and want[0, 2] == 0.0
+        want[0, 2] = 0.0
+        g.feature_csr.validate()
+        assert g.feature_csr.nnz == np.count_nonzero(want)
         assert g.features.shape == want.shape
         assert g.features.tobytes() == want.tobytes()
 
@@ -115,6 +120,15 @@ class TestPreprocess:
         out = preprocess_features(g, "row_normalize")
         np.testing.assert_allclose(out.features[0], [0.25, 0.25, 0.5])
         np.testing.assert_array_equal(out.features[1], [0.0, 0.0, 0.0])
+
+    def test_entry_that_underflows_is_dropped(self):
+        # -5e-324 / 4 rounds to -0.0: not stored, so it reads back as +0.0
+        g = build_graph([(0, 1)], np.array([[-5e-324, 4.0], [0.0, 3.0]]),
+                        np.array([0, 1]))
+        out = preprocess_features(g, "row_normalize")
+        out.feature_csr.validate()
+        assert out.features.tobytes() == np.array([[0.0, 1.0],
+                                                   [0.0, 1.0]]).tobytes()
 
     def test_none_is_identity(self):
         g = build_graph([(0, 1)], np.array([[1.0], [2.0]]),
@@ -211,6 +225,37 @@ class TestStratifiedSplit:
                              test_size=test_size, seed=0)
 
 
+def with_features(g, n_rows=None, last_col=None, last_value=None):
+    """``g`` with its feature CSR cut to ``n_rows`` rows, or its last stored
+    entry moved to column ``last_col`` or set to ``last_value``."""
+    x = g.feature_csr
+    off, cols, vals = x.row_offsets, x.col_indices.copy(), x.values.copy()
+    if n_rows is not None:
+        off = off[:n_rows + 1]
+        cols, vals = cols[:off[-1]], vals[:off[-1]]
+    if last_col is not None:
+        cols[-1] = last_col
+    if last_value is not None:
+        vals[-1] = last_value
+    return dataclasses.replace(g, feature_csr=CsrMatrix(
+        len(off) - 1, x.n_cols, off, cols, vals))
+
+
+def replace_member(path, name, data):
+    """Rewrite the .npz at ``path`` with member ``name`` set to ``data``:
+    raw bytes, or an array saved in .npy form."""
+    if isinstance(data, np.ndarray):
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, data)
+        data = buf.getvalue()
+    with zipfile.ZipFile(path) as archive:
+        members = {i.filename: archive.read(i) for i in archive.infolist()}
+    members[name] = data
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        for member, raw in members.items():
+            archive.writestr(member, raw)
+
+
 class TestCache:
     def test_round_trip_identical(self, tmp_path):
         g = synthetic_graph(n=30)
@@ -234,7 +279,7 @@ class TestCache:
         write_tiny_dataset(tmp_path)
         g1 = load_dataset(str(tmp_path / "tiny"), str(tmp_path))
         caches = list((tmp_path / ".cache").glob("*.npz"))
-        assert [c.name[:len("tiny-v2-")] for c in caches] == ["tiny-v2-"]
+        assert [c.name[:len("tiny-v3-")] for c in caches] == ["tiny-v3-"]
         g2 = load_dataset(str(tmp_path / "tiny"), str(tmp_path))
         np.testing.assert_array_equal(g1.features, g2.features)
         np.testing.assert_array_equal(g1.adjacency.to_dense(),
@@ -283,13 +328,19 @@ class TestCache:
             np.where(np.arange(g.adjacency.nnz) == g.adjacency.nnz - 1,
                      g.num_nodes, g.adjacency.col_indices),
             g.adjacency.values)), "column index out of range"),
-        (lambda g: dataclasses.replace(g, features=g.features[:-1]),
-         "features must be float64 with 30 rows"),
+        (lambda g: with_features(g, n_rows=29), "features must have 30 rows"),
+        (lambda g: with_features(g, last_col=3),
+         "features: column index out of range"),
+        (lambda g: with_features(g, last_col=0),
+         "features: column indices not strictly increasing in row 29"),
+        (lambda g: with_features(g, last_value=0.0),
+         "features: explicit zero stored"),
         (lambda g: dataclasses.replace(g, labels=g.labels[:-1]),
          "labels must be int64 of length 30"),
         (lambda g: dataclasses.replace(g, num_edges=g.num_edges + 1),
          "edges recorded"),
-    ], ids=["column", "feature_rows", "label_count", "edge_count"])
+    ], ids=["column", "feature_rows", "feature_column", "feature_order",
+            "feature_zero", "label_count", "edge_count"])
     def test_malformed_cache_is_one_error_naming_the_file(
             self, tmp_path, corrupt, message):
         path = tmp_path / "bad.npz"
@@ -299,21 +350,27 @@ class TestCache:
         assert str(path) in str(err.value)
         assert "\n" not in str(err.value)
 
+    def test_v2_meta_is_one_error_naming_the_file(self, tmp_path):
+        # a format-2 meta (no feature count) in a file under a v3 name
+        path = tmp_path / "bad.npz"
+        save_graph_cache(synthetic_graph(n=30), path)
+        replace_member(path, "meta.npy", np.array([30, 30, 4, 10]))
+        with pytest.raises(ValueError, match="meta must hold 5 counts") as err:
+            load_graph_cache(path)
+        assert str(path) in str(err.value)
+        assert "\n" not in str(err.value)
+
     def test_member_header_claiming_more_than_it_stores(self, tmp_path):
         # a header claiming 10**10 float64 entries must allocate nothing
         path = tmp_path / "g.npz"
         save_graph_cache(synthetic_graph(n=30), path)
-        with zipfile.ZipFile(path) as archive:
-            members = {i.filename: archive.read(i) for i in archive.infolist()}
         buf = io.BytesIO()
         np.lib.format.write_array_header_1_0(
             buf, {"descr": "<f8", "fortran_order": False,
                   "shape": (10**5, 10**5)})
-        members["features.npy"] = buf.getvalue() + bytes(64)
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
-            for name, data in members.items():
-                archive.writestr(name, data)
-        with pytest.raises(ValueError, match="'features.npy' claims") as err:
+        replace_member(path, "feature_values.npy", buf.getvalue() + bytes(64))
+        with pytest.raises(ValueError,
+                           match="'feature_values.npy' claims") as err:
             load_graph_cache(path)
         assert str(path) in str(err.value)
 

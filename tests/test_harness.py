@@ -3,7 +3,10 @@ the alpha sweep, and the CSV/markdown writers."""
 
 import inspect
 import math
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,7 @@ from modgcn.ica import IcaConfig
 from modgcn.model import ModelSpec, build_model
 from modgcn.sparse import CsrMatrix, build_graph
 
-from conftest import two_cliques_graph
+from conftest import two_cliques_graph, write_tiny_dataset
 
 
 def small_spec(**overrides):
@@ -306,8 +309,9 @@ class TestGraphMemo:
         split = Split(np.array([0, 1]), np.arange(2, 8), 1, 0)
         train_once(build_model(spec, g), g, split)
         train_once(build_model(spec, g), g, split)
-        assert training_features(g) is g.feature_operand
-        assert len(calls) == 1
+        # the graph stores its features as CSR: training converts nothing
+        assert training_features(g) is g.feature_operand is g.feature_csr
+        assert calls == []
 
     def test_pickled_graph_derives_its_own(self):
         g = two_cliques_graph()
@@ -718,3 +722,95 @@ lr = 0.2
         assert quick == MatrixConfig(models=("gcn", "chebnet-mod"),
                                      budgets=(5, 20), n_runs=2, alpha=0.5,
                                      out_dir="results/cora_quick")
+
+
+def sparse_feature_graph():
+    """24 nodes in 3 classes, each class a ring, one word per node out of
+    12 (feature density 1/12): its layer-1 operand is the stored CSR."""
+    n, k = 24, 3
+    labels = np.arange(n) % k
+    edges = [(i, (i + k) % n) for i in range(n)]
+    return build_graph(edges, np.eye(12)[np.arange(n) % 12], labels)
+
+
+def write_linqs(graph, root):
+    """``graph`` as a LINQS dataset named ``sparse`` under ``root``."""
+    words = ["\t".join(map(str, row)) for row in graph.features.astype(int)]
+    content = "".join(f"v{i}\t{w}\tc{label}\n"
+                      for i, (w, label) in enumerate(zip(words, graph.labels)))
+    rows, cols = np.nonzero(graph.adjacency.to_dense())
+    cites = "".join(f"v{i}\tv{j}\n" for i, j in zip(rows, cols) if i < j)
+    return write_tiny_dataset(root, name="sparse", content=content,
+                              cites=cites)
+
+
+class TestDenseFeaturesStayUnbuilt:
+    """Training, sweeps, embeddings and the set-up a benchmark times read
+    the stored feature CSR; only ICA builds the dense ``graph.features``."""
+
+    @staticmethod
+    def config(tmp_path, jobs=1):
+        return MatrixConfig(models=("gcn-mod", "chebnet-aux"), budgets=(2,),
+                            n_runs=2, test_size=10, epochs=3, jobs=jobs,
+                            out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_matrix(self, tmp_path, jobs):
+        g = sparse_feature_graph()
+        runs, _ = run_matrix(self.config(tmp_path, jobs), graph=g)
+        assert len(runs) == 4 and not any(r.failed for r in runs)
+        assert "features" not in vars(g)
+
+    def test_pool_worker(self, tmp_path, monkeypatch):
+        # what a worker runs, on the copy of the graph a worker receives
+        monkeypatch.setattr(harness, "_WORKER", {})
+        copy = pickle.loads(pickle.dumps(sparse_feature_graph()))
+        harness._worker_init(copy, self.config(tmp_path, jobs=2))
+        for model in ("gcn-mod", "chebnet-aux"):
+            assert not harness._worker_run((model, 2, 0, None)).failed
+        assert "features" not in vars(copy)
+
+    def test_alpha_sweep(self, tmp_path):
+        g = sparse_feature_graph()
+        alpha_sweep(self.config(tmp_path), grid=(0.1, 0.5), graph=g)
+        assert "features" not in vars(g)
+
+    def test_export_embeddings(self, tmp_path):
+        g = sparse_feature_graph()
+        model = build_model(small_spec(variant="aux", alpha=0.5), g)
+        export_embeddings(model, g, "aux", tmp_path / "emb.tsv")
+        assert "features" not in vars(g)
+
+    def test_load_and_set_up(self, tmp_path):
+        base = write_linqs(sparse_feature_graph(), tmp_path)
+        for _ in ("cold", "warm"):
+            g = load_dataset(str(base), str(tmp_path))
+            assert training_features(g) is g.feature_csr
+            for encoder in ("gcn", "chebnet"):
+                model_module.build_supports(small_spec(encoder=encoder), g)
+            assert "features" not in vars(g)
+        assert len(list((tmp_path / ".cache").glob("sparse-*.npz"))) == 1
+
+    def test_ica_builds_the_dense_array_once(self, monkeypatch):
+        g = sparse_feature_graph()
+        built = []
+        real = CsrMatrix.to_dense
+        monkeypatch.setattr(CsrMatrix, "to_dense",
+                            lambda m: built.append(m) or real(m))
+        split = stratified_split(g, 2, 10, seed=0)
+        for _ in range(2):
+            assert not run_ica_once(g, split, IcaConfig()).failed
+        assert "features" in vars(g)
+        assert [m is g.feature_csr for m in built] == [True]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # serial runs never start a pool, and its import pulls in
+    # multiprocessing
+    src = Path(model_module.__file__).resolve().parent.parent
+    code = ("import sys, modgcn; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.strip() == "False"

@@ -42,7 +42,7 @@ class TestLabelMask:
         g = two_cliques_graph()
         labels = g.labels.copy()
         labels[0] = -1
-        g2 = type(g)(g.adjacency, g.features, labels, g.num_classes,
+        g2 = type(g)(g.adjacency, g.feature_csr, labels, g.num_classes,
                      g.num_edges)
         with pytest.raises(ValueError, match="unlabeled"):
             LabelMask.from_graph(g2, [0])

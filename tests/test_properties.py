@@ -1,7 +1,9 @@
 """Property-based tests: the CSR operations and kernels against dense
-oracles, the softmax's class-axis reductions against NumPy's bits, ICA's
+oracles, the CSR feature parse and row normalisation against their dense
+forms, the softmax's class-axis reductions against NumPy's bits, ICA's
 stale-node sweeps against full sweeps, and exact round trips of the
-results CSV and of checkpoints (need the `test` extras)."""
+results CSV, of checkpoints and of the graph cache's features (need the
+`test` extras)."""
 
 import math
 import tempfile
@@ -16,6 +18,9 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from conftest import two_cliques_graph  # noqa: E402
 from modgcn import kernels  # noqa: E402
+from modgcn.datasets import (DatasetSource, load_graph_cache,  # noqa: E402
+                             load_linqs, preprocess_features,
+                             save_graph_cache)
 from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E402
                             write_results_csv)
 from modgcn.ica import relabel  # noqa: E402
@@ -132,6 +137,101 @@ def test_dot_matches_dense_product(case):
     # a vector operand takes the same path as one column
     v = x[:, 0] if x.shape[1] else np.ones(m.n_cols)
     np.testing.assert_allclose(m.dot(v), dense @ v, rtol=1e-12, atol=1e-12)
+
+
+# attribute matrices as LINQS files hold them: bag-of-words rows of 0/1
+# or of small counts, mostly zeros of either sign
+BINARY = st.sampled_from([0.0, 0.0, -0.0, 1.0])
+COUNTS = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, 2.0, 3.0, 7.0])
+# non-integer attributes, far enough from the underflow range that no
+# normalised entry rounds to zero
+REALS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e3),
+                  st.floats(-1e3, -1e-3))
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def attribute_matrices(draw, elements):
+    """An (n, C) attribute matrix whose drawn rows include an empty row and
+    a long one, with every one of its C columns set."""
+    n_rows, n_cols = draw(st.integers(2, 6)), draw(st.integers(1, 20))
+    m = draw(every_element(np.float64, (n_rows, n_cols), elements))
+    empty, long = draw(st.permutations(range(n_rows)))[:2]
+    m[empty] = draw(every_element(np.float64, n_cols, ZEROS))
+    m[long] = np.where(m[long] == 0.0, 1.0, m[long])
+    return m
+
+
+def dense_row_normalize(x):
+    """Row normalisation as it was done on the dense matrix."""
+    norms = np.abs(x).sum(axis=1, keepdims=True)
+    scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+    return x * scale
+
+
+def parse_both_ways(m):
+    """(CSR parse, then row normalisation, densified; dense parse, then
+    dense row normalisation) of ``m`` written as LINQS tokens."""
+    tokens = [[repr(v) for v in row] for row in m.tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        content, cites = Path(tmp) / "m.content", Path(tmp) / "m.cites"
+        content.write_text("".join(
+            f"n{i}\t" + "\t".join(row) + f"\tc{i % 2}\n"
+            for i, row in enumerate(tokens)))
+        cites.write_text("")
+        parsed = load_linqs(DatasetSource(content, cites, "m"))
+    parsed.feature_csr.validate()
+    normalised = preprocess_features(parsed)
+    normalised.feature_csr.validate()
+    dense = np.empty(m.shape)
+    for i, row in enumerate(tokens):
+        dense[i] = row  # numpy's parse of a row of tokens
+    # -0 is not stored, so it reads back as +0.0; adding +0.0 makes every
+    # -0.0 of the dense forms +0.0 and leaves every other bit as it is
+    return (parsed.features, normalised.features,
+            dense + 0.0, dense_row_normalize(dense) + 0.0)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.one_of(attribute_matrices(BINARY), attribute_matrices(COUNTS)))
+def test_csr_parse_and_row_normalize_match_the_dense_oracle(m):
+    # integer-valued rows: every order of summing a row's norm is exact
+    parsed, normalised, want_parsed, want_normalised = parse_both_ways(m)
+    _same(parsed, want_parsed)
+    _same(normalised, want_normalised)
+
+
+# Both norms sum at most 20 positive terms, so each is within 19 units of
+# roundoff of the exact sum, whatever the order; the reciprocal and the
+# product add one rounding each. 1e-14 bounds what that can reach.
+NON_INTEGER_RTOL = 1e-14
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(attribute_matrices(REALS))
+def test_non_integer_row_normalize_is_within_roundoff_of_the_dense_oracle(m):
+    parsed, normalised, want_parsed, want_normalised = parse_both_ways(m)
+    _same(parsed, want_parsed)
+    np.testing.assert_array_equal(normalised != 0.0, want_normalised != 0.0)
+    np.testing.assert_allclose(normalised, want_normalised,
+                               rtol=NON_INTEGER_RTOL, atol=0.0)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.one_of(attribute_matrices(COUNTS), attribute_matrices(REALS),
+                 attribute_matrices(st.floats())))
+def test_feature_csr_cache_round_trip_is_bitwise(m):
+    # any float64 bit pattern that is stored must survive: nan, inf,
+    # subnormals
+    g = build_graph([], m, np.arange(len(m)) % 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.npz"
+        save_graph_cache(g, path)
+        back = load_graph_cache(path).feature_csr
+    want = g.feature_csr
+    assert back.shape == want.shape
+    for name in ("row_offsets", "col_indices", "values"):
+        _same(getattr(back, name), getattr(want, name))
 
 
 UNIT = st.floats(0.0, 1.0)
