@@ -308,8 +308,11 @@ def load_graph_cache(path: Path) -> Graph:
 
 def _cached_graph(arrays: dict) -> Graph:
     meta = arrays["meta"]
-    if meta.shape != (5,):
-        raise ValueError(f"meta must hold 5 counts, got {meta.shape}")
+    # a negative node count with empty row_offsets would reach an index
+    # that CsrMatrix.validate assumes exists
+    if meta.shape != (5,) or np.any(meta < 0):
+        raise ValueError(f"meta must be 5 non-negative counts, got "
+                         f"{meta.dtype} {meta.shape}")
     n_rows, n_cols, num_classes, num_edges, n_features = (int(v) for v in meta)
     adjacency = _csr_from(arrays, "", n_rows, n_cols)
     features = _csr_from(arrays, "feature_", n_rows, n_features)

@@ -350,12 +350,21 @@ class TestCache:
         assert str(path) in str(err.value)
         assert "\n" not in str(err.value)
 
-    def test_v2_meta_is_one_error_naming_the_file(self, tmp_path):
-        # a format-2 meta (no feature count) in a file under a v3 name
+    @pytest.mark.parametrize("meta, emptied", [
+        ([30, 30, 4, 10], ()),
+        ([-1, -1, 0, 0, 3], ("row_offsets.npy", "feature_row_offsets.npy")),
+    ], ids=["v2_meta", "negative_count"])
+    def test_bad_meta_is_one_error_naming_the_file(self, tmp_path, meta,
+                                                   emptied):
+        # a format-2 meta (no feature count) in a file under a v3 name, and
+        # a negative node count whose CSR arrays are empty to match
         path = tmp_path / "bad.npz"
         save_graph_cache(synthetic_graph(n=30), path)
-        replace_member(path, "meta.npy", np.array([30, 30, 4, 10]))
-        with pytest.raises(ValueError, match="meta must hold 5 counts") as err:
+        replace_member(path, "meta.npy", np.array(meta))
+        for name in emptied:
+            replace_member(path, name, np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="meta must be 5 non-negative "
+                                             "counts") as err:
             load_graph_cache(path)
         assert str(path) in str(err.value)
         assert "\n" not in str(err.value)
