@@ -86,7 +86,7 @@ def _build_away_from_relu_kink(spec: ModelSpec, graph: Graph, seed: int,
     finite-difference step of the ReLU kink."""
     for attempt in range(20):
         model = build_model(replace(spec, seed=seed + 7919 * attempt), graph)
-        fwd = model.forward(graph.feature_operand)
+        fwd = model.forward(graph.feature_csr)
         if np.min(np.abs(fwd.cache1.pre)) > margin:
             return model
     return model

@@ -20,7 +20,7 @@ from .ica import IcaConfig, ica_train_predict
 from .model import Model, ModelSpec, build_model
 from .objectives import LabelMask, LossReport, objective_for
 from .optim import AdamState, adam_step
-from .sparse import Graph
+from .sparse import CsrMatrix, Graph
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +112,10 @@ class MatrixConfig:
         # a repeat would count the same runs twice in one cell
         _reject_repeat("model", self.models)
         _reject_repeat("budget", self.budgets)
+        # a bad hyperparameter fails here, not after the runs before it
+        for name in self.models:
+            if name != "ica":
+                _checked_spec(name, self)
 
     def alpha_for(self, model_name: str) -> float:
         for name, value in self.alpha_overrides:
@@ -214,10 +218,18 @@ def model_spec_for(model_name: str, config: MatrixConfig, seed: int,
                      seed=seed)
 
 
-def training_features(graph: Graph):
-    """Dense or CSR feature matrix, whichever suits the density (the
-    graph's ``feature_operand``)."""
-    return graph.feature_operand
+def _checked_spec(model_name: str, config: MatrixConfig,
+                  alpha: float | None = None) -> None:
+    """Raise ValueError, naming the model, if its spec would be refused."""
+    try:
+        model_spec_for(model_name, config, 0, alpha=alpha)
+    except ValueError as exc:
+        raise ValueError(f"{model_name}: {exc}") from None
+
+
+def training_features(graph: Graph) -> CsrMatrix:
+    """The layer-1 input: the graph's feature CSR."""
+    return graph.feature_csr
 
 
 def accuracy_of(probs: np.ndarray, labels: np.ndarray,
@@ -386,12 +398,15 @@ def alpha_sweep(config: MatrixConfig, grid=DEFAULT_ALPHA_GRID,
     if not grid:
         raise ValueError("alpha sweep needs a non-empty grid")
     _reject_repeat("alpha", grid)
-    if graph is None:
-        graph = load_dataset(config.dataset, config.data_dir,
-                             config.features)
     models = [m for m in config.models if _has_alpha(m)]
     if not models:
         raise ValueError("no mod/aux model in config.models to sweep")
+    for alpha in grid:
+        for model in models:
+            _checked_spec(model, config, alpha)
+    if graph is None:
+        graph = load_dataset(config.dataset, config.data_dir,
+                             config.features)
     jobs = [(model, budget, run, alpha)
             for model in models
             for budget in config.budgets
@@ -426,7 +441,7 @@ def export_embeddings(model, graph: Graph, layer: str, path) -> None:
     if layer not in EMBEDDING_LAYERS:
         raise ValueError(f"unknown embedding layer {layer!r}; "
                          f"expected one of {EMBEDDING_LAYERS}")
-    fwd = model.forward(graph.feature_operand)
+    fwd = model.forward(graph.feature_csr)
     if layer == "hidden":
         emb = fwd.hidden
     elif layer == "output":

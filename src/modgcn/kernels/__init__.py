@@ -6,8 +6,9 @@ at import (see ``_csr_c``), else the pure-NumPy implementation.
 on first use, not at import, so that a name that cannot be honoured (``c``
 with no compiler) is one ``ValueError`` from the first product or
 :func:`backend_name` rather than a failed ``import modgcn``.
-:func:`set_backend` exists for tests and benchmarks. Both backends produce
-deterministic results for a fixed input.
+:func:`set_backend` exists for tests and benchmarks. Both backends add
+each output entry's terms in the same order, so they compute the same
+bits for every input.
 """
 
 import os

@@ -1,22 +1,44 @@
-"""Pure-NumPy CSR kernel; reference semantics for the compiled backend.
+"""Pure-NumPy CSR kernel: the fallback when the compiled one is missing.
 
-Deterministic: repeated calls on the same inputs give identical bits.
-Results can differ from the compiled backend by a couple of ulps because
-reduceat is free to reassociate the per-row sums.
+It computes the compiled kernel's bits. Every output entry adds its row's
+stored entries in stored order, as ``out[i, c] + v * x[j, c]``, each
+product rounded before it is added (NumPy fuses no multiply-add). The
+rows are visited longest first: step k adds the k-th stored entry of every
+row that has one, as one vectorised update of the leading active rows.
+Once fewer than ``_TAIL_ROWS`` rows remain active, one ``np.add.at``,
+which adds in index order, adds every remaining entry of those rows.
 """
 
 import numpy as np
+
+# below this many active rows, a vectorised step costs more than adding
+# the rest of their entries one by one with np.add.at
+_TAIL_ROWS = 64
 
 
 def spmm(indptr, indices, data, x, out):
     """out += A @ x for a CSR matrix A given by (indptr, indices, data)."""
     if len(data) == 0:
         return
-    contrib = data[:, None] * x[indices]
     counts = np.diff(indptr)
-    nonempty = counts > 0
-    # reduceat segments run from each listed start to the next one; empty
-    # rows own no elements, so starts of nonempty rows partition `contrib`.
-    starts = indptr[:-1][nonempty]
-    out[nonempty] += np.add.reduceat(contrib, starts, axis=0)
-
+    order = np.argsort(-counts, kind="stable")
+    counts = counts[order]
+    starts = indptr[:-1][order]
+    # active[k]: how many rows hold a k-th entry (the first ones in order)
+    active = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
+    acc = out[order]
+    k = 0
+    while k < len(active) and active[k] >= _TAIL_ROWS:
+        n = active[k]
+        pos = starts[:n] + k
+        acc[:n] += data[pos, None] * x[indices[pos]]
+        k += 1
+    if k < len(active):
+        n = active[k]
+        left = counts[:n] - k
+        rows = np.repeat(np.arange(n), left)
+        # each row's entries from its k-th on, in stored order
+        pos = (np.repeat(starts[:n] + k, left) + np.arange(len(rows))
+               - np.repeat(np.cumsum(left) - left, left))
+        np.add.at(acc, rows, data[pos, None] * x[indices[pos]])
+    out[order] = acc

@@ -80,7 +80,7 @@ def modularity_loss(g: Graph, h: np.ndarray):
 def objective_for(model: Model, graph: Graph, mask: LabelMask):
     """The training objective L = (1 - alpha) * CE - alpha * Q of every
     variant, with alpha = ``model.spec.alpha``, evaluated on
-    ``graph.feature_operand``.
+    ``graph.feature_csr``.
 
     Q is the modularity of the output softmax matrix for ``mod`` (both
     signals share every parameter), of the auxiliary head's output for
@@ -93,7 +93,7 @@ def objective_for(model: Model, graph: Graph, mask: LabelMask):
     dict keyed and ordered like ``model.params()``.
     """
     variant, alpha = model.spec.variant, model.spec.alpha
-    fwd = model.forward(graph.feature_operand)
+    fwd = model.forward(graph.feature_csr)
     sup, grad_pre_sup = masked_cross_entropy(fwd.output, mask)
     q = 0.0
     if variant != "plain":

@@ -1,7 +1,6 @@
 """Sparse graph core: CSR matrices, graph construction, what a graph fixes
-(degrees, the dense features, the layer-1 feature operand, a memo of built
-filters), the normalized graph operators, and the lazily-applied modularity
-operator.
+(degrees, the dense features, a memo of built filters), the normalized
+graph operators, and the lazily-applied modularity operator.
 
 Dense matrices throughout the package are float64 numpy arrays in row-major
 order. CSR index arrays are int64.
@@ -15,9 +14,6 @@ import numpy as np
 from . import kernels
 
 UNLABELED = -1
-
-# below this density the feature matrix goes through the sparse kernels
-SPARSE_FEATURE_DENSITY = 0.25
 
 
 @dataclass(frozen=True)
@@ -110,6 +106,8 @@ class CsrMatrix:
 
     def validate(self) -> None:
         """Raise ValueError if any canonical-form invariant is violated."""
+        if self.n_rows < 0 or self.n_cols < 0:
+            raise ValueError(f"CSR shape {self.shape} has a negative dimension")
         off, cols, vals = self.row_offsets, self.col_indices, self.values
         if (off.dtype != np.int64 or cols.dtype != np.int64 or vals.dtype != np.float64
                 or off.ndim != 1 or cols.ndim != 1 or vals.ndim != 1):
@@ -180,18 +178,8 @@ class Graph:
     @cached_property
     def features(self) -> np.ndarray:
         """The features as a dense (n, C) float64 array, built on first use
-        (by ICA; training reads ``feature_operand``)."""
+        (by ICA; layer 1 multiplies ``feature_csr``)."""
         return self.feature_csr.to_dense()
-
-    @cached_property
-    def feature_operand(self):
-        """The layer-1 input: ``feature_csr`` itself when the feature
-        density is below SPARSE_FEATURE_DENSITY, else the dense array."""
-        x = self.feature_csr
-        size = x.n_rows * x.n_cols
-        if size and x.nnz / size < SPARSE_FEATURE_DENSITY:
-            return x
-        return self.features
 
     @cached_property
     def filters(self) -> dict:

@@ -1,6 +1,6 @@
-"""Shared fixtures: synthetic graphs, a tiny on-disk dataset, and the
-optional real citation-network data (tests that need it skip when the
-files are absent)."""
+"""Shared fixtures: synthetic graphs, a tiny on-disk dataset, the CSR
+product's sequential reference, and the optional real citation-network
+data (tests that need it skip when the files are absent)."""
 
 import os
 from pathlib import Path
@@ -23,6 +23,18 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.3,
     features = rng.standard_normal((n, n_feats))
     labels = np.arange(n) % num_classes
     return build_graph(edges, features, labels)
+
+
+def sequential_spmm(indptr, indices, data, x, out):
+    """out + A @ x, one stored entry at a time in stored order: the sums
+    every kernel backend must reproduce bit for bit."""
+    out = out.copy()
+    for i in range(len(indptr) - 1):
+        row = out[i]
+        for jj in range(indptr[i], indptr[i + 1]):
+            row = row + data[jj] * x[indices[jj]]
+        out[i] = row
+    return out
 
 
 def two_cliques_graph(scale: float = 1.0, bridge: bool = True) -> Graph:

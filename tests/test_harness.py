@@ -116,18 +116,12 @@ class TestModelSpecFor:
 
 class TestTrainingFeatures:
     def test_sparse_features_become_csr(self):
-        # one-hot rows in a 10-column matrix: density 0.1
         feats = np.eye(10)[np.arange(8) % 10]
         g = build_graph([(i, i + 1) for i in range(7)], feats,
                         np.arange(8) % 2)
         x = training_features(g)
         assert isinstance(x, CsrMatrix)
         np.testing.assert_array_equal(x.to_dense(), g.features)
-
-    def test_dense_features_stay_dense(self, blobs_graph):
-        x = training_features(blobs_graph)
-        assert isinstance(x, np.ndarray)
-        assert x is blobs_graph.features
 
     def test_accuracy_of_ties_to_lowest_class(self):
         probs = np.array([[0.5, 0.5], [0.2, 0.8]])
@@ -294,8 +288,8 @@ class TestGraphMemo:
         other = build_model(small_spec(), two_cliques_graph())
         assert other.layer1.filter is not a.layer1.filter
 
-    def test_feature_operand_is_computed_once(self, monkeypatch):
-        feats = np.eye(10)[np.arange(8) % 10]  # density 0.1: CSR
+    def test_training_converts_no_features(self, monkeypatch):
+        feats = np.eye(10)[np.arange(8) % 10]
         g = build_graph([(i, i + 1) for i in range(7)], feats,
                         np.arange(8) % 2)
         calls = []
@@ -310,7 +304,7 @@ class TestGraphMemo:
         train_once(build_model(spec, g), g, split)
         train_once(build_model(spec, g), g, split)
         # the graph stores its features as CSR: training converts nothing
-        assert training_features(g) is g.feature_operand is g.feature_csr
+        assert training_features(g) is g.feature_csr
         assert calls == []
 
     def test_pickled_graph_derives_its_own(self):
@@ -502,6 +496,16 @@ class TestAlphaSweep:
         with pytest.raises(ValueError, match="alpha 0.5 is repeated"):
             alpha_sweep(cfg, grid=(0.1, 0.5, 0.5), graph=two_cliques_graph())
 
+    def test_bad_alpha_in_grid_rejected_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "_run_jobs",
+                            lambda g, c, jobs: pytest.fail("ran jobs"))
+        monkeypatch.setattr(harness, "load_dataset",
+                            lambda *a: pytest.fail("loaded the dataset"))
+        cfg = MatrixConfig(models=("gcn-mod", "chebnet-aux"), budgets=(2,),
+                           n_runs=3)
+        with pytest.raises(ValueError, match="gcn-mod: alpha must lie in"):
+            alpha_sweep(cfg, grid=(0.1, 1.5))
+
     def test_default_grid_spans_open_interval(self):
         assert DEFAULT_ALPHA_GRID == (0.1, 0.2, 0.3, 0.4, 0.5,
                                       0.6, 0.7, 0.8, 0.9)
@@ -629,7 +633,16 @@ class TestMatrixConfig:
         ("budgets", (0,), "budgets: 0 is outside 1..999"),
         ("base_seed", -1, "base_seed must be >= 0"),
         ("test_size", 0, "test_size must be >= 1"),
-    ], ids=["n_runs", "budget-high", "budget-zero", "base_seed", "test_size"])
+        # refused by the model specs the runs would build
+        ("alpha", 1.5, "gcn-mod: alpha must lie in"),
+        ("alpha_overrides", (("gcn-mod", 2.0),), "gcn-mod: alpha must lie in"),
+        ("lr", 0.0, "gcn: epochs must be >= 0 and lr > 0"),
+        ("epochs", -1, "gcn: epochs must be >= 0 and lr > 0"),
+        ("hidden_dim", 0, "gcn: hidden_dim must be >= 1"),
+        ("cheb_order", -1, "chebnet: cheb_order must be >= 0"),
+    ], ids=["n_runs", "budget-high", "budget-zero", "base_seed", "test_size",
+            "alpha", "alpha-override", "lr", "epochs", "hidden_dim",
+            "cheb_order"])
     def test_ranges_that_would_collide_or_fail_are_refused(self, field,
                                                             value, message):
         with pytest.raises(ValueError, match=message):
@@ -702,10 +715,18 @@ lr = 0.2
         ("[experiment]\nbudgets = 3, 3\n", "budget 3 is repeated"),
         ("[experiment]\nbudgets = 5, 1000\n", "budgets: 1000 is outside"),
         ("[experiment]\nn_runs = 1001\n", "n_runs must be <= 1000"),
+        ("[experiment]\nalpha = 1.5\n", "gcn-mod: alpha must lie in"),
+        ("[experiment]\n[alpha]\ngcn-mod = 2.0\n", "gcn-mod: alpha must lie in"),
+        ("[experiment]\nlr = 0.0\n", "gcn: epochs must be >= 0 and lr > 0"),
+        ("[experiment]\nepochs = -1\n", "gcn: epochs must be >= 0"),
+        ("[experiment]\nhidden_dim = 0\n", "gcn: hidden_dim must be >= 1"),
+        ("[experiment]\ncheb_order = -1\n", "chebnet: cheb_order must be >= 0"),
     ], ids=["experiment-key", "ica-key", "alpha-typo", "alpha-plain",
             "alpha-ica", "section", "model-name", "ica-value",
             "no-header", "duplicate-key", "bad-value", "repeated-model",
-            "repeated-budget", "budget-range", "n-runs-range"])
+            "repeated-budget", "budget-range", "n-runs-range", "alpha-range",
+            "alpha-override-range", "lr-range", "epochs-range",
+            "hidden-dim-range", "cheb-order-range"])
     def test_bad_config_is_one_error_naming_the_file(self, tmp_path, text,
                                                      key):
         path = tmp_path / "typo.cfg"
@@ -726,7 +747,7 @@ lr = 0.2
 
 def sparse_feature_graph():
     """24 nodes in 3 classes, each class a ring, one word per node out of
-    12 (feature density 1/12): its layer-1 operand is the stored CSR."""
+    12 (feature density 1/12)."""
     n, k = 24, 3
     labels = np.arange(n) % k
     edges = [(i, (i + k) % n) for i in range(n)]

@@ -6,9 +6,13 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import sequential_spmm
 from modgcn import cli, kernels
-from modgcn.kernels import _csr_c
-from modgcn.sparse import CsrMatrix
+from modgcn.datasets import preprocess_features, stratified_split
+from modgcn.harness import train_once
+from modgcn.kernels import _csr_c, _csr_np
+from modgcn.model import ModelSpec, build_model
+from modgcn.sparse import CsrMatrix, build_graph
 
 needs_c = pytest.mark.skipif("c" not in kernels.available_backends(),
                              reason="C kernel not built")
@@ -51,47 +55,23 @@ def test_spmm_matches_dense_oracle(restore_backend):
             np.testing.assert_allclose(got, dense @ x, atol=1e-13)
 
 
-def _sequential_spmm(indptr, indices, data, x, out):
-    """out + A @ x, one stored entry at a time in stored order: the sums the
-    compiled kernel must reproduce bit for bit."""
-    out = out.copy()
-    for i in range(len(indptr) - 1):
-        row = out[i]
-        for jj in range(indptr[i], indptr[i + 1]):
-            row = row + data[jj] * x[indices[jj]]
-        out[i] = row
-    return out
-
-
-@needs_c
 @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 15, 16, 17, 24, 33])
-def test_c_kernel_matches_sequential_reference_bitwise(width):
-    kernel = _csr_c.load()
+def test_c_kernel_matches_sequential_reference_bitwise(width, monkeypatch):
+    # the C kernel's order is the reference; every backend must give it.
+    # A tail threshold of 3 runs the NumPy kernel's vectorised steps on
+    # this 19-row matrix as well as its np.add.at tail.
+    monkeypatch.setattr(_csr_np, "_TAIL_ROWS", 3)
     rng = np.random.default_rng(width)
     _, dense = _random_csr(rng, 19, 23, density=0.5)
     dense[::4] = 0.0  # empty rows
     m = CsrMatrix.from_dense(dense)
     x = rng.standard_normal((23, width))
-    out = rng.standard_normal((19, width))  # the kernel adds into out
-    expected = _sequential_spmm(m.row_offsets, m.col_indices, m.values, x, out)
-    kernel.spmm(m.row_offsets, m.col_indices, m.values, x, out)
-    assert np.array_equal(out, expected)
-
-
-@needs_c
-def test_backends_agree(restore_backend):
-    # reduceat may reassociate per-row sums, so parity is ulp-level
-    # closeness rather than identical bits
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        m, _ = _random_csr(rng, 17, 11, density=0.4)
-        x = rng.standard_normal((11, 6))
-        outs = []
-        for name in ("numpy", "c"):
-            kernels.set_backend(name)
-            outs.append(kernels.csr_dense_matmul(
-                m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values, x))
-        np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12, atol=1e-13)
+    start = rng.standard_normal((19, width))  # the kernel adds into out
+    expected = sequential_spmm(m.row_offsets, m.col_indices, m.values, x, start)
+    for name, backend in kernels._BACKENDS.items():
+        out = start.copy()
+        backend.spmm(m.row_offsets, m.col_indices, m.values, x, out)
+        assert out.tobytes() == expected.tobytes(), name
 
 
 def test_each_backend_is_deterministic(restore_backend):
@@ -239,3 +219,42 @@ def test_unavailable_env_backend_is_one_cli_error(broken_compiler, monkeypatch,
     finally:
         monkeypatch.undo()
         importlib.reload(kernels)
+
+
+def cora_like_graph(n=200, n_feats=70, k=4, seed=11):
+    """Homophilous edges and 2 to 8 words per node, row-normalised: its
+    feature CSR, the transpose and the filters each have more nonempty
+    rows than the NumPy kernel's tail threshold, and rows of many
+    lengths, so that training runs both of its phases."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % k
+    pairs = rng.integers(0, n, size=(4 * n, 2))
+    same = labels[pairs[:, 0]] == labels[pairs[:, 1]]
+    edges = pairs[same | (rng.random(len(pairs)) < 0.2)]
+    feats = np.zeros((n, n_feats))
+    for i in range(n):
+        feats[i, rng.choice(n_feats, size=rng.integers(2, 9), replace=False)] = 1.0
+    return preprocess_features(build_graph(edges, feats, labels))
+
+
+@needs_c
+@pytest.mark.parametrize("encoder, variant", [("gcn", "mod"), ("chebnet", "aux")])
+def test_training_is_byte_identical_on_every_backend(encoder, variant,
+                                                     tmp_path, restore_backend):
+    g = cora_like_graph()
+    for m in (g.feature_csr, g.feature_csr.T):
+        counts = np.diff(m.row_offsets)
+        assert np.count_nonzero(counts) > _csr_np._TAIL_ROWS
+        assert counts.max() > counts.min() > 0
+    spec = ModelSpec(encoder=encoder, variant=variant, alpha=0.5, epochs=5,
+                     seed=3)
+    split = stratified_split(g, 5, 50, seed=2)
+    logs, weights = [], []
+    for name in ("numpy", "c"):
+        kernels.set_backend(name)
+        model = build_model(spec, g)
+        train_once(model, g, split, log_path=tmp_path / f"{name}.csv")
+        logs.append((tmp_path / f"{name}.csv").read_bytes())
+        weights.append([p.tobytes() for p in model.params().values()])
+    assert logs[0] == logs[1]
+    assert weights[0] == weights[1]

@@ -95,8 +95,7 @@ class TestGraphConvLayer:
         np.testing.assert_allclose(sparse_out, dense_out, atol=1e-12)
 
     def test_sparse_features_match_dense_features(self):
-        # the same input as CSR and as an ndarray: the two layer-1 operands
-        # a graph's feature_operand can be
+        # the same input as CSR (layer 1's operand) and as an ndarray
         g = two_cliques_graph()
         rng = np.random.default_rng(8)
         upstream = rng.standard_normal((8, 3))

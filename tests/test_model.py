@@ -186,8 +186,8 @@ class TestCheckpoints:
         restored = load_model(path, fresh)
         assert restored.spec.lambda_max == 1.2
         assert restored.layer1.filter.lambda_max == 1.2
-        assert np.array_equal(restored.forward(fresh.feature_operand).output,
-                              model.forward(g.feature_operand).output)
+        assert np.array_equal(restored.forward(fresh.feature_csr).output,
+                              model.forward(g.feature_csr).output)
 
     def test_checkpoint_without_lambda_max_loads_as_none(self, tmp_path):
         g = two_cliques_graph()

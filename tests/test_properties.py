@@ -1,5 +1,6 @@
 """Property-based tests: the CSR operations and kernels against dense
-oracles, the CSR feature parse and row normalisation against their dense
+oracles, every kernel backend against the sequential sum byte for byte,
+the CSR feature parse and row normalisation against their dense
 forms, the softmax's class-axis reductions against NumPy's bits, ICA's
 stale-node sweeps against full sweeps, and exact round trips of the
 results CSV, of checkpoints and of the graph cache's features (need the
@@ -16,7 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from conftest import two_cliques_graph  # noqa: E402
+from conftest import sequential_spmm, two_cliques_graph  # noqa: E402
 from modgcn import kernels  # noqa: E402
 from modgcn.datasets import (DatasetSource, load_graph_cache,  # noqa: E402
                              load_linqs, preprocess_features,
@@ -24,6 +25,7 @@ from modgcn.datasets import (DatasetSource, load_graph_cache,  # noqa: E402
 from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E402
                             write_results_csv)
 from modgcn.ica import relabel  # noqa: E402
+from modgcn.kernels import _csr_np  # noqa: E402
 from modgcn.layers import (row_max, row_sum, softmax_rows,  # noqa: E402
                            softmax_rows_backward)
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
@@ -86,6 +88,58 @@ def test_every_backend_matches_dense_product(case):
             np.testing.assert_allclose(got, dense @ x, rtol=1e-12, atol=1e-12)
     finally:
         kernels.set_backend(previous)
+
+
+# every finite float64; hypothesis draws -0.0, subnormals and magnitudes
+# near 1e±300 among them
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _nonzero(a):
+    return np.where(a == 0.0, 1.0, a)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(A, x, out) for one CSR product. Either a small matrix with an
+    empty row, or one with more rows than the NumPy kernel's tail
+    threshold, every row nonempty and one row longer than the rest: there
+    its vectorised steps run first and the long row outlasts them into the
+    np.add.at tail."""
+    if draw(st.booleans()):
+        n_rows, n_cols = draw(DIMS), draw(DIMS)
+        width = draw(st.integers(0, 17))
+        values = draw(every_element(np.float64, (n_rows, n_cols), FINITE))
+        stored = draw(every_element(np.bool_, (n_rows, n_cols), st.booleans()))
+        if n_rows:
+            stored[draw(st.integers(0, n_rows - 1))] = False
+        dense = np.where(stored, _nonzero(values), 0.0)
+    else:
+        n_rows = draw(st.integers(_csr_np._TAIL_ROWS + 1,
+                                  _csr_np._TAIL_ROWS + 8))
+        n_cols, width = draw(st.integers(3, 9)), draw(st.integers(0, 3))
+        # one or two entries a row, and one full row
+        dense = np.zeros((n_rows, n_cols))
+        dense[:, 0] = _nonzero(draw(every_element(np.float64, n_rows, FINITE)))
+        dense[:, 1] = draw(every_element(np.float64, n_rows, FINITE))
+        dense[draw(st.integers(0, n_rows - 1))] = _nonzero(
+            draw(every_element(np.float64, n_cols, FINITE)))
+    x = draw(every_element(np.float64, (n_cols, width), FINITE))
+    out = draw(every_element(np.float64, (n_rows, width), FINITE))
+    return CsrMatrix.from_dense(dense), x, out
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(kernel_cases())
+def test_every_backend_gives_the_same_bytes(case):
+    m, x, start = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = sequential_spmm(m.row_offsets, m.col_indices, m.values, x,
+                               start).tobytes()
+        for name, backend in kernels._BACKENDS.items():
+            out = start.copy()
+            backend.spmm(m.row_offsets, m.col_indices, m.values, x, out)
+            assert out.tobytes() == want, name
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

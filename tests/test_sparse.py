@@ -73,6 +73,19 @@ class TestCsrMatrix:
             CsrMatrix(1, 2, np.array([0, 1]), np.array([1], dtype=np.int32),
                       np.ones(1)).validate()
 
+    @pytest.mark.parametrize("m", [
+        CsrMatrix(-1, 3, np.zeros(0, np.int64), np.zeros(0, np.int64),
+                  np.zeros(0)),
+        CsrMatrix(2, -3, np.zeros(3, np.int64), np.zeros(0, np.int64),
+                  np.zeros(0)),
+    ], ids=["rows", "cols"])
+    def test_validate_rejects_negative_shape(self, m):
+        # checked before any index is read
+        with pytest.raises(ValueError, match="negative dimension"):
+            m.validate()
+        with pytest.raises(ValueError, match="negative dimension"):
+            build_graph([], m, [])
+
     def test_validate_rejects_stored_zero(self):
         m = CsrMatrix(1, 2, np.array([0, 1]), np.array([0]),
                       np.array([0.0]))
