@@ -112,6 +112,17 @@ class MatrixConfig:
         # a repeat would count the same runs twice in one cell
         _reject_repeat("model", self.models)
         _reject_repeat("budget", self.budgets)
+        # an override that could never apply is a typo, not a no-op
+        _reject_repeat("alpha override",
+                       [name for name, _ in self.alpha_overrides])
+        for name, value in self.alpha_overrides:
+            if not _has_alpha(name):
+                raise ValueError(f"alpha override {name!r} names no mod/aux "
+                                 "model")
+            if name not in self.models:
+                raise ValueError(f"alpha override {name!r} is not in models "
+                                 f"{self.models}, so it has no effect")
+            _checked_spec(name, self, value)
         # a bad hyperparameter fails here, not after the runs before it
         for name in self.models:
             if name != "ica":
@@ -148,8 +159,9 @@ def load_matrix_config(path) -> MatrixConfig:
     """Parse an INI experiment config; see README for the schema.
 
     Anything wrong with the file (unreadable syntax, an unknown section or
-    key, an [alpha] entry that names no mod/aux model, a bad value) is one
-    ValueError naming the file."""
+    key, an [alpha] entry that names no mod/aux model or one that
+    ``models`` does not run, a bad value) is one ValueError naming the
+    file."""
     parser = ConfigParser()
     try:
         if not parser.read(path):

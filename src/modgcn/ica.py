@@ -3,7 +3,10 @@
 Collective classification with a one-vs-rest logistic regression as the
 local classifier. Node features for the classifier are the concatenation
 [attributes || per-class neighbor-label counts], where the counts only see
-labels that are currently known. Inference sweeps nodes in ascending id
+labels that are currently known. The classifier's input is a CSR matrix:
+the rows of the graph's feature CSR with the counts appended, so both
+regressions and every logit are products of the CSR kernel and the dense
+(n, C) features are never built. Inference sweeps nodes in ascending id
 order, each update immediately visible to later nodes, and re-scores only
 the nodes whose neighbors changed label since their last visit.
 """
@@ -57,22 +60,44 @@ def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _train_logistic(x, y_onehot, cfg: IcaConfig, seed, layer_id) -> DenseLayer:
-    """One-vs-rest logistic regression: a dense layer with per-column
-    sigmoid cross-entropy, full-batch Adam.
+def _classifier_input(g: Graph, ids: np.ndarray,
+                      counts: np.ndarray | None = None) -> CsrMatrix:
+    """Rows ``ids`` of the feature CSR, in that order, with the dense
+    ``counts`` (one row per id) appended as columns: [attributes ||
+    counts] as a canonical CSR matrix, its zeros not stored."""
+    x = g.feature_csr
+    lengths = np.diff(x.row_offsets)[ids]
+    rows = np.repeat(np.arange(len(ids), dtype=np.int64), lengths)
+    # each chosen row's stored entries, in stored order
+    pos = (np.repeat(x.row_offsets[ids] - (np.cumsum(lengths) - lengths), lengths)
+           + np.arange(len(rows)))
+    cols, vals, n_cols = x.col_indices[pos], x.values[pos], x.n_cols
+    if counts is not None:
+        count_rows, count_cols = np.nonzero(counts)
+        rows = np.concatenate([rows, count_rows])
+        cols = np.concatenate([cols, x.n_cols + count_cols])
+        vals = np.concatenate([vals, counts[count_rows, count_cols]])
+        n_cols += counts.shape[1]
+    return CsrMatrix.from_coo(len(ids), n_cols, rows, cols, vals)
+
+
+def _train_logistic(x: CsrMatrix, y_onehot, cfg: IcaConfig, seed,
+                    layer_id) -> DenseLayer:
+    """One-vs-rest logistic regression: a dense layer's parameters with
+    per-column sigmoid cross-entropy, full-batch Adam.
 
     Each step makes the products of ``DenseLayer.forward`` and
-    ``backward_from_pre`` on the same operands, less the input gradient,
-    which nothing here reads."""
-    layer = DenseLayer.create(x.shape[1], y_onehot.shape[1], "identity",
+    ``backward_from_pre``, less the input gradient, which nothing here
+    reads, with the CSR kernel: ``x @ W`` and ``x.T @ grad_pre``."""
+    layer = DenseLayer.create(x.n_cols, y_onehot.shape[1], "identity",
                               seed, layer_id)
     params = dict(layer.param_items("clf"))
     state = AdamState.create(params, lr=cfg.lr)
-    m = x.shape[0]
+    m = x.n_rows
     for _ in range(cfg.epochs):
-        pre = x @ layer.weight + layer.bias
+        pre = x.dot(layer.weight) + layer.bias
         grad_pre = (_sigmoid(pre) - y_onehot) / m
-        grad_w = x.T @ grad_pre
+        grad_w = x.T.dot(grad_pre)
         if cfg.l2 > 0:
             grad_w = grad_w + cfg.l2 * layer.weight
         grad_b = grad_pre.sum(axis=0, keepdims=True)
@@ -152,20 +177,23 @@ def ica_train_predict(g: Graph, train_ids, test_ids,
     state[train_ids] = train_labels
     y = _onehot(train_labels, k)
 
-    attr_clf = _train_logistic(g.features[train_ids], y, cfg, seed, layer_id=0)
+    attr_clf = _train_logistic(_classifier_input(g, train_ids), y, cfg, seed,
+                               layer_id=0)
     rel_train = neighbor_label_counts(g, state)[train_ids]
-    full_clf = _train_logistic(np.hstack([g.features[train_ids], rel_train]),
-                               y, cfg, seed, layer_id=1)
+    full_clf = _train_logistic(_classifier_input(g, train_ids, rel_train), y,
+                               cfg, seed, layer_id=1)
 
     unlabeled = np.setdiff1d(np.arange(n, dtype=np.int64), train_ids,
                              assume_unique=False)
-    boot_logits = attr_clf.forward(g.features[unlabeled])[0]
+    # a row of a CSR product depends on that row alone, so these are the
+    # bits of the product of the unlabeled rows
+    x = g.feature_csr
+    boot_logits = (x.dot(attr_clf.weight) + attr_clf.bias)[unlabeled]
     state[unlabeled] = np.argmax(boot_logits, axis=1)
 
     # attribute logits are fixed during inference; only counts change
-    n_attr = g.features.shape[1]
-    w_attr, w_rel = full_clf.weight[:n_attr], full_clf.weight[n_attr:]
-    base_logits = g.features @ w_attr + full_clf.bias
+    w_attr, w_rel = full_clf.weight[:x.n_cols], full_clf.weight[x.n_cols:]
+    base_logits = x.dot(w_attr) + full_clf.bias
     iterations, converged, visits = relabel(
         g.adjacency, state, unlabeled, base_logits, w_rel, cfg.max_iters)
     logger.info("ica: converged=%s after %d sweep(s), %d of %d node visits",

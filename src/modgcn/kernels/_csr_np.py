@@ -5,7 +5,7 @@ stored entries in stored order, as ``out[i, c] + v * x[j, c]``, each
 product rounded before it is added (NumPy fuses no multiply-add). The
 rows are visited longest first: step k adds the k-th stored entry of every
 row that has one, as one vectorised update of the leading active rows.
-Once fewer than ``_TAIL_ROWS`` rows remain active, one ``np.add.at``,
+Once fewer than ``_TAIL_ROWS`` rows remain active, one flat ``np.add.at``,
 which adds in index order, adds every remaining entry of those rows.
 """
 
@@ -34,11 +34,17 @@ def spmm(indptr, indices, data, x, out):
         acc[:n] += data[pos, None] * x[indices[pos]]
         k += 1
     if k < len(active):
-        n = active[k]
+        n, p = active[k], x.shape[1]
         left = counts[:n] - k
         rows = np.repeat(np.arange(n), left)
         # each row's entries from its k-th on, in stored order
         pos = (np.repeat(starts[:n] + k, left) + np.arange(len(rows))
                - np.repeat(np.cumsum(left) - left, left))
-        np.add.at(acc, rows, data[pos, None] * x[indices[pos]])
+        # acc is a fresh C-contiguous array (a fancy index makes one), so
+        # its flat reshape is a view that the adds land in. The flat
+        # indices run entry by entry, each over its p columns, so every
+        # output entry still adds its row's entries in stored order.
+        flat = rows[:, None] * p + np.arange(p)
+        np.add.at(acc.reshape(-1), flat.reshape(-1),
+                  (data[pos, None] * x[indices[pos]]).reshape(-1))
     out[order] = acc

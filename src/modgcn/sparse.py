@@ -177,8 +177,9 @@ class Graph:
 
     @cached_property
     def features(self) -> np.ndarray:
-        """The features as a dense (n, C) float64 array, built on first use
-        (by ICA; layer 1 multiplies ``feature_csr``)."""
+        """The features as a dense (n, C) float64 array, built on first use.
+        The library never reads it: training and ICA multiply
+        ``feature_csr``. Tests compare against it."""
         return self.feature_csr.to_dense()
 
     @cached_property

@@ -7,6 +7,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,27 @@ class TestMatrixConfig:
         with pytest.raises(ValueError, match=message):
             MatrixConfig(**{field: value})
 
+    @pytest.mark.parametrize("models, overrides, message", [
+        (("gcn",), (("gcn-mod", 2.0), ("nonsense", 5.0)),
+         "alpha override 'gcn-mod' is not in models"),
+        (MODEL_ORDER, (("gcn-mod", 0.3), ("gcn-mod", 0.7)),
+         "alpha override 'gcn-mod' is repeated"),
+        (MODEL_ORDER, (("nonsense", 0.3),),
+         "alpha override 'nonsense' names no mod/aux model"),
+        (MODEL_ORDER, (("gcn", 0.3),),
+         "alpha override 'gcn' names no mod/aux model"),
+        (MODEL_ORDER, (("ica", 0.3),),
+         "alpha override 'ica' names no mod/aux model"),
+        (("gcn", "gcn-aux"), (("gcn-aux", 0.5), ("chebnet-aux", 0.5)),
+         "alpha override 'chebnet-aux' is not in models"),
+        (("gcn-mod",), (("gcn-mod", -0.1),), "gcn-mod: alpha must lie in"),
+    ], ids=["not-run-and-unknown", "repeated", "unknown", "plain", "ica",
+            "not-run", "out-of-range"])
+    def test_alpha_override_that_cannot_apply_is_refused(self, models,
+                                                         overrides, message):
+        with pytest.raises(ValueError, match=message):
+            MatrixConfig(models=models, alpha_overrides=overrides)
+
     def test_widest_ranges_give_distinct_seeds(self):
         cfg = MatrixConfig(budgets=(1, 999), n_runs=1000, base_seed=0)
         seeds = {split_seed_for(base, b, r) for base in (0, 1)
@@ -721,12 +743,18 @@ lr = 0.2
         ("[experiment]\nepochs = -1\n", "gcn: epochs must be >= 0"),
         ("[experiment]\nhidden_dim = 0\n", "gcn: hidden_dim must be >= 1"),
         ("[experiment]\ncheb_order = -1\n", "chebnet: cheb_order must be >= 0"),
+        ("[experiment]\nmodels = gcn\n[alpha]\ngcn-mod = 2.0\n",
+         "alpha override 'gcn-mod' is not in models"),
+        ("[experiment]\nmodels = gcn, gcn-aux\n[alpha]\ngcn-aux = 0.5\n"
+         "chebnet-aux = 0.5\n", "alpha override 'chebnet-aux' is not in models"),
+        ("[experiment]\n[alpha]\ngcn-mod = 0.3\ngcn-mod = 0.7\n", "'gcn-mod'"),
     ], ids=["experiment-key", "ica-key", "alpha-typo", "alpha-plain",
             "alpha-ica", "section", "model-name", "ica-value",
             "no-header", "duplicate-key", "bad-value", "repeated-model",
             "repeated-budget", "budget-range", "n-runs-range", "alpha-range",
             "alpha-override-range", "lr-range", "epochs-range",
-            "hidden-dim-range", "cheb-order-range"])
+            "hidden-dim-range", "cheb-order-range", "alpha-not-run",
+            "alpha-one-not-run", "alpha-repeated"])
     def test_bad_config_is_one_error_naming_the_file(self, tmp_path, text,
                                                      key):
         path = tmp_path / "typo.cfg"
@@ -766,8 +794,9 @@ def write_linqs(graph, root):
 
 
 class TestDenseFeaturesStayUnbuilt:
-    """Training, sweeps, embeddings and the set-up a benchmark times read
-    the stored feature CSR; only ICA builds the dense ``graph.features``."""
+    """Training, sweeps, embeddings, ICA and the set-up a benchmark times
+    read the stored feature CSR; none of them builds the dense
+    ``graph.features``."""
 
     @staticmethod
     def config(tmp_path, jobs=1):
@@ -812,17 +841,25 @@ class TestDenseFeaturesStayUnbuilt:
             assert "features" not in vars(g)
         assert len(list((tmp_path / ".cache").glob("sparse-*.npz"))) == 1
 
-    def test_ica_builds_the_dense_array_once(self, monkeypatch):
-        g = sparse_feature_graph()
+    @pytest.mark.parametrize("where", ["serial", "pool-worker"])
+    def test_ica_never_builds_it(self, tmp_path, monkeypatch, where):
         built = []
         real = CsrMatrix.to_dense
         monkeypatch.setattr(CsrMatrix, "to_dense",
                             lambda m: built.append(m) or real(m))
-        split = stratified_split(g, 2, 10, seed=0)
-        for _ in range(2):
-            assert not run_ica_once(g, split, IcaConfig()).failed
-        assert "features" in vars(g)
-        assert [m is g.feature_csr for m in built] == [True]
+        g = sparse_feature_graph()
+        config = replace(self.config(tmp_path), models=("ica",))
+        if where == "serial":
+            runs, _ = run_matrix(config, graph=g)
+            assert len(runs) == 2 and not any(r.failed for r in runs)
+        else:
+            # what a worker runs, on the copy of the graph a worker receives
+            monkeypatch.setattr(harness, "_WORKER", {})
+            g = pickle.loads(pickle.dumps(g))
+            harness._worker_init(g, replace(config, jobs=2))
+            assert not harness._worker_run(("ica", 2, 0, None)).failed
+        assert "features" not in vars(g)
+        assert built == []
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import two_cliques_graph
-from modgcn.ica import (IcaConfig, _onehot, _sigmoid, _train_logistic,
-                        ica_train_predict, neighbor_label_counts)
+from conftest import sequential_spmm, two_cliques_graph
+from modgcn.ica import (IcaConfig, _classifier_input, _onehot, _sigmoid,
+                        _train_logistic, ica_train_predict,
+                        neighbor_label_counts)
 from modgcn.layers import DenseLayer
 from modgcn.optim import AdamState, adam_step
 from modgcn.sparse import build_graph
@@ -60,18 +61,48 @@ def dense_layer_logistic(x, y_onehot, cfg, seed, layer_id):
     return layer
 
 
+def sequential_logistic(x, y_onehot, cfg, seed, layer_id):
+    """The same loop on a CsrMatrix ``x``, its two products summed one
+    stored entry at a time, as every kernel backend must sum them."""
+    def product(m, w):
+        return sequential_spmm(m.row_offsets, m.col_indices, m.values, w,
+                               np.zeros((m.n_rows, w.shape[1])))
+
+    layer = DenseLayer.create(x.n_cols, y_onehot.shape[1], "identity",
+                              seed, layer_id)
+    params = dict(layer.param_items("clf"))
+    state = AdamState.create(params, lr=cfg.lr)
+    for _ in range(cfg.epochs):
+        pre = product(x, layer.weight) + layer.bias
+        grad_pre = (_sigmoid(pre) - y_onehot) / x.n_rows
+        grad_w = product(x.T, grad_pre)
+        if cfg.l2 > 0:
+            grad_w = grad_w + cfg.l2 * layer.weight
+        grad_b = grad_pre.sum(axis=0, keepdims=True)
+        adam_step(state, params, dict(zip(params, (grad_w, grad_b), strict=True)))
+    return layer
+
+
 class TestLogistic:
     @pytest.mark.parametrize("epochs, l2", [(5, 0.0), (20, 0.0), (20, 0.01)])
     def test_weights_equal_the_dense_layer_loop(self, epochs, l2):
-        # the relational classifier's input: attributes || neighbor counts
+        # the relational classifier's input: attributes || neighbor counts,
+        # its rows in an order other than the graph's. The weights equal the
+        # loop that sums each product in stored order byte for byte, and
+        # the dense layer's loop, which BLAS sums in its own order, to
+        # within roundoff.
         g = two_cliques_graph(scale=3.0)
-        x = np.hstack([g.features, neighbor_label_counts(g, g.labels)])
-        y = _onehot(g.labels, g.num_classes)
+        ids = np.array([5, 0, 7, 2, 4, 1, 6, 3])
+        x = _classifier_input(g, ids, neighbor_label_counts(g, g.labels)[ids])
+        y = _onehot(g.labels[ids], g.num_classes)
         cfg = IcaConfig(epochs=epochs, l2=l2)
         got = _train_logistic(x, y, cfg, seed=3, layer_id=1)
-        want = dense_layer_logistic(x, y, cfg, seed=3, layer_id=1)
+        want = sequential_logistic(x, y, cfg, seed=3, layer_id=1)
         assert got.weight.tobytes() == want.weight.tobytes()
         assert got.bias.tobytes() == want.bias.tobytes()
+        dense = dense_layer_logistic(x.to_dense(), y, cfg, seed=3, layer_id=1)
+        np.testing.assert_allclose(got.weight, dense.weight, rtol=1e-12)
+        np.testing.assert_allclose(got.bias, dense.bias, rtol=1e-12)
 
 
 class TestIca:

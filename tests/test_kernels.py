@@ -10,6 +10,8 @@ from conftest import sequential_spmm
 from modgcn import cli, kernels
 from modgcn.datasets import preprocess_features, stratified_split
 from modgcn.harness import train_once
+from modgcn.ica import (IcaConfig, _classifier_input, _onehot, _train_logistic,
+                        ica_train_predict, neighbor_label_counts)
 from modgcn.kernels import _csr_c, _csr_np
 from modgcn.model import ModelSpec, build_model
 from modgcn.sparse import CsrMatrix, build_graph
@@ -72,6 +74,24 @@ def test_c_kernel_matches_sequential_reference_bitwise(width, monkeypatch):
         out = start.copy()
         backend.spmm(m.row_offsets, m.col_indices, m.values, x, out)
         assert out.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_numpy_tail_adds_into_out_of_any_layout(layout):
+    # The tail adds through a flat reshape of the rows it gathers from
+    # out. Were that reshape a copy, as it would be of a gathered array
+    # that is not C-contiguous, the tail's sums would be lost. These 19
+    # rows are all tail.
+    rng = np.random.default_rng(9)
+    _, dense = _random_csr(rng, 19, 23, density=0.5)
+    m = CsrMatrix.from_dense(dense)
+    x = rng.standard_normal((23, 5))
+    start = rng.standard_normal((19, 5))
+    expected = sequential_spmm(m.row_offsets, m.col_indices, m.values, x, start)
+    out = {"C": start.copy(), "F": np.asfortranarray(start),
+           "strided": np.repeat(start, 2, axis=1)[:, ::2]}[layout]
+    _csr_np.spmm(m.row_offsets, m.col_indices, m.values, x, out)
+    assert out.tobytes() == expected.tobytes()
 
 
 def test_each_backend_is_deterministic(restore_backend):
@@ -258,3 +278,32 @@ def test_training_is_byte_identical_on_every_backend(encoder, variant,
         weights.append([p.tobytes() for p in model.params().values()])
     assert logs[0] == logs[1]
     assert weights[0] == weights[1]
+
+
+@needs_c
+def test_ica_is_byte_identical_on_every_backend(restore_backend):
+    # 20 labels per class: both regressions' inputs and their transposes,
+    # like the feature CSR that the logits multiply, have more nonempty
+    # rows than the NumPy kernel's tail threshold, so their products run
+    # its vectorised steps as well as its tail
+    g = cora_like_graph()
+    split = stratified_split(g, 20, 50, seed=2)
+    state = np.full(g.num_nodes, -1)
+    state[split.train_ids] = g.labels[split.train_ids]
+    counts = neighbor_label_counts(g, state)[split.train_ids]
+    inputs = (_classifier_input(g, split.train_ids),
+              _classifier_input(g, split.train_ids, counts))
+    for m in (*inputs, *(x.T for x in inputs)):
+        assert np.count_nonzero(np.diff(m.row_offsets)) > _csr_np._TAIL_ROWS
+    y = _onehot(g.labels[split.train_ids], g.num_classes)
+    got = []
+    for name in ("numpy", "c"):
+        kernels.set_backend(name)
+        layers = [_train_logistic(x, y, IcaConfig(), seed=3, layer_id=i)
+                  for i, x in enumerate(inputs)]
+        result = ica_train_predict(g, split.train_ids, split.test_ids,
+                                   IcaConfig(), seed=3)
+        got.append(([p.tobytes() for layer in layers
+                     for p in (layer.weight, layer.bias)],
+                    result.predicted.tobytes(), result.iterations))
+    assert got[0] == got[1]

@@ -2,7 +2,8 @@
 oracles, every kernel backend against the sequential sum byte for byte,
 the CSR feature parse and row normalisation against their dense
 forms, the softmax's class-axis reductions against NumPy's bits, ICA's
-stale-node sweeps against full sweeps, and exact round trips of the
+classifier input against its dense form and its stale-node sweeps against
+full sweeps, and exact round trips of the
 results CSV, of checkpoints and of the graph cache's features (need the
 `test` extras)."""
 
@@ -24,7 +25,7 @@ from modgcn.datasets import (DatasetSource, load_graph_cache,  # noqa: E402
                              save_graph_cache)
 from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E402
                             write_results_csv)
-from modgcn.ica import relabel  # noqa: E402
+from modgcn.ica import _classifier_input, relabel  # noqa: E402
 from modgcn.kernels import _csr_np  # noqa: E402
 from modgcn.layers import (row_max, row_sum, softmax_rows,  # noqa: E402
                            softmax_rows_backward)
@@ -471,6 +472,40 @@ def full_sweeps(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
         if changed == 0:
             return sweep + 1
     return max_iters
+
+
+@st.composite
+def classifier_inputs(draw):
+    """A graph's features with empty rows, distinct node ids in any order,
+    and counts for those ids, with an all-zero row, or None."""
+    n, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    features = draw(every_element(np.float64, (n, n_cols),
+                                  st.one_of(ZEROS, FINITE)))
+    empty = draw(every_element(np.bool_, n, st.booleans()))
+    features[empty] = 0.0
+    g = build_graph([], features, np.zeros(n))
+    ids = np.array(draw(st.permutations(range(n)))[:draw(st.integers(0, n))],
+                   dtype=np.int64)
+    counts = None
+    if draw(st.booleans()):
+        counts = draw(every_element(np.float64, (len(ids), draw(st.integers(0, 4))),
+                                    st.sampled_from([0.0, 1.0, 2.0, 5.0])))
+        if len(ids):
+            counts[draw(st.integers(0, len(ids) - 1))] = 0.0
+    return g, ids, counts
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(classifier_inputs())
+def test_classifier_input_is_the_dense_concatenation(case):
+    g, ids, counts = case
+    x = _classifier_input(g, ids, counts)
+    x.validate()
+    want = g.features[ids]
+    if counts is not None:
+        want = np.hstack([want, counts])
+    assert x.shape == want.shape
+    _same(x.to_dense(), want)
 
 
 @st.composite
