@@ -16,7 +16,7 @@ from .datasets import FEATURE_MODES, load_dataset, stratified_split
 from .harness import (DEFAULT_ALPHA_GRID, EMBEDDING_LAYERS, MatrixConfig,
                       alpha_sweep, export_embeddings, load_matrix_config,
                       run_ica_once, run_matrix, train_once,
-                      write_results_csv, write_sweep_csv)
+                      write_failures_csv, write_results_csv, write_sweep_csv)
 from .ica import IcaConfig
 from .model import (ENCODERS, VARIANTS, ModelSpec, build_model,
                     save_checkpoint)
@@ -185,12 +185,19 @@ def _matrix_config(args) -> MatrixConfig:
     return replace(config, **overrides) if overrides else config
 
 
+def _report_failures(out: Path, runs) -> None:
+    failed = sum(r.failed for r in runs)
+    if failed:
+        print(f"wrote {out / 'failures.csv'} ({failed} failed runs)")
+
+
 def _cmd_experiment(args) -> int:
     config = _matrix_config(args)
     runs, aggregates = run_matrix(config)
     out = Path(config.out_dir)
     print(f"wrote {out / 'results.csv'} ({len(runs)} runs)")
     print(f"wrote {out / 'summary.md'} ({len(aggregates)} cells)")
+    _report_failures(out, runs)
     print((out / "summary.md").read_text(), end="")
     return 0
 
@@ -204,7 +211,9 @@ def _cmd_sweep_alpha(args) -> int:
     out = Path(config.out_dir)
     write_sweep_csv(out / "sweep.csv", sweeps)
     write_results_csv(out / "sweep_runs.csv", runs)
+    write_failures_csv(out / "failures.csv", runs)
     print(f"wrote {out / 'sweep.csv'} and {out / 'sweep_runs.csv'}")
+    _report_failures(out, runs)
     for s in sweeps:
         best = next(mean for alpha, mean, _ in s.curve
                     if alpha == s.best_alpha)

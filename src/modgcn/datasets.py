@@ -85,34 +85,40 @@ def load_linqs(src: DatasetSource) -> Graph:
     0..k-1 in lexicographic order; citation edges are symmetrized and any
     referencing an unknown id are dropped with a single count warning.
     """
-    # numpy parses each row into one reused buffer and only the row's
-    # nonzeros are kept: the features are CSR from the first line on
+    # only the tokens other than "0" are converted, and only their nonzeros
+    # are kept: the features are CSR from the first line on
     ids, names, row_cols, row_vals = [], [], [], []
-    n_cols = row = None
+    n_cols = None
     with open(src.content_path) as fh:
         for lineno, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields:
                 continue
-            if row is None:
+            if n_cols is None:
                 n_cols = len(fields)
                 if n_cols < 3:
                     raise ValueError(
                         f"{src.content_path}:{lineno}: expected "
                         f"`id w_1..w_C class`, got {n_cols} columns")
-                row = np.empty(n_cols - 2)
             if len(fields) != n_cols:
                 raise ValueError(
                     f"{src.content_path}:{lineno}: expected {n_cols} "
                     f"columns, got {len(fields)}")
+            tokens = fields[1:-1]
+            cols = [j for j, token in enumerate(tokens) if token != "0"]
             try:
-                row[:] = fields[1:-1]
+                vals = np.array([tokens[j] for j in cols], dtype=np.float64)
             except ValueError as err:
                 raise ValueError(f"{src.content_path}:{lineno}: {err}") from None
-            # a -0 token is a zero like any other and is not stored
-            nonzero = np.flatnonzero(row)
-            row_cols.append(nonzero)
-            row_vals.append(row[nonzero])
+            finite = np.isfinite(vals)
+            if not finite.all():
+                raise ValueError(
+                    f"{src.content_path}:{lineno}: non-finite feature value "
+                    f"{tokens[cols[np.argmin(finite)]]!r}")
+            # another spelling of zero (-0, 0.0, an underflow) is not stored
+            nonzero = vals != 0.0
+            row_cols.append(np.array(cols, dtype=np.int64)[nonzero])
+            row_vals.append(vals[nonzero])
             ids.append(fields[0])
             names.append(fields[-1])
     if not ids:

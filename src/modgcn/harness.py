@@ -30,6 +30,9 @@ DEFAULT_BUDGETS = (5, 8, 11, 14, 17, 20)
 DEFAULT_ALPHA_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
 RESULTS_HEADER = ("model", "variant", "alpha", "labels_per_class",
                   "run_index", "split_seed", "accuracy", "epochs")
+# a failed run's key columns of results.csv, so a row names its run there
+FAILURES_HEADER = ("model", "variant", "alpha", "labels_per_class",
+                   "run_index", "split_seed", "note")
 LOG_HEADER = ("epoch", "total", "supervised", "modularity_term",
               "train_acc", "test_acc")
 EMBEDDING_LAYERS = ("hidden", "output", "aux")
@@ -361,7 +364,7 @@ def _run_jobs(graph: Graph, config: MatrixConfig, jobs) -> list:
 def run_matrix(config: MatrixConfig, graph: Graph | None = None):
     """Train every configured model at every budget for n_runs paired
     splits. Returns (runs, aggregates) and writes results.csv plus
-    summary.md under config.out_dir."""
+    summary.md under config.out_dir, and failures.csv when a run failed."""
     if graph is None:
         graph = load_dataset(config.dataset, config.data_dir,
                              config.features)
@@ -373,6 +376,7 @@ def run_matrix(config: MatrixConfig, graph: Graph | None = None):
     aggregates = aggregate(runs, model_order=config.models)
     out = Path(config.out_dir)
     write_results_csv(out / "results.csv", runs)
+    write_failures_csv(out / "failures.csv", runs)
     write_summary_md(out / "summary.md", config, aggregates)
     return runs, aggregates
 
@@ -476,6 +480,19 @@ def write_results_csv(path, runs) -> None:
              repr(float(r.test_accuracy)), r.epochs_run)
             for r in runs]
     _write_csv(path, RESULTS_HEADER, rows)
+
+
+def write_failures_csv(path, runs) -> None:
+    """Why each failed run failed, one row per run, written only when some
+    run failed. Otherwise a file already at ``path`` is removed, since it
+    would describe other runs."""
+    rows = [(r.model_name, r.variant, repr(float(r.alpha)),
+             r.labels_per_class, r.run_index, r.split_seed, r.note)
+            for r in runs if r.failed]
+    if rows:
+        _write_csv(path, FAILURES_HEADER, rows)
+    else:
+        Path(path).unlink(missing_ok=True)
 
 
 def read_results_csv(path) -> list:

@@ -6,9 +6,12 @@ local classifier. Node features for the classifier are the concatenation
 labels that are currently known. The classifier's input is a CSR matrix:
 the rows of the graph's feature CSR with the counts appended, so both
 regressions and every logit are products of the CSR kernel and the dense
-(n, C) features are never built. Inference sweeps nodes in ascending id
-order, each update immediately visible to later nodes, and re-scores only
-the nodes whose neighbors changed label since their last visit.
+(n, C) features are never built. Without an L2 term a regression steps
+only the weight rows of the columns its training rows store; the others
+would keep their initial values bit for bit anyway. Inference sweeps
+nodes in ascending id order, each update immediately visible to later
+nodes, and re-scores only the nodes whose neighbors changed label since
+their last visit.
 """
 
 import logging
@@ -88,20 +91,34 @@ def _train_logistic(x: CsrMatrix, y_onehot, cfg: IcaConfig, seed,
 
     Each step makes the products of ``DenseLayer.forward`` and
     ``backward_from_pre``, less the input gradient, which nothing here
-    reads, with the CSR kernel: ``x @ W`` and ``x.T @ grad_pre``."""
+    reads, with the CSR kernel: ``x @ W`` and ``x.T @ grad_pre``.
+
+    Without an L2 term, the weight row of a column that no row of ``x``
+    stores gets an exact zero gradient at every step, and Adam leaves it
+    at its initial value bit for bit. So the steps run on the stored
+    columns only: ``x`` compacted to them and their weight rows, which are
+    written back into the full initial matrix. Each product adds the same
+    stored entries in the same order, so every bit equals that of the
+    steps over all rows. With L2 every column is used."""
     layer = DenseLayer.create(x.n_cols, y_onehot.shape[1], "identity",
                               seed, layer_id)
-    params = dict(layer.param_items("clf"))
+    used = (np.unique(x.col_indices) if cfg.l2 == 0
+            else np.arange(x.n_cols, dtype=np.int64))
+    x = CsrMatrix(x.n_rows, used.size, x.row_offsets,
+                  np.searchsorted(used, x.col_indices), x.values)
+    weight = layer.weight[used]
+    params = {"clf.w": weight, "clf.b": layer.bias}
     state = AdamState.create(params, lr=cfg.lr)
     m = x.n_rows
     for _ in range(cfg.epochs):
-        pre = x.dot(layer.weight) + layer.bias
+        pre = x.dot(weight) + layer.bias
         grad_pre = (_sigmoid(pre) - y_onehot) / m
         grad_w = x.T.dot(grad_pre)
         if cfg.l2 > 0:
-            grad_w = grad_w + cfg.l2 * layer.weight
+            grad_w = grad_w + cfg.l2 * weight
         grad_b = grad_pre.sum(axis=0, keepdims=True)
         adam_step(state, params, dict(zip(params, (grad_w, grad_b), strict=True)))
+    layer.weight[used] = weight
     return layer
 
 
@@ -143,7 +160,7 @@ def relabel(adjacency: CsrMatrix, state: np.ndarray, unlabeled: np.ndarray,
             visits += 1
             nbrs = cols[offsets[i]:offsets[i + 1]]
             counts = np.bincount(state[nbrs], minlength=k)
-            new = int(np.argmax(base_logits[i] + counts @ w_rel))
+            new = int((base_logits[i] + counts @ w_rel).argmax())
             if new != state[i]:
                 state[i] = new
                 stale[nbrs] = True
@@ -151,6 +168,23 @@ def relabel(adjacency: CsrMatrix, state: np.ndarray, unlabeled: np.ndarray,
         if changed == 0:
             return sweep + 1, True, visits
     return max_iters, False, visits
+
+
+def train_classifiers(g: Graph, train_ids: np.ndarray, cfg: IcaConfig,
+                      seed: int) -> tuple[DenseLayer, DenseLayer]:
+    """ICA's two local classifiers, fit on the nodes ``train_ids`` (checked
+    node ids): the attribute-only one that bootstraps the labels, and the
+    one on [attributes || counts of the neighbors' training labels]."""
+    train_labels = g.labels[train_ids]
+    y = _onehot(train_labels, g.num_classes)
+    known = np.full(g.num_nodes, -1, dtype=np.int64)
+    known[train_ids] = train_labels
+    attr_clf = _train_logistic(_classifier_input(g, train_ids), y, cfg, seed,
+                               layer_id=0)
+    rel_train = neighbor_label_counts(g, known)[train_ids]
+    full_clf = _train_logistic(_classifier_input(g, train_ids, rel_train), y,
+                               cfg, seed, layer_id=1)
+    return attr_clf, full_clf
 
 
 def ica_train_predict(g: Graph, train_ids, test_ids,
@@ -173,16 +207,10 @@ def ica_train_predict(g: Graph, train_ids, test_ids,
         missing = sorted(set(range(k)) - set(int(c) for c in present))
         raise ValueError(f"class(es) {missing} absent from training data")
 
+    attr_clf, full_clf = train_classifiers(g, train_ids, cfg, seed)
+
     state = np.full(n, -1, dtype=np.int64)
     state[train_ids] = train_labels
-    y = _onehot(train_labels, k)
-
-    attr_clf = _train_logistic(_classifier_input(g, train_ids), y, cfg, seed,
-                               layer_id=0)
-    rel_train = neighbor_label_counts(g, state)[train_ids]
-    full_clf = _train_logistic(_classifier_input(g, train_ids, rel_train), y,
-                               cfg, seed, layer_id=1)
-
     unlabeled = np.setdiff1d(np.arange(n, dtype=np.int64), train_ids,
                              assume_unique=False)
     # a row of a CSR product depends on that row alone, so these are the

@@ -11,7 +11,9 @@ so every machine computes the same bits.
 Every output entry adds its row's stored entries in stored order, as
 ``out[i, c] + v * x[j, c]``, so results are bitwise-deterministic for a
 given input. The kernel holds eight output columns in registers across a
-row's entries and runs only independent columns side by side, which
+row's entries, then the one to seven columns left over as one more
+register block whose width is a compile-time constant (a ``switch`` case
+per width), and runs only independent columns side by side, which
 computes the same bits as the plain rows/entries/columns loop. C checks no
 bounds: :meth:`CompiledKernel.spmm` checks dtypes, contiguity, shapes and
 that ``out`` overlaps no input, and column indices must already lie in
@@ -32,11 +34,32 @@ SOURCE = r"""
 
 #define BLOCK 8
 
+/* row[c0 .. c0+w) += the row's stored entries [start, end) times x, the w
+   sums held in registers across the entries. Every call passes a constant
+   w, so each inlined copy has a compile-time loop bound. */
+static inline __attribute__((always_inline)) void
+accumulate(int64_t start, int64_t end, const int64_t *restrict indices,
+           const double *restrict data, const double *restrict x, int64_t p,
+           int64_t c0, const int w, double *restrict row)
+{
+    double acc[BLOCK];
+    for (int k = 0; k < w; k++)
+        acc[k] = row[c0 + k];
+    for (int64_t jj = start; jj < end; jj++) {
+        const double v = data[jj];
+        const double *restrict xj = x + indices[jj] * p + c0;
+        for (int k = 0; k < w; k++)
+            acc[k] += v * xj[k];
+    }
+    for (int k = 0; k < w; k++)
+        row[c0 + k] = acc[k];
+}
+
 /* out += A @ x for CSR A (n_rows rows) and row-major x, out of width p.
-   Each out[i][c] adds its row's stored entries in stored order. Full blocks
-   of BLOCK columns are held in registers across the row's entries, so only
-   independent columns run side by side; leftover columns are done per
-   entry. No argument may overlap another. */
+   Each out[i][c] adds its row's stored entries in stored order. Columns go
+   in full blocks of BLOCK and then one block of the p % BLOCK left over,
+   each held in registers across the row's entries, so only independent
+   columns run side by side. No argument may overlap another. */
 void spmm(int64_t n_rows, int64_t p, const int64_t *restrict indptr,
           const int64_t *restrict indices, const double *restrict data,
           const double *restrict x, double *restrict out)
@@ -45,26 +68,16 @@ void spmm(int64_t n_rows, int64_t p, const int64_t *restrict indptr,
     for (int64_t i = 0; i < n_rows; i++) {
         double *restrict row = out + i * p;
         const int64_t start = indptr[i], end = indptr[i + 1];
-        for (int64_t c0 = 0; c0 < full; c0 += BLOCK) {
-            double acc[BLOCK];
-            for (int k = 0; k < BLOCK; k++)
-                acc[k] = row[c0 + k];
-            for (int64_t jj = start; jj < end; jj++) {
-                const double v = data[jj];
-                const double *restrict xj = x + indices[jj] * p + c0;
-                for (int k = 0; k < BLOCK; k++)
-                    acc[k] += v * xj[k];
-            }
-            for (int k = 0; k < BLOCK; k++)
-                row[c0 + k] = acc[k];
-        }
-        if (full == p)
-            continue;
-        for (int64_t jj = start; jj < end; jj++) {
-            const double v = data[jj];
-            const double *restrict xj = x + indices[jj] * p;
-            for (int64_t c = full; c < p; c++)
-                row[c] += v * xj[c];
+        for (int64_t c0 = 0; c0 < full; c0 += BLOCK)
+            accumulate(start, end, indices, data, x, p, c0, BLOCK, row);
+        switch (p - full) {
+        case 1: accumulate(start, end, indices, data, x, p, full, 1, row); break;
+        case 2: accumulate(start, end, indices, data, x, p, full, 2, row); break;
+        case 3: accumulate(start, end, indices, data, x, p, full, 3, row); break;
+        case 4: accumulate(start, end, indices, data, x, p, full, 4, row); break;
+        case 5: accumulate(start, end, indices, data, x, p, full, 5, row); break;
+        case 6: accumulate(start, end, indices, data, x, p, full, 6, row); break;
+        case 7: accumulate(start, end, indices, data, x, p, full, 7, row); break;
         }
     }
 }

@@ -105,7 +105,8 @@ class CsrMatrix:
                                         self.col_indices, self.values, x)
 
     def validate(self) -> None:
-        """Raise ValueError if any canonical-form invariant is violated."""
+        """Raise ValueError if any canonical-form invariant is violated or
+        a stored value is NaN or infinite."""
         if self.n_rows < 0 or self.n_cols < 0:
             raise ValueError(f"CSR shape {self.shape} has a negative dimension")
         off, cols, vals = self.row_offsets, self.col_indices, self.values
@@ -133,6 +134,8 @@ class CsrMatrix:
             raise ValueError(f"column indices not strictly increasing in row {row}")
         if np.any(vals == 0.0):
             raise ValueError("explicit zero stored")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("non-finite value stored")
 
 
 def sparse_add(a: CsrMatrix, b: CsrMatrix, ca: float = 1.0, cb: float = 1.0) -> CsrMatrix:
@@ -224,15 +227,16 @@ def build_graph(edge_list, features, labels) -> Graph:
     (n, C) feature matrix.
 
     Self-loops are dropped, duplicate edges (in either orientation) are
-    deduplicated, and the adjacency is symmetrized.
+    deduplicated, and the adjacency is symmetrized. Features that break
+    ``CsrMatrix.validate``, a NaN or infinite value among them, are a
+    ValueError.
     """
-    if isinstance(features, CsrMatrix):
-        features.validate()
-    else:
+    if not isinstance(features, CsrMatrix):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         features = CsrMatrix.from_dense(features)
+    features.validate()
     n = features.n_rows
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != n:

@@ -91,6 +91,13 @@ class TestLoadLinqs:
             load_linqs(tiny_source(tmp_path, content=bad))
         assert "\n" not in str(err.value)
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e999"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, token):
+        bad = TINY_CONTENT + f"n4\t1\t{token}\t0\tphysics\n"  # line 4
+        with pytest.raises(ValueError, match=rf"tiny\.content:4: non-finite "
+                                             rf"feature value '{token}'"):
+            load_linqs(tiny_source(tmp_path, content=bad))
+
     def test_malformed_cites_line(self, tmp_path):
         with pytest.raises(ValueError, match="cited citing"):
             load_linqs(tiny_source(tmp_path, cites="n1\tn2\tn3\n"))
@@ -335,12 +342,14 @@ class TestCache:
          "features: column indices not strictly increasing in row 29"),
         (lambda g: with_features(g, last_value=0.0),
          "features: explicit zero stored"),
+        (lambda g: with_features(g, last_value=np.nan),
+         "features: non-finite value stored"),
         (lambda g: dataclasses.replace(g, labels=g.labels[:-1]),
          "labels must be int64 of length 30"),
         (lambda g: dataclasses.replace(g, num_edges=g.num_edges + 1),
          "edges recorded"),
     ], ids=["column", "feature_rows", "feature_column", "feature_order",
-            "feature_zero", "label_count", "edge_count"])
+            "feature_zero", "feature_nan", "label_count", "edge_count"])
     def test_malformed_cache_is_one_error_naming_the_file(
             self, tmp_path, corrupt, message):
         path = tmp_path / "bad.npz"

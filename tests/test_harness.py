@@ -18,6 +18,7 @@ import modgcn.model as model_module
 from modgcn.datasets import Split, load_dataset, stratified_split
 from modgcn.harness import (
     DEFAULT_ALPHA_GRID,
+    FAILURES_HEADER,
     LOG_HEADER,
     MODEL_ORDER,
     RESULTS_HEADER,
@@ -345,6 +346,27 @@ class TestRunMatrix:
             assert abs(a.mean_accuracy - b.mean_accuracy) <= 1e-12
             assert abs(a.standard_error - b.standard_error) <= 1e-12
             assert (a.n_runs, a.n_failed) == (b.n_runs, b.n_failed)
+
+    def test_failed_runs_are_explained_in_failures_csv(self, blobs_graph,
+                                                       tmp_path):
+        # training diverges at this learning rate
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs, _ = run_matrix(self.make_config(out, lr=1e160),
+                                 graph=blobs_graph)
+        failed = [r for r in runs if r.failed]
+        assert failed
+        lines = (out / "failures.csv").read_text().splitlines()
+        assert lines[0] == ",".join(FAILURES_HEADER)
+        assert len(lines) == 1 + len(failed)
+        for line, r in zip(lines[1:], failed):
+            assert line.startswith(f"{r.model_name},{r.variant},"
+                                   f"{r.alpha!r},{r.labels_per_class},"
+                                   f"{r.run_index},{r.split_seed},")
+            assert r.note and r.note in line
+        # a later matrix in the same directory with no failure leaves none
+        run_matrix(self.make_config(out), graph=blobs_graph)
+        assert not (out / "failures.csv").exists()
 
     def test_repeat_invocations_identical(self, blobs_graph, tmp_path):
         cfg_a = self.make_config(tmp_path / "a")

@@ -12,7 +12,7 @@ from modgcn.ica import (IcaConfig, _classifier_input, _onehot, _sigmoid,
                         neighbor_label_counts)
 from modgcn.layers import DenseLayer
 from modgcn.optim import AdamState, adam_step
-from modgcn.sparse import build_graph
+from modgcn.sparse import CsrMatrix, build_graph
 
 
 class TestConfig:
@@ -103,6 +103,33 @@ class TestLogistic:
         dense = dense_layer_logistic(x.to_dense(), y, cfg, seed=3, layer_id=1)
         np.testing.assert_allclose(got.weight, dense.weight, rtol=1e-12)
         np.testing.assert_allclose(got.bias, dense.bias, rtol=1e-12)
+
+    @pytest.mark.parametrize("case, l2", [
+        ("unused-columns", 0.0), ("rows-store-nothing", 0.0),
+        ("unused-columns", 0.01)])
+    def test_weights_equal_the_sequential_loop(self, case, l2):
+        # columns 1, 4 and 8 are stored in no row; without L2 their weight
+        # rows are never stepped and keep their initial bytes
+        rng = np.random.default_rng(4)
+        dense = rng.standard_normal((7, 9)) * (rng.random((7, 9)) < 0.5)
+        dense[:, [1, 4, 8]] = 0.0
+        if case == "rows-store-nothing":
+            dense[:] = 0.0
+        x = CsrMatrix.from_dense(dense)
+        y = _onehot(np.arange(7) % 3, 3)
+        cfg = IcaConfig(epochs=20, l2=l2)
+        got = _train_logistic(x, y, cfg, seed=2, layer_id=0)
+        want = sequential_logistic(x, y, cfg, seed=2, layer_id=0)
+        assert got.weight.tobytes() == want.weight.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+        init = DenseLayer.create(9, 3, "identity", 2, 0).weight
+        unused = ~np.isin(np.arange(9), x.col_indices)
+        same = np.all(got.weight == init, axis=1)
+        if l2 == 0:
+            assert got.weight[unused].tobytes() == init[unused].tobytes()
+            assert not same[~unused].any()
+        else:
+            assert not same.any()
 
 
 class TestIca:

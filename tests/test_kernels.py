@@ -57,7 +57,8 @@ def test_spmm_matches_dense_oracle(restore_backend):
             np.testing.assert_allclose(got, dense @ x, atol=1e-13)
 
 
-@pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 15, 16, 17, 24, 33])
+# every leftover width 1..7 after zero, one and two full blocks of 8
+@pytest.mark.parametrize("width", [*range(18), 24, 33])
 def test_c_kernel_matches_sequential_reference_bitwise(width, monkeypatch):
     # the C kernel's order is the reference; every backend must give it.
     # A tail threshold of 3 runs the NumPy kernel's vectorised steps on

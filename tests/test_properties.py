@@ -203,6 +203,7 @@ COUNTS = st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, 2.0, 3.0, 7.0])
 REALS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e3),
                   st.floats(-1e3, -1e-3))
 ZEROS = st.sampled_from([0.0, -0.0])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -262,6 +263,32 @@ def test_csr_parse_and_row_normalize_match_the_dense_oracle(m):
 NON_INTEGER_RTOL = 1e-14
 
 
+# spellings of zero, a sign, a subnormal, and the shortest repr of any
+# finite float64 (its own zeros and subnormals among them)
+TOKENS = st.one_of(st.sampled_from(["0", "00", "0.0", "-0", "+1", "1e-320"]),
+                   FINITE.map(repr))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 20).flatmap(lambda n_cols: st.lists(
+    st.lists(TOKENS, min_size=n_cols, max_size=n_cols), min_size=1,
+    max_size=6)))
+def test_parse_matches_numpy_parse_of_each_row(rows):
+    # the parse converts only the tokens that are not "0"; the rows must
+    # equal NumPy's conversion of every token, with -0.0 read as +0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        content, cites = Path(tmp) / "m.content", Path(tmp) / "m.cites"
+        content.write_text("".join(f"n{i} " + " ".join(row) + " c\n"
+                                   for i, row in enumerate(rows)))
+        cites.write_text("")
+        parsed = load_linqs(DatasetSource(content, cites, "m")).feature_csr
+    parsed.validate()
+    want = np.empty((len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        want[i] = row
+    _same(parsed.to_dense(), want + 0.0)
+
+
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(attribute_matrices(REALS))
 def test_non_integer_row_normalize_is_within_roundoff_of_the_dense_oracle(m):
@@ -274,10 +301,10 @@ def test_non_integer_row_normalize_is_within_roundoff_of_the_dense_oracle(m):
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(st.one_of(attribute_matrices(COUNTS), attribute_matrices(REALS),
-                 attribute_matrices(st.floats())))
+                 attribute_matrices(FINITE)))
 def test_feature_csr_cache_round_trip_is_bitwise(m):
-    # any float64 bit pattern that is stored must survive: nan, inf,
-    # subnormals
+    # any finite float64 bit pattern that is stored must survive:
+    # subnormals, the extremes (a NaN or an infinity is refused)
     g = build_graph([], m, np.arange(len(m)) % 2)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.npz"

@@ -149,6 +149,17 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph([(0, 5)], feats, np.array([0, 1]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    def test_non_finite_feature_is_refused(self, form, value):
+        # CsrMatrix.validate refuses it, whichever form the features take
+        feats = np.array([[1.0, 0.0], [0.0, value]])
+        if form == "csr":
+            feats = CsrMatrix(2, 2, np.array([0, 1, 2]), np.array([0, 1]),
+                              np.array([1.0, value]))
+        with pytest.raises(ValueError, match="non-finite value stored"):
+            build_graph([(0, 1)], feats, np.array([0, 1]))
+
     def test_degree_vector(self):
         g = two_cliques_graph()
         d = g.degrees
