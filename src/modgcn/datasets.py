@@ -106,8 +106,15 @@ def load_linqs(src: DatasetSource) -> Graph:
                     f"columns, got {len(fields)}")
             tokens = fields[1:-1]
             cols = [j for j, token in enumerate(tokens) if token != "0"]
+            kept = [tokens[j] for j in cols]
+            # float() also reads "1_0" as 10 and non-ASCII digits as digits
+            joined = "".join(kept)
+            if "_" in joined or not joined.isascii():
+                bad = next(t for t in kept if "_" in t or not t.isascii())
+                raise ValueError(f"{src.content_path}:{lineno}: feature value "
+                                 f"{bad!r} is not a plain decimal number")
             try:
-                vals = np.array([tokens[j] for j in cols], dtype=np.float64)
+                vals = np.array(kept, dtype=np.float64)
             except ValueError as err:
                 raise ValueError(f"{src.content_path}:{lineno}: {err}") from None
             finite = np.isfinite(vals)

@@ -50,9 +50,14 @@ class IcaResult:
     iterations: int
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh form stays finite for large |z|
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1 + tanh(0.5 * z)), which stays finite for large |z|, into
+    ``out`` if given (it may be ``z``)."""
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -110,14 +115,22 @@ def _train_logistic(x: CsrMatrix, y_onehot, cfg: IcaConfig, seed,
     params = {"clf.w": weight, "clf.b": layer.bias}
     state = AdamState.create(params, lr=cfg.lr)
     m = x.n_rows
+    # every step writes into the same buffers and passes the same dict;
+    # an in-place operation rounds as the one that makes a new array
+    pre = np.empty((m, weight.shape[1]))
+    grads = {"clf.w": np.empty_like(weight), "clf.b": np.empty_like(layer.bias)}
     for _ in range(cfg.epochs):
-        pre = x.dot(weight) + layer.bias
-        grad_pre = (_sigmoid(pre) - y_onehot) / m
-        grad_w = x.T.dot(grad_pre)
+        x.dot(weight, out=pre)
+        pre += layer.bias
+        # pre becomes the loss gradient at pre: (sigmoid(pre) - y) / m
+        _sigmoid(pre, out=pre)
+        pre -= y_onehot
+        pre /= m
+        x.T.dot(pre, out=grads["clf.w"])
         if cfg.l2 > 0:
-            grad_w = grad_w + cfg.l2 * weight
-        grad_b = grad_pre.sum(axis=0, keepdims=True)
-        adam_step(state, params, dict(zip(params, (grad_w, grad_b), strict=True)))
+            grads["clf.w"] += cfg.l2 * weight
+        np.sum(pre, axis=0, keepdims=True, out=grads["clf.b"])
+        adam_step(state, params, grads)
     layer.weight[used] = weight
     return layer
 

@@ -1,4 +1,5 @@
-"""The CSR x dense product, with a compiled core and a NumPy fallback.
+"""The CSR x dense product and the Adam step, each with a compiled core
+and a NumPy fallback.
 
 The backend is chosen on first use: the C kernel if it compiled and loaded
 at import (see ``_csr_c``), else the pure-NumPy implementation.
@@ -7,8 +8,14 @@ on first use, not at import, so that a name that cannot be honoured (``c``
 with no compiler) is one ``ValueError`` from the first product or
 :func:`backend_name` rather than a failed ``import modgcn``.
 :func:`set_backend` exists for tests and benchmarks. Both backends add
-each output entry's terms in the same order, so they compute the same
-bits for every input.
+each output entry's terms in the same order, and make each Adam operation
+in the same order, so they compute the same bits for every input.
+
+A backend checks the operands that stay fixed once, in a binding: a CSR
+matrix's three arrays (``csr_dense_matmul``'s ``bindings``) or a parameter
+and its moment buffers (:func:`bind_adam`). A binding belongs to the
+backend that made it, so a caller that keeps one keeps it under
+:func:`backend_name`.
 """
 
 import os
@@ -68,14 +75,37 @@ def _as_dense(x):
     return x
 
 
-def csr_dense_matmul(n_rows, n_cols, indptr, indices, data, x):
-    """A @ x where A is (n_rows, n_cols) CSR and x is dense (n_cols, p)."""
+def csr_dense_matmul(n_rows, n_cols, indptr, indices, data, x, out=None,
+                     bindings=None):
+    """A @ x where A is (n_rows, n_cols) CSR and x is dense (n_cols, p).
+
+    ``out``, if given, receives the product and is returned: a writeable,
+    C-contiguous float64 (n_rows, p) array that overlaps neither x nor A.
+    ``bindings`` is a dict that the caller keeps with A's three arrays:
+    the active backend's binding of them is kept in it under the backend's
+    name, so a later product with the same dict checks only x and out.
+    """
+    if _active is None:
+        backend_name()
     x = _as_dense(x)
     if x.shape[0] != n_cols:
         raise ValueError(f"shape mismatch: ({n_rows}, {n_cols}) @ {x.shape}")
-    if _active is None:
-        backend_name()
-    out = np.zeros((n_rows, x.shape[1]))
-    _active.spmm(indptr, indices, data, x, out)
+    bound = None if bindings is None else bindings.get(_active_name)
+    if bound is None:
+        bound = _active.bind_csr(indptr, indices, data)
+        if bindings is not None:
+            bindings[_active_name] = bound
+    if out is None:
+        out = np.zeros((n_rows, x.shape[1]))
+        bound(x, out)
+    else:
+        bound(x, out, zero_first=True)
     return out
 
+
+def bind_adam(p, m, v, b1, b2, eps):
+    """The active backend's Adam step for parameter ``p`` and its moment
+    buffers ``m`` and ``v``; see ``_csr_np.AdamBinding``."""
+    if _active is None:
+        backend_name()
+    return _active.bind_adam(p, m, v, b1, b2, eps)

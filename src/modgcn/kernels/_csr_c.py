@@ -1,4 +1,4 @@
-"""Compiled CSR kernel: a hand-written C ``spmm`` called through ctypes.
+"""Compiled backend: hand-written C ``spmm`` and ``adam`` called through ctypes.
 
 The C source is kept here as a string, so that an installed package
 carries it and anything that fingerprints the package's Python files
@@ -6,19 +6,28 @@ covers it. :func:`load` compiles it with the system C compiler on first
 use and caches the shared library under ``__pycache__`` next to this
 file, named by a hash of the source and flags. The flags leave out
 ``-march=native`` and ``-ffast-math`` and forbid fused multiply-adds,
-so every machine computes the same bits.
+so every machine computes the same bits. ``-fno-math-errno`` only drops
+the ``errno`` write of ``sqrt`` of a negative number, which lets GCC use
+the vector square-root instruction; IEEE ``sqrt`` is correctly rounded
+either way, so no bit moves.
 
-Every output entry adds its row's stored entries in stored order, as
-``out[i, c] + v * x[j, c]``, so results are bitwise-deterministic for a
-given input. The kernel holds eight output columns in registers across a
-row's entries, then the one to seven columns left over as one more
-register block whose width is a compile-time constant (a ``switch`` case
-per width), and runs only independent columns side by side, which
-computes the same bits as the plain rows/entries/columns loop. C checks no
-bounds: :meth:`CompiledKernel.spmm` checks dtypes, contiguity, shapes and
-that ``out`` overlaps no input, and column indices must already lie in
+Every output entry of ``spmm`` adds its row's stored entries in stored
+order, as ``out[i, c] + v * x[j, c]``, so results are
+bitwise-deterministic for a given input. The kernel holds eight output
+columns in registers across a row's entries, then the one to seven
+columns left over as one more register block whose width is a
+compile-time constant (a ``switch`` case per width), and runs only
+independent columns side by side, which computes the same bits as the
+plain rows/entries/columns loop. ``adam`` makes one pass over a
+parameter in the order and rounding of the NumPy backend's ufuncs.
+
+C checks no bounds. The bindings check first: :class:`CompiledCsr`
+checks a matrix's three arrays once and turns them into pointers, then
+checks ``x`` and ``out`` on each product (dtypes, contiguity, shapes and
+that ``out`` overlaps no input); column indices must already lie in
 ``[0, x.shape[0])``, which ``CsrMatrix.from_coo`` and
-``CsrMatrix.validate`` guarantee.
+``CsrMatrix.validate`` guarantee. :class:`CompiledAdam` checks a
+parameter and its moment buffers once and the gradient on each step.
 """
 
 import ctypes
@@ -29,7 +38,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _csr_np
+
 SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 #define BLOCK 8
@@ -81,10 +93,34 @@ void spmm(int64_t n_rows, int64_t p, const int64_t *restrict indptr,
         }
     }
 }
+
+/* One Adam step over the n entries of a parameter, in the NumPy backend's
+   order, each operation rounded once: m = m*b1 + (1-b1)*g,
+   v = v*b2 + ((1-b2)*g)*g, p = p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps).
+   Returns 1, having changed nothing, if g holds a NaN or an infinity. */
+int adam(int64_t n, double *restrict p, double *restrict m, double *restrict v,
+         const double *restrict g, double lr, double b1, double b2,
+         double bc1, double bc2, double eps)
+{
+    int bad = 0;
+    for (int64_t i = 0; i < n; i++)
+        bad |= !isfinite(g[i]);
+    if (bad)
+        return 1;
+    const double c1 = 1.0 - b1, c2 = 1.0 - b2;
+    for (int64_t i = 0; i < n; i++) {
+        const double mi = m[i] * b1 + c1 * g[i];
+        const double vi = v[i] * b2 + (c2 * g[i]) * g[i];
+        m[i] = mi;
+        v[i] = vi;
+        p[i] = p[i] - (lr * (mi / bc1)) / (sqrt(vi / bc2) + eps);
+    }
+    return 0;
+}
 """
 
 COMPILER = "cc"
-FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 COMPILE_TIMEOUT_S = 120
 
 CACHE_DIR = Path(__file__).resolve().parent / "__pycache__"
@@ -92,40 +128,74 @@ LIB_NAME = "_csr_c.{}.so".format(
     hashlib.sha256((SOURCE + " ".join(FLAGS)).encode()).hexdigest()[:16])
 
 
+class CompiledCsr(_csr_np.CsrBinding):
+    """A CSR binding whose products run the C ``spmm``: the matrix's
+    three arrays are checked and turned into pointers once."""
+
+    def __init__(self, fn, indptr, indices, data):
+        super().__init__(indptr, indices, data)
+        self._fn = fn
+        self._pointers = tuple(_csr_np.address(a) for a in self.arrays)
+
+    def add(self, x, out, x_at, out_at):
+        self._fn(self.n_rows, x.shape[1], *self._pointers, x_at, out_at)
+
+
+class CompiledAdam(_csr_np.AdamBinding):
+    """An Adam binding whose steps run the C ``adam``: the parameter and
+    its moment buffers are checked and turned into pointers once, and a
+    step checks and passes only the gradient."""
+
+    def __init__(self, fn, p, m, v, b1, b2, eps):
+        super().__init__(p, m, v, b1, b2, eps)
+        if (np.may_share_memory(p, m) or np.may_share_memory(p, v)
+                or np.may_share_memory(m, v)):
+            raise ValueError("a parameter and its moment buffers must not "
+                             "share memory")
+        self._fn = fn
+        self._taken = _csr_np.spans(("the parameter", p), ("m", m), ("v", v))
+        self._args = (p.size, *(_csr_np.address(a) for a in (p, m, v)))
+
+    def __call__(self, g, lr, bc1, bc2):
+        if not (isinstance(g, np.ndarray) and g.dtype == np.float64
+                and g.flags.c_contiguous):
+            g = np.ascontiguousarray(g, dtype=np.float64)
+        self.check_shape(g)
+        at = _csr_np.address(g)
+        _csr_np.check_apart("gradient", g, at, self._taken)
+        if self._fn(*self._args, at, lr, self.b1, self.b2, bc1, bc2, self.eps):
+            raise ValueError("non-finite gradient")
+
+
 class CompiledKernel:
-    """The shared library's ``spmm`` behind argument checks."""
+    """The shared library's ``spmm`` and ``adam``, reached through
+    bindings that check their operands."""
 
     def __init__(self, path: Path):
         self._lib = ctypes.CDLL(str(path))
         self._spmm = self._lib.spmm
         self._spmm.argtypes = [ctypes.c_int64, ctypes.c_int64] + [ctypes.c_void_p] * 5
         self._spmm.restype = None
+        self._adam = self._lib.adam
+        self._adam.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 4
+                               + [ctypes.c_double] * 6)
+        self._adam.restype = ctypes.c_int
+
+    def bind_csr(self, indptr, indices, data) -> CompiledCsr:
+        return CompiledCsr(self._spmm, indptr, indices, data)
 
     def spmm(self, indptr, indices, data, x, out):
         """out += A @ x for a CSR matrix A given by (indptr, indices, data)."""
-        for name, arr, dtype, ndim in (("indptr", indptr, np.int64, 1),
-                                       ("indices", indices, np.int64, 1),
-                                       ("data", data, np.float64, 1),
-                                       ("x", x, np.float64, 2),
-                                       ("out", out, np.float64, 2)):
-            if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
-                    or arr.ndim != ndim or not arr.flags.c_contiguous):
-                raise ValueError(f"{name} must be a C-contiguous {ndim}-D "
-                                 f"{np.dtype(dtype).name} array")
-        n_rows = len(indptr) - 1
-        if out.shape != (n_rows, x.shape[1]) or not out.flags.writeable:
-            raise ValueError(f"out must be a writeable {(n_rows, x.shape[1])} "
-                             f"array, got shape {out.shape}")
-        if indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(data):
-            raise ValueError(f"indptr spans [{indptr[0]}, {indptr[-1]}] but "
-                             f"{len(indices)} indices and {len(data)} values are stored")
-        # the C arguments are restrict pointers: an overlap is undefined behaviour
-        for name, arr in (("x", x), ("data", data), ("indices", indices),
-                          ("indptr", indptr)):
-            if np.may_share_memory(out, arr):
-                raise ValueError(f"out must not share memory with {name}")
-        self._spmm(n_rows, x.shape[1], indptr.ctypes.data, indices.ctypes.data,
-                   data.ctypes.data, x.ctypes.data, out.ctypes.data)
+        self.bind_csr(indptr, indices, data)(x, out)
+
+    def bind_adam(self, p, m, v, b1, b2, eps) -> _csr_np.AdamBinding:
+        """The C step for C-contiguous, writeable float64 arrays; the NumPy
+        step, which computes the same bits, for another layout or dtype."""
+        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                   and a.flags.c_contiguous and a.flags.writeable
+                   for a in (p, m, v)):
+            return _csr_np.AdamBinding(p, m, v, b1, b2, eps)
+        return CompiledAdam(self._adam, p, m, v, b1, b2, eps)
 
 
 def _compile(target: Path) -> None:

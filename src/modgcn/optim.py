@@ -1,8 +1,16 @@
-"""Adam optimizer over named parameter dictionaries."""
+"""Adam optimizer over named parameter dictionaries.
+
+The arithmetic runs in the active kernel backend (``kernels.bind_adam``):
+a single C pass per parameter, or the NumPy ufunc sequence, with the same
+bits. ``AdamState`` binds each parameter with its moment buffers once, so
+a step checks and passes only the gradient.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import kernels
 
 # Kingma & Ba's defaults
 BETA1 = 0.9
@@ -12,12 +20,19 @@ EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Bias-corrected Adam; moment buffers are keyed like the parameters."""
+    """Bias-corrected Adam; moment buffers are keyed like the parameters.
+
+    ``bound`` holds, per key, the parameter array, the backend and their
+    binding. A key is bound again when ``params[key]`` is another array
+    or the backend changed. A copy or a pickle starts without bindings.
+    """
 
     lr: float
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    bound: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @classmethod
     def create(cls, params: dict, lr: float) -> "AdamState":
@@ -26,28 +41,29 @@ class AdamState:
         state.v = {k: np.zeros_like(p) for k, p in params.items()}
         return state
 
+    def __getstate__(self):
+        return {**self.__dict__, "bound": {}}
+
 
 def adam_step(state: AdamState, params: dict, grads: dict) -> None:
     """One Adam update, in place on ``params`` and ``state``.
 
-    Raises ValueError naming the offending parameter if a gradient contains
-    NaN or Inf.
+    Parameters are stepped in order. Raises ValueError naming the
+    offending parameter if its gradient has the wrong shape or contains
+    NaN or Inf; that parameter and the ones after it are left unchanged.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
+    backend = kernels.backend_name()
     for key, p in params.items():
         g = grads[key]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape "
-                             f"{p.shape} for {key!r}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in {key!r}")
-        m = state.m[key]
-        v = state.v[key]
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        held = state.bound.get(key)
+        if held is None or held[0] is not p or held[1] != backend:
+            held = state.bound[key] = (p, backend, kernels.bind_adam(
+                p, state.m[key], state.v[key], BETA1, BETA2, EPS))
+        try:
+            held[2](g, state.lr, bc1, bc2)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {key!r}") from None

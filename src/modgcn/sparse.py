@@ -97,12 +97,33 @@ class CsrMatrix:
         return CsrMatrix(self.n_rows, self.n_cols, self.row_offsets,
                          self.col_indices, self.values * c)
 
-    def dot(self, x: np.ndarray) -> np.ndarray:
-        """self @ x for dense x of shape (n_cols, p) or (n_cols,)."""
+    @cached_property
+    def _bindings(self) -> dict:
+        """The kernel backends' bindings of the three arrays, by backend
+        name: each checked and turned into pointers once, on the first
+        product under that backend."""
+        return {}
+
+    def __getstate__(self):
+        # bindings hold pointers into this process: a copy binds its own
+        state = dict(self.__dict__)
+        state.pop("_bindings", None)
+        return state
+
+    def dot(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """self @ x for dense x of shape (n_cols, p) or (n_cols,).
+
+        With ``out``, a writeable C-contiguous float64 array of the
+        product's shape that overlaps neither x nor this matrix, the
+        product is written there and ``out`` is returned; its bytes are
+        those of ``dot(x)``.
+        """
         if x.ndim == 1:
-            return self.dot(x[:, None])[:, 0]
+            column = self.dot(x[:, None], None if out is None else out[:, None])
+            return column[:, 0] if out is None else out
         return kernels.csr_dense_matmul(self.n_rows, self.n_cols, self.row_offsets,
-                                        self.col_indices, self.values, x)
+                                        self.col_indices, self.values, x,
+                                        out=out, bindings=self._bindings)
 
     def validate(self) -> None:
         """Raise ValueError if any canonical-form invariant is violated or

@@ -98,6 +98,22 @@ class TestLoadLinqs:
                                              rf"feature value '{token}'"):
             load_linqs(tiny_source(tmp_path, content=bad))
 
+    # float() reads "1_0" as 10.0 and the Arabic-Indic digit one as 1.0
+    @pytest.mark.parametrize("token", ["1_0", "١", "0.5_5"])
+    def test_loose_float_spelling_names_its_line(self, tmp_path, token):
+        bad = TINY_CONTENT + f"n4\t1\t{token}\t0\tphysics\n"  # line 4
+        with pytest.raises(ValueError, match=rf"tiny\.content:4: feature "
+                                             rf"value '{token}' is not a "
+                                             rf"plain decimal number"):
+            load_linqs(tiny_source(tmp_path, content=bad))
+
+    def test_underscored_class_name_loads(self, tmp_path):
+        # cora's classes include Case_Based
+        content = TINY_CONTENT.replace("biology", "Case_Based")
+        g = load_linqs(tiny_source(tmp_path, content=content))
+        np.testing.assert_array_equal(g.labels, [1, 0, 1])
+        assert g.feature_csr.nnz == 3
+
     def test_malformed_cites_line(self, tmp_path):
         with pytest.raises(ValueError, match="cited citing"):
             load_linqs(tiny_source(tmp_path, cites="n1\tn2\tn3\n"))

@@ -1,6 +1,8 @@
-"""Backend parity and selection for the CSR kernel."""
+"""Backend parity and selection for the CSR kernel, and the bindings that
+check a matrix's arrays once."""
 
 import importlib
+import pickle
 import shutil
 
 import numpy as np
@@ -185,7 +187,9 @@ def test_flags_keep_every_machine_on_the_same_bits():
     assert "-ffp-contract=off" in _csr_c.FLAGS
     for flag in _csr_c.FLAGS:
         assert not flag.startswith(("-march", "-mtune=native", "-ffast-math",
-                                    "-Ofast", "-funsafe-math-optimizations")), flag
+                                    "-Ofast", "-funsafe-math-optimizations",
+                                    "-ffinite-math-only", "-fassociative-math",
+                                    "-freciprocal-math", "-fno-signed-zeros")), flag
 
 
 @pytest.mark.skipif(shutil.which(_csr_c.COMPILER) is None, reason="no C compiler")
@@ -308,3 +312,74 @@ def test_ica_is_byte_identical_on_every_backend(restore_backend):
                      for p in (layer.weight, layer.bias)],
                     result.predicted.tobytes(), result.iterations))
     assert got[0] == got[1]
+
+
+def test_matrix_keeps_one_binding_per_backend(restore_backend):
+    rng = np.random.default_rng(4)
+    m, _ = _random_csr(rng, 9, 6)
+    x = rng.standard_normal((6, 3))
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        first = m.dot(x)
+        bound = m._bindings[name]
+        assert m.dot(x).tobytes() == first.tobytes()
+        assert m._bindings[name] is bound
+    assert sorted(m._bindings) == kernels.available_backends()
+
+
+@pytest.mark.parametrize("width", [None, 1, 5])
+def test_dot_into_a_buffer_gives_the_bytes_of_dot(width, restore_backend):
+    rng = np.random.default_rng(5)
+    m, _ = _random_csr(rng, 11, 8)
+    shape = (8,) if width is None else (8, width)
+    x = rng.standard_normal(shape)
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        buf = rng.standard_normal((11,) + shape[1:])  # overwritten, not added to
+        assert m.dot(x, out=buf) is buf
+        assert buf.tobytes() == m.dot(x).tobytes()
+
+
+def test_dot_refuses_a_bad_buffer_before_writing(restore_backend):
+    rng = np.random.default_rng(6)
+    m, _ = _random_csr(rng, 4, 4, density=1.0)  # 16 stored entries
+    x = rng.standard_normal((4, 4))
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        for out, problem in (
+                (x, "share memory with x"),
+                (x[:, :], "share memory with x"),
+                (np.zeros((4, 3)), "out must be a writeable"),
+                (np.zeros((4, 4), dtype=np.float32), "out must be a C-contiguous"),
+                (np.zeros((4, 8))[:, ::2], "out must be a C-contiguous")):
+            before = x.copy()
+            with pytest.raises(ValueError, match=problem):
+                m.dot(x, out=out)
+            assert x.tobytes() == before.tobytes()
+        # a buffer laid over the matrix's own arrays
+        for field in ("values", "col_indices", "row_offsets"):
+            stored = getattr(m, field)
+            start = stored.copy()
+            over = stored.view(np.float64)[:4].reshape(4, 1)
+            with pytest.raises(ValueError, match="must not share memory"):
+                m.dot(x[:, :1], out=over)
+            assert stored.tobytes() == start.tobytes()
+
+
+@pytest.mark.parametrize("what", ["matrix", "graph"])
+def test_pickle_after_a_product(what, restore_backend):
+    # bindings hold pointers into the process that made them: a pickle
+    # leaves them out, and the copy binds its own
+    g = cora_like_graph(n=40, n_feats=12)
+    x = np.random.default_rng(7).standard_normal((12, 3))
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        want = g.feature_csr.dot(x)
+        g.adjacency.dot(want)
+        copy = pickle.loads(pickle.dumps(g if what == "graph" else g.feature_csr))
+        m = copy.feature_csr if what == "graph" else copy
+        assert "_bindings" not in m.__dict__
+        assert m.dot(x).tobytes() == want.tobytes()
+        if what == "graph":
+            assert (copy.adjacency.dot(want).tobytes()
+                    == g.adjacency.dot(want).tobytes())

@@ -3,9 +3,9 @@ oracles, every kernel backend against the sequential sum byte for byte,
 the CSR feature parse and row normalisation against their dense
 forms, the softmax's class-axis reductions against NumPy's bits, ICA's
 classifier input against its dense form and its stale-node sweeps against
-full sweeps, and exact round trips of the
-results CSV, of checkpoints and of the graph cache's features (need the
-`test` extras)."""
+full sweeps, the two backends' Adam steps byte for byte, and exact round
+trips of the results CSV, of checkpoints and of the graph cache's features
+(need the `test` extras)."""
 
 import math
 import tempfile
@@ -31,6 +31,7 @@ from modgcn.layers import (row_max, row_sum, softmax_rows,  # noqa: E402
                            softmax_rows_backward)
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
                           load_checkpoint, save_checkpoint)
+from modgcn.optim import AdamState, adam_step  # noqa: E402
 from modgcn.sparse import CsrMatrix, build_graph, sparse_add  # noqa: E402
 
 # small exact values, so duplicates can cancel to exact zeros and every
@@ -589,3 +590,45 @@ def test_node_marked_earlier_in_a_sweep_is_visited_in_it():
                    10) == (3, True, 7)
     _same(state, want)
     np.testing.assert_array_equal(state, [1, 1, 1])
+
+
+# signed zeros, subnormals, values whose squares overflow, and ordinary ones
+ADAM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+    st.floats(-1e3, 1e3, width=64))
+
+
+@st.composite
+def adam_runs(draw):
+    """A parameter, two to four gradients for it, a learning rate and the
+    step count to start from."""
+    shape = draw(st.sampled_from([(0,), (1,), (3, 5), (17,), (2, 19)]))
+    p = draw(every_element(np.float64, shape, ADAM_VALUES))
+    grads = [draw(every_element(np.float64, shape, ADAM_VALUES))
+             for _ in range(draw(st.integers(2, 4)))]
+    lr = draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0]))
+    return p, grads, lr, draw(st.integers(0, 10_000))
+
+
+@pytest.mark.skipif("c" not in kernels.available_backends(),
+                    reason="C kernel not built")
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(adam_runs())
+def test_adam_backends_give_the_same_bytes(run):
+    p, grads, lr, start = run
+    previous = kernels.backend_name()
+    got = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name in ("numpy", "c"):
+                kernels.set_backend(name)
+                params = {"w": p.copy()}
+                state = AdamState.create(params, lr)
+                state.step = start
+                for g in grads:
+                    adam_step(state, params, {"w": g})
+                got.append([a.tobytes() for a in (params["w"], state.m["w"],
+                                                  state.v["w"])])
+    finally:
+        kernels.set_backend(previous)
+    assert got[0] == got[1]
