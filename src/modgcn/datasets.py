@@ -78,63 +78,192 @@ def resolve_dataset(dataset: str, data_dir: str) -> DatasetSource:
     return DatasetSource(content, cites, name)
 
 
+# .content is parsed this many characters at a time, cut back to whole
+# lines, so memory stays flat whatever the file's size
+CONTENT_BLOCK_CHARS = 1 << 18
+
+# False at the code points that str.split() splits on (those for which
+# str.isspace() holds), looked up by code point; a code point above
+# U+3000, the last of them, is clipped to the final True
+_IS_WORD = np.ones(0x3002, dtype=bool)
+_IS_WORD[[0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85,
+          0xA0, 0x1680, *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F,
+          0x205F, 0x3000]] = False
+
+
+def _not_utf8(path) -> ValueError:
+    """One error naming ``path:line`` of the file's first byte that is not
+    UTF-8, its lines counted under universal newlines."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ValueError(f"{path}:{lineno}: byte 0x{raw[exc.start]:02x} is "
+                          f"not UTF-8 ({exc.reason})")
+    return ValueError(f"{path}: not UTF-8 text")
+
+
+def _content_rows(path, lines, lineno: int, n_cols: int | None):
+    """Parse .content ``lines``, numbered from ``lineno``, one at a time:
+    returns ``(n_cols, ids, names, row_cols, row_vals)`` or raises the
+    ValueError, naming ``path:line``, of the first line it refuses.
+
+    ``n_cols`` is the token count of every line, or None to take it from
+    the first line that is not blank. Only the feature tokens other than
+    ``"0"`` are converted, each by NumPy's parse, and only their nonzeros
+    are kept. :func:`_content_block` parses whole blocks of lines and
+    calls this only to word its error."""
+    ids, names, row_cols, row_vals = [], [], [], []
+    for lineno, line in enumerate(lines, start=lineno):
+        fields = line.split()
+        if not fields:
+            continue
+        if n_cols is None:
+            n_cols = len(fields)
+            if n_cols < 3:
+                raise ValueError(
+                    f"{path}:{lineno}: expected `id w_1..w_C class`, got "
+                    f"{n_cols} columns")
+        if len(fields) != n_cols:
+            raise ValueError(f"{path}:{lineno}: expected {n_cols} columns, "
+                             f"got {len(fields)}")
+        tokens = fields[1:-1]
+        cols = [j for j, token in enumerate(tokens) if token != "0"]
+        kept = [tokens[j] for j in cols]
+        # float() also reads "1_0" as 10 and non-ASCII digits as digits
+        joined = "".join(kept)
+        if "_" in joined or not joined.isascii():
+            bad = next(t for t in kept if "_" in t or not t.isascii())
+            raise ValueError(f"{path}:{lineno}: feature value {bad!r} is not "
+                             f"a plain decimal number")
+        try:
+            vals = np.array(kept, dtype=np.float64)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise ValueError(f"{path}:{lineno}: non-finite feature value "
+                             f"{tokens[cols[np.argmin(finite)]]!r}")
+        # another spelling of zero (-0, 0.0, an underflow) is not stored
+        nonzero = vals != 0.0
+        row_cols.append(np.array(cols, dtype=np.int64)[nonzero])
+        row_vals.append(vals[nonzero])
+        ids.append(fields[0])
+        names.append(fields[-1])
+    return n_cols, ids, names, row_cols, row_vals
+
+
+def _content_block(path, text: str, lineno: int, n_cols: int | None):
+    """Parse ``text``, whole .content lines numbered from ``lineno``, at
+    once: returns ``(n_cols, ids, names, rows, cols, vals)``, the stored
+    features as (row in the block, column, value) in row-major order.
+
+    Token boundaries come from a whitespace lookup over the block's code
+    points, so ``"0"`` tokens, most of a LINQS file, are skipped without
+    a Python-level pass; the other feature tokens are sliced out and
+    converted by one ``np.array(..., float64)``. The tokens, values and
+    errors are those of :func:`_content_rows`, which words the error when
+    anything here is refused."""
+    if text.isascii():
+        codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    word = np.take(_IS_WORD, codes, mode="clip")
+    edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    # before[k]: the tokens that start before line k ends
+    before = np.searchsorted(starts, np.append(np.flatnonzero(codes == 10),
+                                               len(codes)))
+    per_line = np.diff(before, prepend=0)
+    full = np.flatnonzero(per_line)
+    if not full.size:
+        nothing = np.zeros(0, dtype=np.int64)
+        return n_cols, [], [], nothing, nothing, np.zeros(0)
+    width = int(per_line[full[0]]) if n_cols is None else n_cols
+    refused = width < 3 or np.any(per_line[full] != width)
+    if not refused:
+        kept = np.flatnonzero((ends - starts != 1)
+                              | (codes[starts] != ord("0")))
+        line = np.searchsorted(before, kept, side="right")
+        col = kept - before[line] + width
+        value = (col >= 1) & (col <= width - 2)
+        kept, line, col = kept[value], line[value], col[value] - 1
+        tokens = [text[a:b] for a, b in zip(starts[kept].tolist(),
+                                            ends[kept].tolist())]
+        joined = "".join(tokens)
+        refused = "_" in joined or not joined.isascii()
+    if not refused:
+        try:
+            vals = np.array(tokens, dtype=np.float64)
+        except ValueError:
+            refused = True
+        else:
+            refused = not np.isfinite(vals).all()
+    if refused:
+        _content_rows(path, text.split("\n"), lineno, n_cols)
+        raise RuntimeError(f"{path}:{lineno}: the block parse refused a "
+                           f"line that the row parse accepts")
+    first, last = before[full] - width, before[full] - 1
+    ids = [text[a:b] for a, b in zip(starts[first].tolist(), ends[first].tolist())]
+    names = [text[a:b] for a, b in zip(starts[last].tolist(), ends[last].tolist())]
+    # another spelling of zero (-0, 0.0, an underflow) is not stored
+    nonzero = vals != 0.0
+    return (width, ids, names, np.searchsorted(full, line[nonzero]),
+            col[nonzero], vals[nonzero])
+
+
+def _read_content(path):
+    """The node ids, class names and feature CSR of a .content file, read
+    as UTF-8 under universal newlines a block of whole lines at a time."""
+    ids, names, rows, cols, vals = [], [], [], [], []
+    n_cols, lineno, rest = None, 1, ""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while True:
+                chunk = fh.read(CONTENT_BLOCK_CHARS)
+                text = rest + chunk
+                cut = text.rfind("\n") + 1 if chunk else len(text)
+                if cut:
+                    n_cols, b_ids, b_names, b_rows, b_cols, b_vals = \
+                        _content_block(path, text[:cut], lineno, n_cols)
+                    rows.append(b_rows + len(ids))
+                    ids += b_ids
+                    names += b_names
+                    cols.append(b_cols)
+                    vals.append(b_vals)
+                    lineno += text.count("\n", 0, cut)
+                rest = text[cut:]
+                if not chunk:
+                    break
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    if not ids:
+        raise ValueError(f"{path}: empty .content file")
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.concatenate(rows), minlength=len(ids)),
+              out=offsets[1:])
+    features = CsrMatrix(len(ids), n_cols - 2, offsets,
+                         np.concatenate(cols, dtype=np.int64),
+                         np.concatenate(vals))
+    return ids, names, features
+
+
 def load_linqs(src: DatasetSource) -> Graph:
     """Parse .content/.cites files into a Graph.
 
-    String node ids become dense indices in file order; class names map to
-    0..k-1 in lexicographic order; citation edges are symmetrized and any
+    Both files are read as UTF-8 under universal newlines, whatever the
+    locale; a byte that is not UTF-8 is one ValueError naming ``path:line``.
+    Tokens are separated as ``str.split()`` separates them. String node
+    ids become dense indices in file order; class names map to 0..k-1 in
+    lexicographic order; citation edges are symmetrized and any
     referencing an unknown id are dropped with a single count warning.
+    A feature is a plain decimal number that NumPy parses; only the
+    nonzeros are stored, so the features are CSR from the first block on
+    (see :func:`_content_block`).
     """
-    # only the tokens other than "0" are converted, and only their nonzeros
-    # are kept: the features are CSR from the first line on
-    ids, names, row_cols, row_vals = [], [], [], []
-    n_cols = None
-    with open(src.content_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if n_cols is None:
-                n_cols = len(fields)
-                if n_cols < 3:
-                    raise ValueError(
-                        f"{src.content_path}:{lineno}: expected "
-                        f"`id w_1..w_C class`, got {n_cols} columns")
-            if len(fields) != n_cols:
-                raise ValueError(
-                    f"{src.content_path}:{lineno}: expected {n_cols} "
-                    f"columns, got {len(fields)}")
-            tokens = fields[1:-1]
-            cols = [j for j, token in enumerate(tokens) if token != "0"]
-            kept = [tokens[j] for j in cols]
-            # float() also reads "1_0" as 10 and non-ASCII digits as digits
-            joined = "".join(kept)
-            if "_" in joined or not joined.isascii():
-                bad = next(t for t in kept if "_" in t or not t.isascii())
-                raise ValueError(f"{src.content_path}:{lineno}: feature value "
-                                 f"{bad!r} is not a plain decimal number")
-            try:
-                vals = np.array(kept, dtype=np.float64)
-            except ValueError as err:
-                raise ValueError(f"{src.content_path}:{lineno}: {err}") from None
-            finite = np.isfinite(vals)
-            if not finite.all():
-                raise ValueError(
-                    f"{src.content_path}:{lineno}: non-finite feature value "
-                    f"{tokens[cols[np.argmin(finite)]]!r}")
-            # another spelling of zero (-0, 0.0, an underflow) is not stored
-            nonzero = vals != 0.0
-            row_cols.append(np.array(cols, dtype=np.int64)[nonzero])
-            row_vals.append(vals[nonzero])
-            ids.append(fields[0])
-            names.append(fields[-1])
-    if not ids:
-        raise ValueError(f"{src.content_path}: empty .content file")
-    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum([c.size for c in row_cols], out=offsets[1:])
-    features = CsrMatrix(len(ids), n_cols - 2, offsets,
-                         np.concatenate(row_cols, dtype=np.int64),
-                         np.concatenate(row_vals))
+    ids, names, features = _read_content(src.content_path)
 
     index = {node_id: i for i, node_id in enumerate(ids)}
     if len(index) != len(ids):
@@ -144,20 +273,23 @@ def load_linqs(src: DatasetSource) -> Graph:
     labels = np.array([class_index[c] for c in names], dtype=np.int64)
 
     edges, dropped = [], 0
-    with open(src.cites_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{src.cites_path}:{lineno}: expected `cited citing`, "
-                    f"got {len(fields)} columns")
-            cited, citing = fields
-            if cited in index and citing in index:
-                edges.append((index[cited], index[citing]))
-            else:
-                dropped += 1
+    try:
+        with open(src.cites_path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                fields = line.split()
+                if not fields:
+                    continue
+                if len(fields) != 2:
+                    raise ValueError(
+                        f"{src.cites_path}:{lineno}: expected `cited "
+                        f"citing`, got {len(fields)} columns")
+                cited, citing = fields
+                if cited in index and citing in index:
+                    edges.append((index[cited], index[citing]))
+                else:
+                    dropped += 1
+    except UnicodeDecodeError:
+        raise _not_utf8(src.cites_path) from None
     if dropped:
         warnings.warn(
             f"{src.name}: dropped {dropped} citation(s) referencing "

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .layers import DenseLayer
-from .optim import AdamState, adam_step
+from .optim import BETA1, BETA2, EPS
 from .sparse import CsrMatrix, Graph, node_ids, train_node_ids
 
 logger = logging.getLogger(__name__)
@@ -48,16 +49,6 @@ class IcaConfig:
 class IcaResult:
     predicted: np.ndarray  # labels for test_ids, in the order given
     iterations: int
-
-
-def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """0.5 * (1 + tanh(0.5 * z)), which stays finite for large |z|, into
-    ``out`` if given (it may be ``z``)."""
-    out = np.multiply(z, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
 
 
 def _onehot(labels: np.ndarray, k: int) -> np.ndarray:
@@ -94,9 +85,12 @@ def _train_logistic(x: CsrMatrix, y_onehot, cfg: IcaConfig, seed,
     """One-vs-rest logistic regression: a dense layer's parameters with
     per-column sigmoid cross-entropy, full-batch Adam.
 
-    Each step makes the products of ``DenseLayer.forward`` and
-    ``backward_from_pre``, less the input gradient, which nothing here
-    reads, with the CSR kernel: ``x @ W`` and ``x.T @ grad_pre``.
+    The steps run in the kernel backend (``kernels.bind_logistic``), which
+    checks every operand once and makes the products of
+    ``DenseLayer.forward`` and ``backward_from_pre``, less the input
+    gradient, which nothing here reads, with the CSR kernel: ``x @ W`` and
+    ``x.T @ grad_pre``. A non-finite gradient is a ValueError naming
+    ``'clf.w'`` or ``'clf.b'``.
 
     Without an L2 term, the weight row of a column that no row of ``x``
     stores gets an exact zero gradient at every step, and Adam leaves it
@@ -112,25 +106,11 @@ def _train_logistic(x: CsrMatrix, y_onehot, cfg: IcaConfig, seed,
     x = CsrMatrix(x.n_rows, used.size, x.row_offsets,
                   np.searchsorted(used, x.col_indices), x.values)
     weight = layer.weight[used]
-    params = {"clf.w": weight, "clf.b": layer.bias}
-    state = AdamState.create(params, lr=cfg.lr)
-    m = x.n_rows
-    # every step writes into the same buffers and passes the same dict;
-    # an in-place operation rounds as the one that makes a new array
-    pre = np.empty((m, weight.shape[1]))
-    grads = {"clf.w": np.empty_like(weight), "clf.b": np.empty_like(layer.bias)}
+    fit = kernels.bind_logistic(x, x.T, y_onehot,
+                                {"clf.w": weight, "clf.b": layer.bias},
+                                cfg.l2, cfg.lr, BETA1, BETA2, EPS)
     for _ in range(cfg.epochs):
-        x.dot(weight, out=pre)
-        pre += layer.bias
-        # pre becomes the loss gradient at pre: (sigmoid(pre) - y) / m
-        _sigmoid(pre, out=pre)
-        pre -= y_onehot
-        pre /= m
-        x.T.dot(pre, out=grads["clf.w"])
-        if cfg.l2 > 0:
-            grads["clf.w"] += cfg.l2 * weight
-        np.sum(pre, axis=0, keepdims=True, out=grads["clf.b"])
-        adam_step(state, params, grads)
+        fit.step()
     layer.weight[used] = weight
     return layer
 

@@ -1,5 +1,5 @@
-"""The CSR x dense product and the Adam step, each with a compiled core
-and a NumPy fallback.
+"""The CSR x dense product, the Adam step and a logistic-regression step,
+each with a compiled core and a NumPy fallback.
 
 The backend is chosen on first use: the C kernel if it compiled and loaded
 at import (see ``_csr_c``), else the pure-NumPy implementation.
@@ -8,14 +8,15 @@ on first use, not at import, so that a name that cannot be honoured (``c``
 with no compiler) is one ``ValueError`` from the first product or
 :func:`backend_name` rather than a failed ``import modgcn``.
 :func:`set_backend` exists for tests and benchmarks. Both backends add
-each output entry's terms in the same order, and make each Adam operation
-in the same order, so they compute the same bits for every input.
+each output entry's terms in the same order, and make each Adam and
+regression operation in the same order, so they compute the same bits for
+every input.
 
 A backend checks the operands that stay fixed once, in a binding: a CSR
-matrix's three arrays (``csr_dense_matmul``'s ``bindings``) or a parameter
-and its moment buffers (:func:`bind_adam`). A binding belongs to the
-backend that made it, so a caller that keeps one keeps it under
-:func:`backend_name`.
+matrix's three arrays (``csr_dense_matmul``'s ``bindings``), a parameter
+and its moment buffers (:func:`bind_adam`), or a whole regression
+(:func:`bind_logistic`). A binding belongs to the backend that made it,
+so a caller that keeps one keeps it under :func:`backend_name`.
 """
 
 import os
@@ -109,3 +110,12 @@ def bind_adam(p, m, v, b1, b2, eps):
     if _active is None:
         backend_name()
     return _active.bind_adam(p, m, v, b1, b2, eps)
+
+
+def bind_logistic(x, x_t, y, params, l2, lr, b1, b2, eps):
+    """The active backend's logistic regression on CSR ``x`` (with its
+    transpose ``x_t``) and targets ``y``, stepping ``params``' weights and
+    bias in place; see ``_csr_np.LogisticBinding``."""
+    if _active is None:
+        backend_name()
+    return _active.bind_logistic(x, x_t, y, params, l2, lr, b1, b2, eps)

@@ -1,4 +1,5 @@
-"""Compiled backend: hand-written C ``spmm`` and ``adam`` called through ctypes.
+"""Compiled backend: hand-written C ``spmm``, ``adam`` and a logistic
+regression's step, called through ctypes.
 
 The C source is kept here as a string, so that an installed package
 carries it and anything that fingerprints the package's Python files
@@ -20,6 +21,9 @@ compile-time constant (a ``switch`` case per width), and runs only
 independent columns side by side, which computes the same bits as the
 plain rows/entries/columns loop. ``adam`` makes one pass over a
 parameter in the order and rounding of the NumPy backend's ufuncs.
+``logistic_forward`` and ``logistic_step`` make a logistic regression's
+step, less NumPy's ``tanh`` between them, with ``spmm``'s row blocks and
+``adam``, in the order and rounding of the NumPy backend's step.
 
 C checks no bounds. The bindings check first: :class:`CompiledCsr`
 checks a matrix's three arrays once and turns them into pointers, then
@@ -27,7 +31,8 @@ checks ``x`` and ``out`` on each product (dtypes, contiguity, shapes and
 that ``out`` overlaps no input); column indices must already lie in
 ``[0, x.shape[0])``, which ``CsrMatrix.from_coo`` and
 ``CsrMatrix.validate`` guarantee. :class:`CompiledAdam` checks a
-parameter and its moment buffers once and the gradient on each step.
+parameter and its moment buffers once and the gradient on each step, and
+:class:`CompiledLogistic` every operand of a regression once.
 """
 
 import ctypes
@@ -67,31 +72,37 @@ accumulate(int64_t start, int64_t end, const int64_t *restrict indices,
         row[c0 + k] = acc[k];
 }
 
+/* row[0 .. p) += the CSR row's stored entries [start, end) times x, in
+   full blocks of BLOCK columns and then one block of the p % BLOCK left
+   over, each held in registers across the entries. */
+static inline __attribute__((always_inline)) void
+spmm_row(int64_t start, int64_t end, const int64_t *restrict indices,
+         const double *restrict data, const double *restrict x, int64_t p,
+         double *restrict row)
+{
+    const int64_t full = p - p % BLOCK;
+    for (int64_t c0 = 0; c0 < full; c0 += BLOCK)
+        accumulate(start, end, indices, data, x, p, c0, BLOCK, row);
+    switch (p - full) {
+    case 1: accumulate(start, end, indices, data, x, p, full, 1, row); break;
+    case 2: accumulate(start, end, indices, data, x, p, full, 2, row); break;
+    case 3: accumulate(start, end, indices, data, x, p, full, 3, row); break;
+    case 4: accumulate(start, end, indices, data, x, p, full, 4, row); break;
+    case 5: accumulate(start, end, indices, data, x, p, full, 5, row); break;
+    case 6: accumulate(start, end, indices, data, x, p, full, 6, row); break;
+    case 7: accumulate(start, end, indices, data, x, p, full, 7, row); break;
+    }
+}
+
 /* out += A @ x for CSR A (n_rows rows) and row-major x, out of width p.
-   Each out[i][c] adds its row's stored entries in stored order. Columns go
-   in full blocks of BLOCK and then one block of the p % BLOCK left over,
-   each held in registers across the row's entries, so only independent
-   columns run side by side. No argument may overlap another. */
+   Each out[i][c] adds its row's stored entries in stored order, and only
+   independent columns run side by side. No argument may overlap another. */
 void spmm(int64_t n_rows, int64_t p, const int64_t *restrict indptr,
           const int64_t *restrict indices, const double *restrict data,
           const double *restrict x, double *restrict out)
 {
-    const int64_t full = p - p % BLOCK;
-    for (int64_t i = 0; i < n_rows; i++) {
-        double *restrict row = out + i * p;
-        const int64_t start = indptr[i], end = indptr[i + 1];
-        for (int64_t c0 = 0; c0 < full; c0 += BLOCK)
-            accumulate(start, end, indices, data, x, p, c0, BLOCK, row);
-        switch (p - full) {
-        case 1: accumulate(start, end, indices, data, x, p, full, 1, row); break;
-        case 2: accumulate(start, end, indices, data, x, p, full, 2, row); break;
-        case 3: accumulate(start, end, indices, data, x, p, full, 3, row); break;
-        case 4: accumulate(start, end, indices, data, x, p, full, 4, row); break;
-        case 5: accumulate(start, end, indices, data, x, p, full, 5, row); break;
-        case 6: accumulate(start, end, indices, data, x, p, full, 6, row); break;
-        case 7: accumulate(start, end, indices, data, x, p, full, 7, row); break;
-        }
-    }
+    for (int64_t i = 0; i < n_rows; i++)
+        spmm_row(indptr[i], indptr[i + 1], indices, data, x, p, out + i * p);
 }
 
 /* One Adam step over the n entries of a parameter, in the NumPy backend's
@@ -115,6 +126,72 @@ int adam(int64_t n, double *restrict p, double *restrict m, double *restrict v,
         v[i] = vi;
         p[i] = p[i] - (lr * (mi / bc1)) / (sqrt(vi / bc2) + eps);
     }
+    return 0;
+}
+
+/* A logistic regression's operands (see CompiledLogistic): x (m, n) CSR
+   and its transpose xt, targets y (m, p), weights w (n, p) and bias b
+   (1, p) with their Adam moments, and the work buffers. No array may
+   overlap another. */
+struct logistic {
+    int64_t m, n, p;
+    const int64_t *x_indptr, *x_indices;
+    const double *x_data;
+    const int64_t *xt_indptr, *xt_indices;
+    const double *xt_data;
+    const double *y;
+    double *w, *b, *mw, *vw, *mb, *vb, *gw, *gb, *pre;
+    double l2, lr, b1, b2, eps;
+};
+
+/* pre = (x @ w + b) * 0.5, the argument of tanh in the sigmoid
+   0.5 * (1 + tanh(0.5 * z)); each product starts from +0.0. */
+void logistic_forward(const struct logistic *s)
+{
+    const int64_t p = s->p;
+    for (int64_t i = 0; i < s->m; i++) {
+        double *restrict row = s->pre + i * p;
+        for (int64_t c = 0; c < p; c++)
+            row[c] = 0.0;
+        spmm_row(s->x_indptr[i], s->x_indptr[i + 1], s->x_indices, s->x_data,
+                 s->w, p, row);
+        for (int64_t c = 0; c < p; c++)
+            row[c] = (row[c] + s->b[c]) * 0.5;
+    }
+}
+
+/* The rest of one step once pre holds tanh(pre): pre becomes the loss
+   gradient ((pre + 1) * 0.5 - y) / m, gw = xt @ pre (+ l2 * w when l2 is
+   above zero), gb the column sums of pre from +0.0, row by row; then one
+   Adam step on w and one on b. Returns 1 if gw is not finite (nothing
+   stepped), 2 if gb is not (w stepped, b not), else 0. */
+int logistic_step(const struct logistic *s, double bc1, double bc2)
+{
+    const int64_t m = s->m, n = s->n, p = s->p;
+    const double rows = (double)m;
+    double *restrict pre = s->pre, *restrict gw = s->gw, *restrict gb = s->gb;
+    for (int64_t i = 0; i < m * p; i++)
+        pre[i] = ((pre[i] + 1.0) * 0.5 - s->y[i]) / rows;
+    for (int64_t j = 0; j < n; j++) {
+        double *restrict row = gw + j * p;
+        for (int64_t c = 0; c < p; c++)
+            row[c] = 0.0;
+        spmm_row(s->xt_indptr[j], s->xt_indptr[j + 1], s->xt_indices,
+                 s->xt_data, pre, p, row);
+    }
+    if (s->l2 > 0)
+        for (int64_t i = 0; i < n * p; i++)
+            gw[i] = gw[i] + s->l2 * s->w[i];
+    for (int64_t c = 0; c < p; c++)
+        gb[c] = 0.0;
+    for (int64_t i = 0; i < m; i++)
+        for (int64_t c = 0; c < p; c++)
+            gb[c] = gb[c] + pre[i * p + c];
+    if (adam(n * p, s->w, s->mw, s->vw, gw, s->lr, s->b1, s->b2, bc1, bc2,
+             s->eps))
+        return 1;
+    if (adam(p, s->b, s->mb, s->vb, gb, s->lr, s->b1, s->b2, bc1, bc2, s->eps))
+        return 2;
     return 0;
 }
 """
@@ -167,9 +244,53 @@ class CompiledAdam(_csr_np.AdamBinding):
             raise ValueError("non-finite gradient")
 
 
+class _Logistic(ctypes.Structure):
+    """The C ``struct logistic``, field for field."""
+
+    _fields_ = ([(name, ctypes.c_int64) for name in ("m", "n", "p")]
+                + [(name, ctypes.c_void_p) for name in (
+                    "x_indptr", "x_indices", "x_data", "xt_indptr",
+                    "xt_indices", "xt_data", "y", "w", "b", "mw", "vw", "mb",
+                    "vb", "gw", "gb", "pre")]
+                + [(name, ctypes.c_double)
+                   for name in ("l2", "lr", "b1", "b2", "eps")])
+
+
+class CompiledLogistic(_csr_np.LogisticBinding):
+    """A logistic binding whose steps run in two C calls around NumPy's
+    ``tanh``: ``logistic_forward`` computes ``(x @ W + b) * 0.5``, and
+    ``logistic_step`` the rest of the gradients and both Adam steps. All
+    operands are checked, and turned into pointers, once.
+
+    ``tanh`` stays in NumPy because NumPy's SIMD ``tanh`` and the C
+    library's round differently, and the NumPy backend's bits are NumPy's.
+    """
+
+    def __init__(self, forward, step, x, x_t, y, params, l2, lr, b1, b2, eps):
+        super().__init__(x, x_t, y, params, l2, lr, b1, b2, eps)
+        (w_name, b_name), (grad_w, grad_b) = self.names, self.grads
+        arrays = (*self.x.arrays, *self.x_t.arrays, self.y, self.w, self.b,
+                  self.m[w_name], self.v[w_name], self.m[b_name],
+                  self.v[b_name], grad_w, grad_b, self.pre)
+        self._args = _Logistic(self.rows, self.w.shape[0], self.w.shape[1],
+                               *map(_csr_np.address, arrays),
+                               l2, lr, b1, b2, eps)
+        self._ref = ctypes.byref(self._args)
+        self._forward, self._step = forward, step
+
+    def step(self):
+        self.t += 1
+        self._forward(self._ref)
+        np.tanh(self.pre, out=self.pre)
+        bad = self._step(self._ref, 1.0 - self.b1 ** self.t,
+                         1.0 - self.b2 ** self.t)
+        if bad:
+            raise ValueError(f"non-finite gradient in {self.names[bad - 1]!r}")
+
+
 class CompiledKernel:
-    """The shared library's ``spmm`` and ``adam``, reached through
-    bindings that check their operands."""
+    """The shared library's ``spmm``, ``adam`` and logistic-regression
+    step, reached through bindings that check their operands."""
 
     def __init__(self, path: Path):
         self._lib = ctypes.CDLL(str(path))
@@ -180,6 +301,13 @@ class CompiledKernel:
         self._adam.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 4
                                + [ctypes.c_double] * 6)
         self._adam.restype = ctypes.c_int
+        self._logistic_forward = self._lib.logistic_forward
+        self._logistic_forward.argtypes = [ctypes.POINTER(_Logistic)]
+        self._logistic_forward.restype = None
+        self._logistic_step = self._lib.logistic_step
+        self._logistic_step.argtypes = [ctypes.POINTER(_Logistic),
+                                        ctypes.c_double, ctypes.c_double]
+        self._logistic_step.restype = ctypes.c_int
 
     def bind_csr(self, indptr, indices, data) -> CompiledCsr:
         return CompiledCsr(self._spmm, indptr, indices, data)
@@ -196,6 +324,16 @@ class CompiledKernel:
                    for a in (p, m, v)):
             return _csr_np.AdamBinding(p, m, v, b1, b2, eps)
         return CompiledAdam(self._adam, p, m, v, b1, b2, eps)
+
+    def bind_logistic(self, x, x_t, y, params, l2, lr, b1, b2,
+                      eps) -> _csr_np.LogisticBinding:
+        """The C step from two classes up. With one class NumPy sums the
+        bias gradient's single column pairwise, not row by row, so the
+        NumPy step, which computes NumPy's bits, runs instead."""
+        if y.ndim == 2 and y.shape[1] == 1:
+            return _csr_np.LogisticBinding(x, x_t, y, params, l2, lr, b1, b2, eps)
+        return CompiledLogistic(self._logistic_forward, self._logistic_step,
+                                x, x_t, y, params, l2, lr, b1, b2, eps)
 
 
 def _compile(target: Path) -> None:

@@ -1,11 +1,12 @@
 """The NumPy backend: the fallback when the compiled one is missing.
 
 A backend offers ``spmm``, the CSR x dense product added into ``out``,
-and two bindings that check their fixed operands once, so that each later
-call checks only what changes from call to call: ``bind_csr`` binds a CSR
-matrix's three arrays and ``bind_adam`` one parameter and its two moment
-buffers. The compiled backend (``_csr_c``) subclasses both bindings, so
-both backends accept and refuse the same operands.
+and three bindings that check their fixed operands once, so that each
+later call checks only what changes from call to call: ``bind_csr`` binds
+a CSR matrix's three arrays, ``bind_adam`` one parameter and its two
+moment buffers, and ``bind_logistic`` a whole logistic regression. The
+compiled backend (``_csr_c``) subclasses the bindings, so both backends
+accept and refuse the same operands.
 
 The product computes the compiled kernel's bits. Every output entry adds
 its row's stored entries in stored order, as ``out[i, c] + v * x[j, c]``,
@@ -13,13 +14,16 @@ each product rounded before it is added (NumPy fuses no multiply-add). The
 rows are visited longest first: step k adds the k-th stored entry of every
 row that has one, as one vectorised update of the leading active rows.
 Once fewer than ``_TAIL_ROWS`` rows remain active, one flat ``np.add.at``,
-which adds in index order, adds every remaining entry of those rows.
+which adds in index order, adds every remaining entry of those rows. The
+visiting order depends only on the row lengths, so a binding plans it
+once per matrix.
 
 The Adam step is a sequence of NumPy ufuncs, each rounding once; the
 compiled step makes the same operations in the same order.
 """
 
 import ctypes
+from functools import cached_property
 
 import numpy as np
 
@@ -28,16 +32,31 @@ import numpy as np
 _TAIL_ROWS = 64
 
 
-def spmm(indptr, indices, data, x, out):
-    """out += A @ x for a CSR matrix A given by (indptr, indices, data)."""
-    if len(data) == 0:
-        return
+def plan_rows(indptr):
+    """The row visiting order of A's products: (order, counts, starts,
+    active), the rows longest first (a stable sort), their lengths and
+    first entries in that order, and ``active[k]``, how many rows hold a
+    k-th entry (the first ones in order). None when A stores nothing."""
+    if indptr[-1] == 0:
+        return None
     counts = np.diff(indptr)
     order = np.argsort(-counts, kind="stable")
     counts = counts[order]
     starts = indptr[:-1][order]
-    # active[k]: how many rows hold a k-th entry (the first ones in order)
     active = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
+    return order, counts, starts, active
+
+
+def spmm(indptr, indices, data, x, out):
+    """out += A @ x for a CSR matrix A given by (indptr, indices, data)."""
+    add_planned(plan_rows(indptr), indices, data, x, out)
+
+
+def add_planned(plan, indices, data, x, out):
+    """out += A @ x, A's rows visited in ``plan`` (see :func:`plan_rows`)."""
+    if plan is None:
+        return
+    order, counts, starts, active = plan
     acc = out[order]
     k = 0
     while k < len(active) and active[k] >= _TAIL_ROWS:
@@ -135,9 +154,14 @@ class CsrBinding:
             out.fill(0.0)
         self.add(x, out, x_at, out_at)
 
+    @cached_property
+    def plan(self):
+        """The rows' visiting order, planned on the first NumPy product."""
+        return plan_rows(self.arrays[0])
+
     def add(self, x, out, x_at, out_at):
         """out += A @ x on operands already checked."""
-        spmm(*self.arrays, x, out)
+        add_planned(self.plan, *self.arrays[1:], x, out)
 
 
 class AdamBinding:
@@ -176,5 +200,88 @@ class AdamBinding:
         self.p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
+class LogisticBinding:
+    """A one-vs-rest logistic regression's operands, checked once, for
+    full-batch Adam steps with per-column sigmoid cross-entropy.
+
+    ``x`` is an (m, n) CSR matrix (``n_rows``, ``n_cols``, ``row_offsets``,
+    ``col_indices``, ``values``) and ``x_t`` its transpose; ``y`` holds the
+    (m, p) targets; ``params`` maps a name to the (n, p) weights ``W`` and
+    then a name to the (1, p) bias ``b``, both stepped in place; ``l2``
+    adds ``l2 * W`` to the weight gradient when it is above zero; ``lr``,
+    ``b1``, ``b2`` and ``eps`` are Adam's constants. The binding holds
+    the moment buffers (``m`` and ``v``, keyed like ``params``) and the
+    work buffers, and counts its steps in ``t``.
+
+    Each :meth:`step` computes ``pre = x @ W + b``, the loss gradient at
+    ``pre``, ``(0.5 * (1 + tanh(0.5 * pre)) - y) / m``, then ``x_t @ pre``
+    and the column sums of ``pre`` from +0.0 as the gradients of ``W`` and
+    ``b``, and makes one Adam step on ``W`` and then on ``b``. A
+    non-finite gradient is a ValueError naming its parameter, and leaves
+    that parameter and the one after it unstepped.
+    """
+
+    def __init__(self, x, x_t, y, params, l2, lr, b1, b2, eps):
+        (w_name, w), (b_name, b) = params.items()
+        self.x = CsrBinding(x.row_offsets, x.col_indices, x.values)
+        self.x_t = CsrBinding(x_t.row_offsets, x_t.col_indices, x_t.values)
+        m, n = x.n_rows, x.n_cols
+        check_array("y", y, np.float64, 2)
+        p = y.shape[1]
+        for name, arr, shape in ((w_name, w, (n, p)), (b_name, b, (1, p))):
+            check_array(name, arr, np.float64, 2)
+            if arr.shape != shape or not arr.flags.writeable:
+                raise ValueError(f"{name} must be a writeable {shape} array, "
+                                 f"got shape {arr.shape}")
+        if ((self.x.n_rows, x_t.n_rows, self.x_t.n_rows, x_t.n_cols, y.shape[0])
+                != (m, n, n, m, m)):
+            raise ValueError(f"shape mismatch: x ({m}, {n}) holds "
+                             f"{self.x.n_rows} rows, x_t ({x_t.n_rows}, "
+                             f"{x_t.n_cols}) holds {self.x_t.n_rows}, y is "
+                             f"{y.shape}")
+        taken = (*self.x.spans, *self.x_t.spans, *spans(("y", y)))
+        for name, arr in ((w_name, w), (b_name, b)):
+            if arr.size:
+                at = address(arr)
+                check_apart(name, arr, at, taken)
+                taken = (*taken, (name, at, at + arr.nbytes))
+        self.y, self.w, self.b = y, w, b
+        self.names = (w_name, b_name)
+        self.rows, self.l2, self.lr = m, l2, lr
+        self.b1, self.b2, self.eps = b1, b2, eps
+        self.m = {w_name: np.zeros_like(w), b_name: np.zeros_like(b)}
+        self.v = {w_name: np.zeros_like(w), b_name: np.zeros_like(b)}
+        self.t = 0
+        self.pre = np.empty((m, p))
+        self.grads = (np.empty_like(w), np.empty_like(b))
+        self.adam = tuple(AdamBinding(arr, self.m[name], self.v[name],
+                                      b1, b2, eps)
+                          for name, arr in ((w_name, w), (b_name, b)))
+
+    def step(self):
+        self.t += 1
+        bc1, bc2 = 1.0 - self.b1 ** self.t, 1.0 - self.b2 ** self.t
+        pre, (grad_w, grad_b) = self.pre, self.grads
+        self.x(self.w, pre, zero_first=True)
+        pre += self.b
+        # the sigmoid 0.5 * (1 + tanh(0.5 * z)) stays finite for large |z|
+        pre *= 0.5
+        np.tanh(pre, out=pre)
+        pre += 1.0
+        pre *= 0.5
+        pre -= self.y
+        pre /= self.rows
+        self.x_t(pre, grad_w, zero_first=True)
+        if self.l2 > 0:
+            grad_w += self.l2 * self.w
+        np.sum(pre, axis=0, keepdims=True, out=grad_b)
+        for name, adam, g in zip(self.names, self.adam, self.grads):
+            try:
+                adam(g, self.lr, bc1, bc2)
+            except ValueError as exc:
+                raise ValueError(f"{exc} in {name!r}") from None
+
+
 bind_csr = CsrBinding
 bind_adam = AdamBinding
+bind_logistic = LogisticBinding

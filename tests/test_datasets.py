@@ -127,6 +127,39 @@ class TestLoadLinqs:
         with pytest.raises(ValueError, match="duplicate"):
             load_linqs(tiny_source(tmp_path, content=dup))
 
+    # a byte that is not UTF-8 on the second line, after a CRLF: one error
+    # that names the file and the line, read as universal newlines read it
+    @pytest.mark.parametrize("which", ["content", "cites"])
+    def test_file_that_is_not_utf8_names_its_line(self, tmp_path, which):
+        src = tiny_source(tmp_path, cites=TINY_CITES + "n2\tn3\n")
+        path = getattr(src, f"{which}_path")
+        first, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(first + b"\r\n" + rest.replace(b"n", b"\xffn", 1))
+        with pytest.raises(ValueError) as err:
+            load_linqs(src)
+        assert str(err.value) == (f"{path}:2: byte 0xff is not UTF-8 "
+                                  f"(invalid start byte)")
+
+    # each refused line, far enough into the file that a small block puts
+    # it in a later block than the first line
+    @pytest.mark.parametrize("bad, message", [
+        ("n4\t1\tphysics\n", "expected 5 columns, got 3"),
+        ("n4\t1\tx\t0\tphysics\n", "could not convert string to float: 'x'"),
+        ("n4\t1\tnan\t0\tphysics\n", "non-finite feature value 'nan'"),
+        ("n4\t1\t1_0\t0\tphysics\n",
+         "feature value '1_0' is not a plain decimal number"),
+    ])
+    @pytest.mark.parametrize("block", [1, 7, 30, datasets.CONTENT_BLOCK_CHARS])
+    def test_refused_line_is_named_at_any_block_size(self, tmp_path,
+                                                     monkeypatch, bad,
+                                                     message, block):
+        monkeypatch.setattr(datasets, "CONTENT_BLOCK_CHARS", block)
+        content = TINY_CONTENT + "\r\n" + bad + TINY_CONTENT.replace("n", "m")
+        src = tiny_source(tmp_path, content=content)
+        with pytest.raises(ValueError) as err:
+            load_linqs(src)
+        assert str(err.value) == f"{src.content_path}:5: {message}"
+
     def test_self_check_rejects_truncated_known_dataset(self, tmp_path):
         base = write_tiny_dataset(tmp_path, name="cora")
         src = DatasetSource(base / "cora.content", base / "cora.cites",

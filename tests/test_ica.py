@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import sequential_spmm, two_cliques_graph
-from modgcn.ica import (IcaConfig, _classifier_input, _onehot, _sigmoid,
+from modgcn.ica import (IcaConfig, _classifier_input, _onehot,
                         _train_logistic, ica_train_predict,
                         neighbor_label_counts)
 from modgcn.layers import DenseLayer
@@ -44,6 +44,11 @@ class TestNeighborCounts:
         np.testing.assert_array_equal(counts[0], [0.0, 0.0])
 
 
+def _sigmoid(z):
+    """0.5 * (1 + tanh(0.5 * z)), which stays finite for large |z|."""
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+
 def dense_layer_logistic(x, y_onehot, cfg, seed, layer_id):
     """The local classifier's training loop driven by ``DenseLayer``'s own
     forward and backward_from_pre, input gradient included."""
@@ -61,25 +66,33 @@ def dense_layer_logistic(x, y_onehot, cfg, seed, layer_id):
     return layer
 
 
-def sequential_logistic(x, y_onehot, cfg, seed, layer_id):
-    """The same loop on a CsrMatrix ``x``, its two products summed one
-    stored entry at a time, as every kernel backend must sum them."""
+def sequential_steps(x, y, params, state, l2, epochs):
+    """``epochs`` of the local classifier's steps on a CsrMatrix ``x``, in
+    place on ``params`` (the weights, then the bias) and their Adam
+    ``state``, its two products summed one stored entry at a time, as
+    every kernel backend must sum them."""
     def product(m, w):
         return sequential_spmm(m.row_offsets, m.col_indices, m.values, w,
                                np.zeros((m.n_rows, w.shape[1])))
 
+    (w_name, weight), (b_name, bias) = params.items()
+    for _ in range(epochs):
+        pre = product(x, weight) + bias
+        grad_pre = (_sigmoid(pre) - y) / x.n_rows
+        grad_w = product(x.T, grad_pre)
+        if l2 > 0:
+            grad_w = grad_w + l2 * weight
+        grad_b = grad_pre.sum(axis=0, keepdims=True)
+        adam_step(state, params, {w_name: grad_w, b_name: grad_b})
+
+
+def sequential_logistic(x, y_onehot, cfg, seed, layer_id):
+    """The local classifier's training loop on every column of ``x``."""
     layer = DenseLayer.create(x.n_cols, y_onehot.shape[1], "identity",
                               seed, layer_id)
     params = dict(layer.param_items("clf"))
-    state = AdamState.create(params, lr=cfg.lr)
-    for _ in range(cfg.epochs):
-        pre = product(x, layer.weight) + layer.bias
-        grad_pre = (_sigmoid(pre) - y_onehot) / x.n_rows
-        grad_w = product(x.T, grad_pre)
-        if cfg.l2 > 0:
-            grad_w = grad_w + cfg.l2 * layer.weight
-        grad_b = grad_pre.sum(axis=0, keepdims=True)
-        adam_step(state, params, dict(zip(params, (grad_w, grad_b), strict=True)))
+    sequential_steps(x, y_onehot, params, AdamState.create(params, cfg.lr),
+                     cfg.l2, cfg.epochs)
     return layer
 
 

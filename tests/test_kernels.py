@@ -383,3 +383,77 @@ def test_pickle_after_a_product(what, restore_backend):
         if what == "graph":
             assert (copy.adjacency.dot(want).tobytes()
                     == g.adjacency.dot(want).tobytes())
+
+
+def _logistic_operands():
+    """A 4 x 3 input whose row 2 stores nothing, one-hot targets over three
+    classes, and initial weights and bias."""
+    x = CsrMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, -1.5, 0.0],
+                                       [0.0, 0.0, 0.0], [0.5, 0.0, 0.25]]))
+    y = _onehot(np.array([0, 1, 2, 0]), 3)
+    rng = np.random.default_rng(7)
+    return x, y, rng.standard_normal((3, 3)), rng.standard_normal((1, 3))
+
+
+def _bind(x, y, w, b, l2=0.0):
+    return kernels.bind_logistic(x, x.T, y, {"clf.w": w, "clf.b": b}, l2, 0.1,
+                                 0.9, 0.999, 1e-8)
+
+
+# an infinite target in a row that stores entries makes the weight gradient
+# non-finite, so nothing is stepped; in row 2, which stores nothing, it
+# reaches only the bias gradient, so the weights are stepped and the bias not
+@pytest.mark.parametrize("row, name", [(0, "clf.w"), (2, "clf.b")])
+def test_non_finite_logistic_gradient_names_its_parameter(row, name,
+                                                          restore_backend):
+    x, y, w0, b0 = _logistic_operands()
+    y[row, 1] = np.inf
+    states = []
+    for backend in kernels.available_backends():
+        kernels.set_backend(backend)
+        w, b = w0.copy(), b0.copy()
+        fit = _bind(x, y, w, b)
+        with pytest.raises(ValueError) as err:
+            fit.step()
+        assert str(err.value) == f"non-finite gradient in {name!r}"
+        assert b.tobytes() == b0.tobytes()
+        assert (w.tobytes() == w0.tobytes()) == (name == "clf.w")
+        states.append([fit.t, *(a.tobytes() for a in (
+            w, b, *fit.m.values(), *fit.v.values()))])
+    assert all(state == states[0] for state in states)
+
+
+@pytest.mark.parametrize("backend", ["numpy", "c"])
+def test_logistic_binding_refuses_bad_operands(backend, restore_backend):
+    if backend not in kernels.available_backends():
+        pytest.skip("C kernel not built")
+    kernels.set_backend(backend)
+    x, y, w, b = _logistic_operands()
+    with pytest.raises(ValueError, match="clf.w must be a writeable"):
+        _bind(x, y, w[:2].copy(), b)
+    with pytest.raises(ValueError, match="clf.b must be a C-contiguous"):
+        _bind(x, y, w, b.astype(np.float32))
+    with pytest.raises(ValueError, match="y must be a C-contiguous"):
+        _bind(x, np.asfortranarray(y[:, :2]), w[:, :2].copy(), b[:, :2].copy())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        _bind(x, y[:3].copy(), w, b)
+    with pytest.raises(ValueError, match="must not share memory with y"):
+        _bind(x, y, y[:3], b)
+    with pytest.raises(ValueError, match="clf.b must not share memory with clf.w"):
+        _bind(x, y, w, w[:1])
+    read_only = w.copy()
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="clf.w must be a writeable"):
+        _bind(x, y, read_only, b)
+
+
+@needs_c
+def test_c_logistic_binding_runs_the_compiled_step_from_two_classes(
+        restore_backend):
+    kernels.set_backend("c")
+    x, y, w, b = _logistic_operands()
+    assert isinstance(_bind(x, y, w, b), _csr_c.CompiledLogistic)
+    # one class: NumPy sums the bias gradient's one column pairwise, so the
+    # NumPy step runs
+    single = _bind(x, y[:, :1].copy(), w[:, :1].copy(), b[:, :1].copy())
+    assert type(single) is _csr_np.LogisticBinding

@@ -19,8 +19,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from conftest import sequential_spmm, two_cliques_graph  # noqa: E402
+from test_ica import sequential_steps  # noqa: E402
 from modgcn import kernels  # noqa: E402
-from modgcn.datasets import (DatasetSource, load_graph_cache,  # noqa: E402
+from modgcn import datasets  # noqa: E402
+from modgcn.datasets import (_IS_WORD, DatasetSource,  # noqa: E402
+                             _content_rows, _read_content, load_graph_cache,
                              load_linqs, preprocess_features,
                              save_graph_cache)
 from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E402
@@ -31,7 +34,7 @@ from modgcn.layers import (row_max, row_sum, softmax_rows,  # noqa: E402
                            softmax_rows_backward)
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
                           load_checkpoint, save_checkpoint)
-from modgcn.optim import AdamState, adam_step  # noqa: E402
+from modgcn.optim import BETA1, BETA2, EPS, AdamState, adam_step  # noqa: E402
 from modgcn.sparse import CsrMatrix, build_graph, sparse_add  # noqa: E402
 
 # small exact values, so duplicates can cancel to exact zeros and every
@@ -632,3 +635,191 @@ def test_adam_backends_give_the_same_bytes(run):
     finally:
         kernels.set_backend(previous)
     assert got[0] == got[1]
+
+
+@st.composite
+def csr_binding_cases(draw):
+    """A CSR matrix from ``kernel_cases``, or one that stores nothing, and
+    two operands for it."""
+    m, x, _ = draw(kernel_cases())
+    if draw(st.booleans()):
+        m = CsrMatrix.from_coo(m.n_rows, m.n_cols, [], [], [])
+    other = draw(every_element(np.float64, x.shape, FINITE))
+    return m, x, other
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(csr_binding_cases())
+def test_numpy_binding_plans_once_and_gives_the_bytes_of_spmm(case):
+    m, x, other = case
+    bound = _csr_np.CsrBinding(m.row_offsets, m.col_indices, m.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for operand in (x, other):
+            want = np.zeros((m.n_rows, operand.shape[1]))
+            _csr_np.spmm(m.row_offsets, m.col_indices, m.values, operand, want)
+            got = np.zeros_like(want)
+            bound(operand, got)
+            assert got.tobytes() == want.tobytes()
+            plan = bound.plan
+    assert bound.plan is plan
+
+
+# signed zeros, subnormals and ordinary values; 1e300 makes x @ W and Adam's
+# second moment overflow now and then
+LOGISTIC_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, 1e300]),
+    st.floats(-10.0, 10.0, width=64))
+
+
+@st.composite
+def logistic_runs(draw):
+    """(x, y, W, b, l2, epochs): an m x n input with a row that stores
+    nothing now and then, p classes, more than 8 rows often enough that a
+    one-column bias gradient sums pairwise in NumPy."""
+    m, n = draw(st.integers(1, 20)), draw(st.integers(0, 6))
+    p = draw(st.one_of(st.just(1), st.integers(1, 20)))
+    dense = draw(every_element(np.float64, (m, n), LOGISTIC_VALUES))
+    stored = draw(every_element(np.bool_, (m, n), st.booleans()))
+    if draw(st.booleans()):
+        stored[draw(st.integers(0, m - 1))] = False
+    x = CsrMatrix.from_dense(np.where(stored, dense, 0.0))
+    y = draw(every_element(np.float64, (m, p), LOGISTIC_VALUES))
+    w = draw(every_element(np.float64, (n, p), LOGISTIC_VALUES))
+    b = draw(every_element(np.float64, (1, p), LOGISTIC_VALUES))
+    return x, y, w, b, draw(st.sampled_from([0.0, 0.01])), draw(st.integers(1, 3))
+
+
+def _outcome(error, t, params, m, v):
+    return [error, t, *(a.tobytes() for a in (*params.values(), *m.values(),
+                                                *v.values()))]
+
+
+def _stepped_by_binding(run):
+    """The error, if any, step count and bytes of W, b and their Adam
+    moments after the active backend's binding steps the run."""
+    x, y, w, b, l2, epochs = run
+    params = {"clf.w": w.copy(), "clf.b": b.copy()}
+    fit = kernels.bind_logistic(x, x.T, y, params, l2, 0.1, BETA1, BETA2, EPS)
+    error = None
+    try:
+        for _ in range(epochs):
+            fit.step()
+    except ValueError as exc:
+        error = str(exc)
+    return _outcome(error, fit.t, params, fit.m, fit.v)
+
+
+def _stepped_sequentially(run):
+    x, y, w, b, l2, epochs = run
+    params = {"clf.w": w.copy(), "clf.b": b.copy()}
+    state = AdamState.create(params, lr=0.1)
+    error = None
+    try:
+        sequential_steps(x, y, params, state, l2, epochs)
+    except ValueError as exc:
+        error = str(exc)
+    return _outcome(error, state.step, params, state.m, state.v)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(logistic_runs())
+def test_logistic_bindings_give_the_bytes_of_the_sequential_loop(run):
+    previous = kernels.backend_name()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _stepped_sequentially(run)
+            for name in kernels.available_backends():
+                kernels.set_backend(name)
+                assert _stepped_by_binding(run) == want, name
+    finally:
+        kernels.set_backend(previous)
+
+
+# what a .content line is made of: ids and labels, ASCII or not; the
+# tokens above; the separators str.split() splits on, some that only it
+# does (\x0b, \x1c, \x85, \u3000) among them; and every line ending that
+# universal newlines reads
+NAMES = st.sampled_from(["n1", "31336", "0", "Case_Based", "é", "节点",
+                         "id\u00e9x", "1_0"])
+SEPARATORS = st.sampled_from([" ", "\t", "   ", " \t ", "\x0b", "\x1c",
+                              "\x85", "\u3000", "\u2028"])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+# now and then a token that the parse refuses
+BAD_TOKENS = st.sampled_from(["x", "1_0", "nan", "-inf", "\u0661", "1e999"])
+
+
+@st.composite
+def content_files(draw):
+    """The text of a .content file: mostly well-formed lines of one width,
+    with blank or whitespace-only lines, a missing final line end now and
+    then, and now and then a short line or a token that is refused."""
+    width = draw(st.integers(1, 8))
+    text = ""
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 5)) == 0:
+            text += draw(st.sampled_from(["", " ", "\t\x0c "])) + draw(LINE_ENDS)
+            continue
+        values = draw(st.lists(st.one_of(TOKENS, st.just("0"), st.just("0")),
+                               min_size=width, max_size=width))
+        if draw(st.integers(0, 15)) == 0:
+            values[draw(st.integers(0, width - 1))] = draw(BAD_TOKENS)
+        if draw(st.integers(0, 15)) == 0:
+            values = values[1:]
+        tokens = [draw(NAMES), *values, draw(NAMES)]
+        line = draw(st.sampled_from(["", " ", "\u3000"]))
+        line += "".join(t + draw(SEPARATORS) for t in tokens[:-1]) + tokens[-1]
+        text += line + draw(LINE_ENDS)
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def _parse_by_row(path):
+    """(ids, names, feature CSR arrays) of the row parse, or its error."""
+    with open(path, encoding="utf-8") as fh:
+        n_cols, ids, names, row_cols, row_vals = _content_rows(path, fh, 1, None)
+    if not ids:
+        raise ValueError(f"{path}: empty .content file")
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum([c.size for c in row_cols], out=offsets[1:])
+    return (ids, names, n_cols - 2, offsets.tobytes(),
+            np.concatenate(row_cols, dtype=np.int64).tobytes(),
+            np.concatenate(row_vals).tobytes())
+
+
+def _parse_by_block(path):
+    ids, names, x = _read_content(path)
+    return (ids, names, x.n_cols, x.row_offsets.tobytes(),
+            x.col_indices.tobytes(), x.values.tobytes())
+
+
+def _outcome_of(parse, path):
+    try:
+        return parse(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(content_files(), st.integers(1, 40))
+def test_block_parse_equals_the_row_parse(text, block):
+    # a block of a few characters makes a file span many blocks, and a
+    # line longer than a block wait for the next
+    saved = datasets.CONTENT_BLOCK_CHARS
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.content"
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome_of(_parse_by_row, path)
+        try:
+            datasets.CONTENT_BLOCK_CHARS = block
+            got = _outcome_of(_parse_by_block, path)
+        finally:
+            datasets.CONTENT_BLOCK_CHARS = saved
+    assert got == want
+
+
+def test_whitespace_table_is_str_isspace():
+    import sys
+    spaces = [c for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert max(spaces) < len(_IS_WORD) - 1
+    assert np.flatnonzero(~_IS_WORD).tolist() == spaces
