@@ -11,10 +11,14 @@ only the weight rows of the columns its training rows store; the others
 would keep their initial values bit for bit anyway. Inference sweeps
 nodes in ascending id order, each update immediately visible to later
 nodes, and re-scores only the nodes whose neighbors changed label since
-their last visit.
+their last visit. The sweeps run in the kernel backend
+(``kernels.relabel``): the compiled one walks the nodes in C and takes
+the relational term ``counts @ w_rel`` from NumPy once per distinct
+neighbour-label count vector, so both backends give the same labels.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +41,16 @@ class IcaConfig:
     l2: float = 0.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("max_iters", "epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("lr", "l2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)!r}")
         if self.lr <= 0 or self.l2 < 0:
             raise ValueError("lr must be > 0 and l2 >= 0")
 
@@ -123,46 +133,6 @@ def neighbor_label_counts(g: Graph, labels: np.ndarray) -> np.ndarray:
     return g.adjacency.dot(_onehot(labels, g.num_classes))
 
 
-def relabel(adjacency: CsrMatrix, state: np.ndarray, unlabeled: np.ndarray,
-            base_logits: np.ndarray, w_rel: np.ndarray, max_iters: int):
-    """ICA's inference sweeps, in place on ``state``; returns
-    ``(iterations, converged, visits)``.
-
-    Each sweep visits ``unlabeled`` in ascending id and sets node i to
-    ``argmax(base_logits[i] + counts_i @ w_rel)``, where ``counts_i`` counts
-    the current labels of i's neighbors, until a sweep changes nothing or
-    ``max_iters`` sweeps. Every node must hold a label (no -1). A node's
-    score depends only on its neighbors' labels, so a node none of whose
-    neighbors changed since its last visit would score the same bits
-    again: it is skipped. A change marks the neighbors stale at once, so
-    a later neighbor is still visited in the same sweep. Labels and
-    iterations equal those of sweeps that re-score every node.
-    """
-    stale = np.ones(state.size, dtype=bool)
-    offsets = adjacency.row_offsets.tolist()
-    cols = adjacency.col_indices
-    k = w_rel.shape[0]
-    order = unlabeled.tolist()
-    visits = 0
-    for sweep in range(max_iters):
-        changed = 0
-        for i in order:
-            if not stale[i]:
-                continue
-            stale[i] = False
-            visits += 1
-            nbrs = cols[offsets[i]:offsets[i + 1]]
-            counts = np.bincount(state[nbrs], minlength=k)
-            new = int((base_logits[i] + counts @ w_rel).argmax())
-            if new != state[i]:
-                state[i] = new
-                stale[nbrs] = True
-                changed += 1
-        if changed == 0:
-            return sweep + 1, True, visits
-    return max_iters, False, visits
-
-
 def train_classifiers(g: Graph, train_ids: np.ndarray, cfg: IcaConfig,
                       seed: int) -> tuple[DenseLayer, DenseLayer]:
     """ICA's two local classifiers, fit on the nodes ``train_ids`` (checked
@@ -215,7 +185,7 @@ def ica_train_predict(g: Graph, train_ids, test_ids,
     # attribute logits are fixed during inference; only counts change
     w_attr, w_rel = full_clf.weight[:x.n_cols], full_clf.weight[x.n_cols:]
     base_logits = x.dot(w_attr) + full_clf.bias
-    iterations, converged, visits = relabel(
+    iterations, converged, visits = kernels.relabel(
         g.adjacency, state, unlabeled, base_logits, w_rel, cfg.max_iters)
     logger.info("ica: converged=%s after %d sweep(s), %d of %d node visits",
                 converged, iterations, visits, iterations * unlabeled.size)

@@ -1,5 +1,5 @@
-"""The CSR x dense product, the Adam step and a logistic-regression step,
-each with a compiled core and a NumPy fallback.
+"""The CSR x dense product, the Adam step, a logistic-regression step and
+ICA's inference sweeps, each with a compiled core and a NumPy fallback.
 
 The backend is chosen on first use: the C kernel if it compiled and loaded
 at import (see ``_csr_c``), else the pure-NumPy implementation.
@@ -10,7 +10,10 @@ with no compiler) is one ``ValueError`` from the first product or
 :func:`set_backend` exists for tests and benchmarks. Both backends add
 each output entry's terms in the same order, and make each Adam and
 regression operation in the same order, so they compute the same bits for
-every input.
+every input. The sweeps (:func:`relabel`) take every relational product
+``counts @ w_rel`` from NumPy in both backends, because its bits are
+those of the BLAS kernel that OpenBLAS selects for the CPU; the compiled
+sweep keeps one product per distinct count vector in a table.
 
 A backend checks the operands that stay fixed once, in a binding: a CSR
 matrix's three arrays (``csr_dense_matmul``'s ``bindings``), a parameter
@@ -119,3 +122,13 @@ def bind_logistic(x, x_t, y, params, l2, lr, b1, b2, eps):
     if _active is None:
         backend_name()
     return _active.bind_logistic(x, x_t, y, params, l2, lr, b1, b2, eps)
+
+
+def relabel(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
+    """ICA's inference sweeps in the active backend, in place on ``state``;
+    returns ``(iterations, converged, visits)``. See ``_csr_np.relabel``
+    for what they compute and ``_csr_np.check_sweep`` for the operands."""
+    if _active is None:
+        backend_name()
+    return _active.relabel(adjacency, state, unlabeled, base_logits, w_rel,
+                           max_iters)

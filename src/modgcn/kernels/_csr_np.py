@@ -6,7 +6,8 @@ later call checks only what changes from call to call: ``bind_csr`` binds
 a CSR matrix's three arrays, ``bind_adam`` one parameter and its two
 moment buffers, and ``bind_logistic`` a whole logistic regression. The
 compiled backend (``_csr_c``) subclasses the bindings, so both backends
-accept and refuse the same operands.
+accept and refuse the same operands. ``relabel`` runs ICA's inference
+sweeps; both backends check its operands with :func:`check_sweep`.
 
 The product computes the compiled kernel's bits. Every output entry adds
 its row's stored entries in stored order, as ``out[i, c] + v * x[j, c]``,
@@ -280,6 +281,98 @@ class LogisticBinding:
                 adam(g, self.lr, bc1, bc2)
             except ValueError as exc:
                 raise ValueError(f"{exc} in {name!r}") from None
+
+
+def check_sweep(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
+    """Check :func:`relabel`'s operands before anything changes; returns
+    the swept ids as an int64 array and ``base_logits`` C-contiguous.
+
+    ``adjacency`` is an n x n CSR matrix whose column indices lie in
+    ``[0, n)``, as ``CsrMatrix`` guarantees; ``state`` a writeable
+    C-contiguous int64 array of n labels, each in ``[0, k)``;
+    ``unlabeled`` integer ids in ``[0, n)``; ``base_logits`` an (n, k)
+    and ``w_rel`` a (k, k) float64 array; ``max_iters`` an int >= 1.
+    Anything else is one ValueError."""
+    if (not isinstance(state, np.ndarray) or state.dtype != np.int64
+            or state.ndim != 1 or not state.flags.c_contiguous
+            or not state.flags.writeable):
+        raise ValueError("state must be a writeable C-contiguous 1-D int64 "
+                         "array")
+    n = state.size
+    indptr, indices = adjacency.row_offsets, adjacency.col_indices
+    check_array("indptr", indptr, np.int64, 1)
+    check_array("indices", indices, np.int64, 1)
+    if (adjacency.n_rows, adjacency.n_cols, len(indptr)) != (n, n, n + 1):
+        raise ValueError(f"adjacency ({adjacency.n_rows}, {adjacency.n_cols}) "
+                         f"with {len(indptr)} offsets does not match {n} "
+                         f"labels")
+    for name, arr in (("base_logits", base_logits), ("w_rel", w_rel)):
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+            raise ValueError(f"{name} must be a float64 array")
+    k = w_rel.shape[0] if w_rel.ndim == 2 else -1
+    if base_logits.shape != (n, k) or w_rel.shape != (k, k):
+        raise ValueError(f"base_logits {base_logits.shape} and w_rel "
+                         f"{w_rel.shape} must be (n, k) and (k, k) with "
+                         f"n = {n}")
+    if n and (state.min() < 0 or state.max() >= k):
+        raise ValueError(f"every label must lie in [0, {k})")
+    order = np.asarray(unlabeled)
+    if order.ndim != 1 or not (order.dtype.kind in "iu" or order.size == 0):
+        raise ValueError("unlabeled must be a 1-D array of integer node ids")
+    order = np.ascontiguousarray(order, dtype=np.int64)
+    if order.size and (order.min() < 0 or order.max() >= n):
+        raise ValueError(f"unlabeled ids must lie in [0, {n})")
+    if (not isinstance(max_iters, (int, np.integer))
+            or isinstance(max_iters, bool) or max_iters < 1):
+        raise ValueError(f"max_iters must be an int >= 1, got {max_iters!r}")
+    return order, np.ascontiguousarray(base_logits)
+
+
+def sweeps(adjacency, state, order, base_logits, w_rel, max_iters):
+    """:func:`relabel`'s sweeps on checked operands."""
+    stale = np.ones(state.size, dtype=bool)
+    offsets = adjacency.row_offsets.tolist()
+    cols = adjacency.col_indices
+    k = w_rel.shape[0]
+    order = order.tolist()
+    visits = 0
+    for sweep in range(max_iters):
+        changed = 0
+        for i in order:
+            if not stale[i]:
+                continue
+            stale[i] = False
+            visits += 1
+            nbrs = cols[offsets[i]:offsets[i + 1]]
+            counts = np.bincount(state[nbrs], minlength=k)
+            new = int((base_logits[i] + counts @ w_rel).argmax())
+            if new != state[i]:
+                state[i] = new
+                stale[nbrs] = True
+                changed += 1
+        if changed == 0:
+            return sweep + 1, True, visits
+    return max_iters, False, visits
+
+
+def relabel(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
+    """ICA's inference sweeps, in place on ``state``; returns
+    ``(iterations, converged, visits)``. The operands are checked first
+    (see :func:`check_sweep`).
+
+    Each sweep visits ``unlabeled`` in the order given (ascending in ICA)
+    and sets node i to ``argmax(base_logits[i] + counts_i @ w_rel)``,
+    where ``counts_i`` counts the current labels of i's neighbors, until
+    a sweep changes nothing or ``max_iters`` sweeps. A node's score
+    depends only on its neighbors' labels, so a node none of whose
+    neighbors changed since its last visit would score the same bits
+    again: it is skipped. A change marks the neighbors stale at once, so
+    a later neighbor is still visited in the same sweep. Labels and
+    iterations equal those of sweeps that re-score every node.
+    """
+    order, base_logits = check_sweep(adjacency, state, unlabeled,
+                                     base_logits, w_rel, max_iters)
+    return sweeps(adjacency, state, order, base_logits, w_rel, max_iters)
 
 
 bind_csr = CsrBinding

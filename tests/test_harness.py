@@ -752,6 +752,9 @@ lr = 0.2
         ("[experiment]\n[icaa]\nmax_iters = 3\n", "unknown section \\[icaa\\]"),
         ("[experiment]\nmodels = gcn, gcn-mdo\n", "unknown model 'gcn-mdo'"),
         ("[experiment]\n[ica]\nmax_iters = 0\n", "max_iters must be >= 1"),
+        ("[experiment]\n[ica]\nl2 = nan\n", "l2 must be finite"),
+        ("[experiment]\n[ica]\nlr = inf\n", "lr must be finite"),
+        ("[experiment]\n[ica]\nmax_iters = 2.5\n", "\\[ica\\] max_iters"),
         ("epochs = 5\n", "no section headers"),
         ("[experiment]\nepochs = 5\nepochs = 6\n", "'epochs'"),
         ("[experiment]\nepochs = ten\n", "\\[experiment\\] epochs"),
@@ -771,7 +774,8 @@ lr = 0.2
          "chebnet-aux = 0.5\n", "alpha override 'chebnet-aux' is not in models"),
         ("[experiment]\n[alpha]\ngcn-mod = 0.3\ngcn-mod = 0.7\n", "'gcn-mod'"),
     ], ids=["experiment-key", "ica-key", "alpha-typo", "alpha-plain",
-            "alpha-ica", "section", "model-name", "ica-value",
+            "alpha-ica", "section", "model-name", "ica-value", "ica-l2-nan",
+            "ica-lr-inf", "ica-max-iters-float",
             "no-header", "duplicate-key", "bad-value", "repeated-model",
             "repeated-budget", "budget-range", "n-runs-range", "alpha-range",
             "alpha-override-range", "lr-range", "epochs-range",

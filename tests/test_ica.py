@@ -26,6 +26,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             IcaConfig(lr=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("l2", float("nan")), ("l2", float("inf")), ("lr", float("nan")),
+        ("lr", float("inf")), ("max_iters", 2.5), ("max_iters", True),
+        ("epochs", 200.0), ("epochs", False)])
+    def test_non_finite_or_non_integer_value_names_its_field(self, field,
+                                                             value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            IcaConfig(**{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = IcaConfig(max_iters=np.int64(3), epochs=np.int32(5))
+        assert (cfg.max_iters, cfg.epochs) == (3, 5)
+
 
 class TestNeighborCounts:
     def test_counts_only_known_labels(self):

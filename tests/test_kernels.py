@@ -457,3 +457,107 @@ def test_c_logistic_binding_runs_the_compiled_step_from_two_classes(
     # NumPy step runs
     single = _bind(x, y[:, :1].copy(), w[:, :1].copy(), b[:, :1].copy())
     assert type(single) is _csr_np.LogisticBinding
+
+
+def _sweep_operands():
+    """A 4-node path 0-1-2-3 in 2 classes, nodes 1 and 2 swept."""
+    adjacency = build_graph([(0, 1), (1, 2), (2, 3)], np.zeros((4, 1)),
+                            np.zeros(4)).adjacency
+    state = np.array([0, 1, 0, 1], dtype=np.int64)
+    base_logits = np.array([[0.0, 1.0]] * 4)
+    w_rel = np.array([[2.0, 0.0], [0.0, 1.0]])
+    return adjacency, state, np.array([1, 2]), base_logits, w_rel, 5
+
+
+def _strided(state):
+    every_other = np.repeat(state, 2)[::2]
+    assert not every_other.flags.c_contiguous
+    return every_other
+
+
+def _read_only(state):
+    state.flags.writeable = False
+    return state
+
+
+@pytest.mark.parametrize("backend", ["numpy", "c"])
+@pytest.mark.parametrize("which, bad, message", [
+    (1, lambda s: np.array([0, 2, 0, 1]), "every label must lie in \\[0, 2\\)"),
+    (1, lambda s: np.array([0, -1, 0, 1]), "every label must lie"),
+    (1, lambda s: s.astype(np.int32), "state must be a writeable"),
+    (1, _strided, "state must be a writeable"),
+    (1, _read_only, "state must be a writeable"),
+    (2, lambda ids: np.array([1, 4]), "unlabeled ids must lie in \\[0, 4\\)"),
+    (2, lambda ids: np.array([-1]), "unlabeled ids must lie"),
+    (2, lambda ids: np.array([1.0]), "integer node ids"),
+    (3, lambda b: b[:3].copy(), "base_logits \\(3, 2\\)"),
+    (3, lambda b: b.T.copy(), "base_logits \\(2, 4\\)"),
+    (3, lambda b: b.astype(np.float32), "base_logits must be a float64"),
+    (4, lambda w: w[:1].copy(), "w_rel \\(1, 2\\)"),
+    (5, lambda m: 2.5, "max_iters must be an int >= 1"),
+    (5, lambda m: 0, "max_iters must be an int >= 1"),
+    (5, lambda m: True, "max_iters must be an int >= 1"),
+], ids=["label-high", "label-negative", "state-int32", "state-strided",
+        "state-read-only", "id-high", "id-negative", "id-float", "logits-rows", "logits-shape",
+        "logits-float32", "w-rel-shape", "max-iters-float", "max-iters-zero",
+        "max-iters-bool"])
+def test_sweep_refuses_bad_operands_before_it_runs(backend, which, bad,
+                                                   message, restore_backend):
+    if backend not in kernels.available_backends():
+        pytest.skip("C kernel not built")
+    kernels.set_backend(backend)
+    operands = list(_sweep_operands())
+    operands[which] = bad(operands[which])
+    state = operands[1]
+    before = state.copy()
+    with pytest.raises(ValueError, match=message):
+        kernels.relabel(*operands)
+    assert state.tobytes() == before.tobytes()
+
+
+@needs_c
+@pytest.mark.parametrize("leaves, k, fallback", [
+    (127, 9, False), (128, 9, True), (128, 7, False), (512, 7, True)])
+def test_compiled_sweep_hands_a_key_too_wide_to_numpy(leaves, k, fallback,
+                                                      monkeypatch):
+    # a hub's count vector takes k times the bit length of its degree
+    # bits: 9 * 7 and 7 * 8 fit a 63-bit key, 9 * 8 and 7 * 10 do not
+    n = leaves + 1
+    adjacency = build_graph([(0, j) for j in range(1, n)], np.zeros((n, 1)),
+                            np.zeros(n)).adjacency
+    rng = np.random.default_rng(leaves + k)
+    state = rng.integers(0, k, n)
+    base_logits, w_rel = rng.standard_normal((n, k)), rng.standard_normal((k, k))
+    want = state.copy()
+    result = _csr_np.relabel(adjacency, want, np.arange(n), base_logits,
+                             w_rel, 10)
+    calls = []
+    numpy_sweeps = _csr_np.sweeps
+    monkeypatch.setattr(_csr_np, "sweeps",
+                        lambda *a: calls.append(1) or numpy_sweeps(*a))
+    got = state.copy()
+    assert kernels._BACKENDS["c"].relabel(adjacency, got, np.arange(n),
+                                          base_logits, w_rel, 10) == result
+    assert got.tobytes() == want.tobytes()
+    assert bool(calls) == fallback
+
+
+@needs_c
+def test_compiled_sweep_refuses_a_table_size_not_a_power_of_two():
+    with pytest.raises(ValueError, match="power of two"):
+        kernels._BACKENDS["c"].relabel(*_sweep_operands(), slots=3)
+
+
+@pytest.mark.skipif(shutil.which(_csr_c.COMPILER) is None, reason="no C compiler")
+def test_build_removes_the_libraries_of_earlier_sources(monkeypatch, tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    keep = ["_csr_c.0123456789abcdef.so.999.tmp",  # another build in flight
+            "other.so", "_csr_c.py"]
+    for name in ["_csr_c.0123456789abcdef.so", "_csr_c.fedcba9876543210.so",
+                 *keep]:
+        (cache / name).write_bytes(b"")
+    monkeypatch.setattr(_csr_c, "CACHE_DIR", cache)
+    assert _csr_c.load() is not None
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [_csr_c.LIB_NAME, *keep])

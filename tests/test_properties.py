@@ -2,8 +2,9 @@
 oracles, every kernel backend against the sequential sum byte for byte,
 the CSR feature parse and row normalisation against their dense
 forms, the softmax's class-axis reductions against NumPy's bits, ICA's
-classifier input against its dense form and its stale-node sweeps against
-full sweeps, the two backends' Adam steps byte for byte, and exact round
+classifier input against its dense form, its stale-node sweeps against
+full sweeps and the compiled sweeps against the NumPy ones byte for byte,
+the two backends' Adam steps byte for byte, and exact round
 trips of the results CSV, of checkpoints and of the graph cache's features
 (need the `test` extras)."""
 
@@ -28,8 +29,8 @@ from modgcn.datasets import (_IS_WORD, DatasetSource,  # noqa: E402
                              save_graph_cache)
 from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E402
                             write_results_csv)
-from modgcn.ica import _classifier_input, relabel  # noqa: E402
-from modgcn.kernels import _csr_np  # noqa: E402
+from modgcn.ica import _classifier_input  # noqa: E402
+from modgcn.kernels import _csr_np, relabel  # noqa: E402
 from modgcn.layers import (row_max, row_sum, softmax_rows,  # noqa: E402
                            softmax_rows_backward)
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
@@ -539,10 +540,22 @@ def test_classifier_input_is_the_dense_concatenation(case):
     _same(x.to_dense(), want)
 
 
+# common ordinary values, so that ties and flips are common, and now and
+# then a signed zero, an infinity or a NaN
+SWEEP_VALUES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0] * 3
+                               + [math.inf, -math.inf, math.nan])
+# a hub joined to this many leaves has a degree of 8 bits, too wide for a
+# table key of the compiled sweep from 8 classes up (8 * 8 > 63 bits)
+HUB_LEAVES = 128
+
+
 @st.composite
 def sweep_inputs(draw):
-    """A small graph, a full labelling, the nodes to sweep, and logits and
-    weights drawn from few values, so that ties and flips are common.
+    """A small graph with up to 3 isolated nodes, a full labelling, the
+    nodes to sweep, and logits and weights drawn from few values, among
+    them ±0.0, ±inf and NaN. A quarter of the draws add a swept hub with
+    ``HUB_LEAVES`` leaves and 8 or 9 classes, whose count vectors do not
+    fit the compiled sweep's table key.
 
     Every element is drawn, and at least 10 edges (self-loops drop out):
     sparse or near-constant inputs hardly ever flip a label twice, and then
@@ -550,29 +563,52 @@ def sweep_inputs(draw):
     def each(dtype, shape, elements):
         return draw(every_element(dtype, shape, elements))
 
+    wide = draw(st.integers(0, 3)) == 0
     n = draw(st.integers(1, 20))
-    k = draw(st.integers(1, 5))
+    k = draw(st.integers(8, 9) if wide else st.integers(1, 9))
     node = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(node, node), min_size=10, max_size=60))
-    adjacency = build_graph(edges, np.zeros((n, 1)), np.zeros(n)).adjacency
-    logits = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
-    return (adjacency, each(np.int64, n, st.integers(0, k - 1)),
-            np.flatnonzero(each(np.bool_, n, st.booleans())),
-            each(np.float64, (n, k), logits), each(np.float64, (k, k), logits),
-            draw(st.integers(1, 10)))
+    total = n + draw(st.integers(0, 3))
+    if wide:
+        edges += [(0, total + j) for j in range(HUB_LEAVES)]
+        total += HUB_LEAVES
+    adjacency = build_graph(edges, np.zeros((total, 1)),
+                            np.zeros(total)).adjacency
+    swept = each(np.bool_, total, st.booleans())
+    swept[0] |= wide
+    return (adjacency, each(np.int64, total, st.integers(0, k - 1)),
+            np.flatnonzero(swept), each(np.float64, (total, k), SWEEP_VALUES),
+            each(np.float64, (k, k), SWEEP_VALUES), draw(st.integers(1, 10)))
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(sweep_inputs())
 def test_stale_node_sweeps_match_full_sweeps(inputs):
     adjacency, state, unlabeled, base_logits, w_rel, max_iters = inputs
-    want = state.copy()
-    iterations = full_sweeps(adjacency, want, unlabeled, base_logits, w_rel,
-                             max_iters)
-    got = state.copy()
-    assert relabel(adjacency, got, unlabeled, base_logits, w_rel,
-                   max_iters)[0] == iterations
+    want, got = state.copy(), state.copy()
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf give NaN
+        iterations = full_sweeps(adjacency, want, unlabeled, base_logits,
+                                 w_rel, max_iters)
+        assert relabel(adjacency, got, unlabeled, base_logits, w_rel,
+                       max_iters)[0] == iterations
     _same(got, want)
+
+
+@pytest.mark.skipif("c" not in kernels.available_backends(),
+                    reason="C kernel not built")
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(sweep_inputs(), st.sampled_from([None, 2, 4, 16]))
+def test_compiled_sweeps_give_the_bytes_of_the_numpy_sweeps(inputs, slots):
+    # slots 2 stores one product, then scores every other miss unstored
+    adjacency, state, unlabeled, base_logits, w_rel, max_iters = inputs
+    want, got = state.copy(), state.copy()
+    with np.errstate(invalid="ignore"):
+        result = _csr_np.relabel(adjacency, want, unlabeled, base_logits,
+                                 w_rel, max_iters)
+        assert kernels._BACKENDS["c"].relabel(
+            adjacency, got, unlabeled, base_logits, w_rel, max_iters,
+            slots=slots) == result
+    assert got.tobytes() == want.tobytes()
 
 
 def test_node_marked_earlier_in_a_sweep_is_visited_in_it():
