@@ -4,14 +4,15 @@
 
 Reads the records that ``perfbench/run.py`` writes (``*.json`` in each
 RECORDS_DIR, by default ``.perfbench_out/records``), keeps the untraced
-ones, and groups them by workload and by the hash of the code they ran
-(``env.code_sha256``). For each group OUT.json holds the number of runs,
-the median and the best of every end-to-end metric that BENCHMARK.json
-declares, and the git SHA, kernel backend, numpy version and CPU count the
-runs recorded. It also holds one calibration figure timed when the script
-runs: the C kernel's product of the row-normalised feature matrix of the
-seed-5 perfbench graph with a 16-column W. Records made on another day or
-machine can be put on one scale by it.
+ones, and groups them by workload, by the hash of the code they ran
+(``env.code_sha256``) and by run length (``--seconds``), so that runs of
+different lengths never share a median. For each group OUT.json holds the
+number of runs, the median and the best of every end-to-end metric that
+BENCHMARK.json declares, and the git SHA, kernel backend, numpy version
+and CPU count the runs recorded. It also holds one calibration figure
+timed when the script runs: the C kernel's product of the row-normalised
+feature matrix of the seed-5 perfbench graph with a 16-column W. Records
+made on another day or machine can be put on one scale by it.
 """
 
 import json
@@ -50,9 +51,9 @@ def load_records(dirs) -> list:
 def summarise(records, declared) -> list:
     groups = defaultdict(list)
     for r in records:
-        groups[r["workload"], r["env"]["code_sha256"]].append(r)
+        groups[r["workload"], r["env"]["code_sha256"], r["seconds"]].append(r)
     out = []
-    for (workload, code), group in sorted(groups.items()):
+    for (workload, code, seconds), group in sorted(groups.items()):
         metrics = {}
         for m in declared:
             values = [r["result"]["metrics"][m["name"]]["value"]
@@ -65,7 +66,7 @@ def summarise(records, declared) -> list:
             "workload": workload, "code_sha256": code, "n": len(group),
             "n_correct": sum(r["result"]["correct"] for r in group),
             "seeds": sorted(r["seed"] for r in group),
-            "seconds": sorted({r["seconds"] for r in group}),
+            "seconds": seconds,
             **{name: sorted({str(r["env"][name]) for r in group})
                for name in ENV_FIELDS},
             "metrics": metrics,

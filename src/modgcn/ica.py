@@ -12,9 +12,10 @@ would keep their initial values bit for bit anyway. Inference sweeps
 nodes in ascending id order, each update immediately visible to later
 nodes, and re-scores only the nodes whose neighbors changed label since
 their last visit. The sweeps run in the kernel backend
-(``kernels.relabel``): the compiled one walks the nodes in C and takes
-the relational term ``counts @ w_rel`` from NumPy once per distinct
-neighbour-label count vector, so both backends give the same labels.
+(``kernels.relabel``), which scores a node's relational term as the sum
+of its neighbours' ``w_rel`` rows, added in one fixed order: in exact
+arithmetic the counts times ``w_rel``, and the same labels on every
+backend and machine, with no BLAS call.
 """
 
 import logging

@@ -10,10 +10,11 @@ with no compiler) is one ``ValueError`` from the first product or
 :func:`set_backend` exists for tests and benchmarks. Both backends add
 each output entry's terms in the same order, and make each Adam and
 regression operation in the same order, so they compute the same bits for
-every input. The sweeps (:func:`relabel`) take every relational product
-``counts @ w_rel`` from NumPy in both backends, because its bits are
-those of the BLAS kernel that OpenBLAS selects for the CPU; the compiled
-sweep keeps one product per distinct count vector in a table.
+every input. The sweeps (:func:`relabel`) add a node's neighbours'
+``w_rel`` rows one at a time from +0.0 in both backends, rather than
+multiplying label counts by ``w_rel`` with BLAS, whose bits follow the
+CPU kernel OpenBLAS selects; so their labels are the same on every
+machine.
 
 A backend checks the operands that stay fixed once, in a binding: a CSR
 matrix's three arrays (``csr_dense_matmul``'s ``bindings``), a parameter

@@ -24,8 +24,9 @@ parameter in the order and rounding of the NumPy backend's ufuncs.
 ``logistic_forward`` and ``logistic_step`` make a logistic regression's
 step, less NumPy's ``tanh`` between them, with ``spmm``'s row blocks and
 ``adam``, in the order and rounding of the NumPy backend's step.
-``ica_sweep`` runs the NumPy backend's sweeps but takes each relational
-product from NumPy (see :meth:`CompiledKernel.relabel`).
+``ica_sweep`` runs the NumPy backend's sweeps, each node's relational
+term the sum of its neighbours' ``w_rel`` rows, added in stored order
+from +0.0 as NumPy's axis-0 sum adds them; no BLAS routine is involved.
 
 C checks no bounds. The bindings check first: :class:`CompiledCsr`
 checks a matrix's three arrays once and turns them into pointers, then
@@ -36,7 +37,8 @@ that ``out`` overlaps no input); column indices must already lie in
 parameter and its moment buffers once and the gradient on each step, and
 :class:`CompiledLogistic` every operand of a regression once.
 :meth:`CompiledKernel.relabel` checks the sweeps' operands with
-``_csr_np.check_sweep`` before the first C call.
+``_csr_np.check_sweep``, which also makes them C-contiguous, before the
+one C call.
 """
 
 import ctypes
@@ -199,29 +201,6 @@ int logistic_step(const struct logistic *s, double bc1, double bc2)
     return 0;
 }
 
-#define EMPTY UINT64_MAX
-
-/* ICA's inference sweeps (see CompiledKernel.relabel): the swept ids
-   order, the n x n adjacency, the labels state (each in [0, k)), the
-   stale flags (all 1 at the start), base_logits (n, k); the table of
-   relational products, keys (capacity of them, a power of two, EMPTY
-   where unused) and values (capacity, k), holding stored <= capacity / 2
-   entries; the counts and product of a miss; and where the sweeps
-   stand. */
-struct sweep {
-    int64_t n_order, k, max_iters, bits, shift, capacity;
-    const int64_t *order, *indptr, *indices;
-    int64_t *state;
-    uint8_t *stale;
-    const double *base;
-    uint64_t *keys;
-    double *values;
-    int64_t *counts;
-    const double *product;
-    int64_t stored, sweep, pos, changed, visits, pending, converged;
-    uint64_t key, slot;
-};
-
 /* NumPy's argmax of base + rel: the first NaN if there is one, else the
    first maximum. */
 static int64_t argmax_sum(const double *restrict base,
@@ -243,74 +222,48 @@ static int64_t argmax_sum(const double *restrict base,
     return best;
 }
 
-/* Runs the sweeps from where they stand until they end (returns 0, with
-   sweep the number of sweeps made) or a visited node's count vector has
-   no product in the table (returns 1 with counts filled). The caller
-   then puts counts @ w_rel in product and calls again: that node is
-   scored with it, which is stored if the table is below half full, and
-   the sweeps go on. Each count fills bits bits of a key, so a key is its
-   count vector (k * bits <= 63). */
-int ica_sweep(struct sweep *s)
+/* ICA's inference sweeps (see _csr_np.relabel) over the n_order ids of
+   order, on the n x n adjacency, the labels state (each in [0, k)), the
+   stale flags (all 1 at the start), base (n, k) and w_rel (k, k); rel is
+   a work row of k. Node i scores base[i] + rel, rel the sum from +0.0 of
+   its neighbours' w_rel rows in stored order. Writes (iterations,
+   converged, visits) to result. No array may overlap another. */
+void ica_sweep(int64_t n_order, int64_t k, int64_t max_iters,
+               const int64_t *restrict order, const int64_t *restrict indptr,
+               const int64_t *restrict indices, int64_t *restrict state,
+               uint8_t *restrict stale, const double *restrict base,
+               const double *restrict w_rel, double *restrict rel,
+               int64_t *restrict result)
 {
-    const int64_t k = s->k;
-    const int64_t *restrict indptr = s->indptr, *restrict indices = s->indices;
-    int64_t *restrict state = s->state, *restrict counts = s->counts;
-    uint8_t *restrict stale = s->stale;
-    while (s->sweep < s->max_iters) {
-        for (; s->pos < s->n_order; s->pos++) {
-            const int64_t i = s->order[s->pos];
-            const double *rel;
-            if (s->pending) {
-                s->pending = 0;
-                rel = s->product;
-                if (2 * (s->stored + 1) <= s->capacity) {
-                    double *restrict value = s->values + s->slot * k;
-                    for (int64_t c = 0; c < k; c++)
-                        value[c] = rel[c];
-                    s->keys[s->slot] = s->key;
-                    s->stored++;
-                }
-            } else {
-                if (!stale[i])
-                    continue;
-                stale[i] = 0;
-                s->visits++;
+    int64_t sweeps = 0, changed = 1, visits = 0;
+    while (changed && sweeps < max_iters) {
+        sweeps++;
+        changed = 0;
+        for (int64_t pos = 0; pos < n_order; pos++) {
+            const int64_t i = order[pos];
+            if (!stale[i])
+                continue;
+            stale[i] = 0;
+            visits++;
+            for (int64_t c = 0; c < k; c++)
+                rel[c] = 0.0;
+            for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++) {
+                const double *restrict row = w_rel + state[indices[jj]] * k;
                 for (int64_t c = 0; c < k; c++)
-                    counts[c] = 0;
-                for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++)
-                    counts[state[indices[jj]]]++;
-                uint64_t key = 0;
-                for (int64_t c = 0; c < k; c++)
-                    key |= (uint64_t)counts[c] << (c * s->bits);
-                const uint64_t mask = (uint64_t)s->capacity - 1;
-                uint64_t slot = (key * 0x9E3779B97F4A7C15ull) >> s->shift;
-                while (s->keys[slot] != key && s->keys[slot] != EMPTY)
-                    slot = (slot + 1) & mask;
-                if (s->keys[slot] == EMPTY) {
-                    s->key = key;
-                    s->slot = slot;
-                    s->pending = 1;
-                    return 1;
-                }
-                rel = s->values + slot * k;
+                    rel[c] = rel[c] + row[c];
             }
-            const int64_t label = argmax_sum(s->base + i * k, rel, k);
+            const int64_t label = argmax_sum(base + i * k, rel, k);
             if (label != state[i]) {
                 state[i] = label;
                 for (int64_t jj = indptr[i]; jj < indptr[i + 1]; jj++)
                     stale[indices[jj]] = 1;
-                s->changed++;
+                changed++;
             }
         }
-        s->sweep++;
-        if (s->changed == 0) {
-            s->converged = 1;
-            return 0;
-        }
-        s->changed = 0;
-        s->pos = 0;
     }
-    return 0;
+    result[0] = sweeps;
+    result[1] = changed == 0;
+    result[2] = visits;
 }
 """
 
@@ -406,27 +359,6 @@ class CompiledLogistic(_csr_np.LogisticBinding):
             raise ValueError(f"non-finite gradient in {self.names[bad - 1]!r}")
 
 
-class _Sweep(ctypes.Structure):
-    """The C ``struct sweep``, field for field."""
-
-    _fields_ = ([(name, ctypes.c_int64) for name in (
-                    "n_order", "k", "max_iters", "bits", "shift", "capacity")]
-                + [(name, ctypes.c_void_p) for name in (
-                    "order", "indptr", "indices", "state", "stale", "base",
-                    "keys", "values", "counts", "product")]
-                + [(name, ctypes.c_int64) for name in (
-                    "stored", "sweep", "pos", "changed", "visits", "pending",
-                    "converged")]
-                + [(name, ctypes.c_uint64) for name in ("key", "slot")])
-
-
-# bits of a table key; keys stay below 2**63, so none is the C EMPTY mark
-KEY_BITS = 63
-# table slots per swept node, rounded up to a power of two: 1 MB for the
-# 2,568 nodes that ICA sweeps on cora with 20 labels per class
-SLOTS_PER_NODE = 4
-
-
 class CompiledKernel:
     """The shared library's ``spmm``, ``adam``, logistic-regression step
     and ICA sweeps, reached through bindings that check their operands."""
@@ -448,8 +380,9 @@ class CompiledKernel:
                                         ctypes.c_double, ctypes.c_double]
         self._logistic_step.restype = ctypes.c_int
         self._ica_sweep = self._lib.ica_sweep
-        self._ica_sweep.argtypes = [ctypes.POINTER(_Sweep)]
-        self._ica_sweep.restype = ctypes.c_int
+        self._ica_sweep.argtypes = ([ctypes.c_int64] * 3
+                                    + [ctypes.c_void_p] * 9)
+        self._ica_sweep.restype = None
 
     def bind_csr(self, indptr, indices, data) -> CompiledCsr:
         return CompiledCsr(self._spmm, indptr, indices, data)
@@ -478,45 +411,21 @@ class CompiledKernel:
                                 x, x_t, y, params, l2, lr, b1, b2, eps)
 
     def relabel(self, adjacency, state, unlabeled, base_logits, w_rel,
-                max_iters, slots=None):
+                max_iters):
         """``_csr_np.relabel``'s sweeps and result, run by the C
-        ``ica_sweep`` on operands that ``_csr_np.check_sweep`` has checked.
-
-        NumPy computes every relational product ``counts @ w_rel``: its
-        ``dgemv`` rounds as the BLAS kernel selected for the CPU does,
-        which C could not follow on every machine. The sweep keeps one
-        product per distinct count vector in a table of ``slots`` entries
-        (a power of two >= 2; by default ``SLOTS_PER_NODE`` per swept
-        node, rounded up), keyed by the vector itself. On a miss the sweep
-        returns, the product is made with ``np.matmul`` into a fixed
-        buffer, and one more call scores that node with it, stores it if
-        the table is below half full, and goes on. When a count vector
-        does not fit a key (k times the bit length of the largest swept
-        degree exceeds ``KEY_BITS``), the NumPy sweeps run instead."""
-        order, base_logits = _csr_np.check_sweep(
+        ``ica_sweep`` on operands that ``_csr_np.check_sweep`` has checked
+        and made C-contiguous."""
+        order, base_logits, w_rel = _csr_np.check_sweep(
             adjacency, state, unlabeled, base_logits, w_rel, max_iters)
         n, k = base_logits.shape
-        degree = int(np.diff(adjacency.row_offsets)[order].max(initial=0))
-        bits = degree.bit_length()
-        if k * bits > KEY_BITS:
-            return _csr_np.sweeps(adjacency, state, order, base_logits, w_rel,
-                                  max_iters)
-        if slots is None:
-            slots = 1 << max(1, (SLOTS_PER_NODE * order.size - 1).bit_length())
-        elif slots < 2 or slots & (slots - 1):
-            raise ValueError(f"slots must be a power of two >= 2, got {slots}")
-        keys = np.full(slots, np.iinfo(np.uint64).max, dtype=np.uint64)
-        counts, product = np.empty(k, dtype=np.int64), np.empty(k)
+        result = np.zeros(3, dtype=np.int64)
         arrays = (order, adjacency.row_offsets, adjacency.col_indices, state,
-                  np.ones(n, dtype=np.uint8), base_logits, keys,
-                  np.empty((slots, k)), counts, product)
-        args = _Sweep(order.size, k, int(max_iters), bits,
-                      64 - (slots.bit_length() - 1), slots,
-                      *map(_csr_np.address, arrays))
-        ref = ctypes.byref(args)
-        while self._ica_sweep(ref):
-            np.matmul(counts, w_rel, out=product)
-        return args.sweep, bool(args.converged), args.visits
+                  np.ones(n, dtype=np.uint8), base_logits, w_rel, np.empty(k),
+                  result)
+        self._ica_sweep(order.size, k, int(max_iters),
+                        *map(_csr_np.address, arrays))
+        iterations, converged, visits = result.tolist()
+        return iterations, bool(converged), visits
 
 
 def _compile(target: Path) -> None:

@@ -20,7 +20,8 @@ visiting order depends only on the row lengths, so a binding plans it
 once per matrix.
 
 The Adam step is a sequence of NumPy ufuncs, each rounding once; the
-compiled step makes the same operations in the same order.
+compiled step makes the same operations in the same order. The sweeps add
+a node's neighbors' ``w_rel`` rows in the compiled sweep's order.
 """
 
 import ctypes
@@ -285,7 +286,8 @@ class LogisticBinding:
 
 def check_sweep(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
     """Check :func:`relabel`'s operands before anything changes; returns
-    the swept ids as an int64 array and ``base_logits`` C-contiguous.
+    the swept ids as an int64 array, and ``base_logits`` and ``w_rel``
+    C-contiguous.
 
     ``adjacency`` is an n x n CSR matrix whose column indices lie in
     ``[0, n)``, as ``CsrMatrix`` guarantees; ``state`` a writeable
@@ -325,7 +327,8 @@ def check_sweep(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
     if (not isinstance(max_iters, (int, np.integer))
             or isinstance(max_iters, bool) or max_iters < 1):
         raise ValueError(f"max_iters must be an int >= 1, got {max_iters!r}")
-    return order, np.ascontiguousarray(base_logits)
+    return (order, np.ascontiguousarray(base_logits),
+            np.ascontiguousarray(w_rel))
 
 
 def sweeps(adjacency, state, order, base_logits, w_rel, max_iters):
@@ -333,7 +336,6 @@ def sweeps(adjacency, state, order, base_logits, w_rel, max_iters):
     stale = np.ones(state.size, dtype=bool)
     offsets = adjacency.row_offsets.tolist()
     cols = adjacency.col_indices
-    k = w_rel.shape[0]
     order = order.tolist()
     visits = 0
     for sweep in range(max_iters):
@@ -344,8 +346,9 @@ def sweeps(adjacency, state, order, base_logits, w_rel, max_iters):
             stale[i] = False
             visits += 1
             nbrs = cols[offsets[i]:offsets[i + 1]]
-            counts = np.bincount(state[nbrs], minlength=k)
-            new = int((base_logits[i] + counts @ w_rel).argmax())
+            # adds the rows one at a time from +0.0, as the C sweep does
+            rel = w_rel[state[nbrs]].sum(axis=0)
+            new = int((base_logits[i] + rel).argmax())
             if new != state[i]:
                 state[i] = new
                 stale[nbrs] = True
@@ -361,17 +364,20 @@ def relabel(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
     (see :func:`check_sweep`).
 
     Each sweep visits ``unlabeled`` in the order given (ascending in ICA)
-    and sets node i to ``argmax(base_logits[i] + counts_i @ w_rel)``,
-    where ``counts_i`` counts the current labels of i's neighbors, until
-    a sweep changes nothing or ``max_iters`` sweeps. A node's score
+    and sets node i to ``argmax(base_logits[i] + rel_i)``, until a sweep
+    changes nothing or ``max_iters`` sweeps. ``rel_i`` adds the
+    ``w_rel`` rows of i's neighbors' current labels one at a time from
+    +0.0, in stored (ascending-column) order: in exact arithmetic the
+    neighbor-label counts times ``w_rel``, and in floating point the same
+    bits on every machine and in both backends. A node's score
     depends only on its neighbors' labels, so a node none of whose
     neighbors changed since its last visit would score the same bits
     again: it is skipped. A change marks the neighbors stale at once, so
     a later neighbor is still visited in the same sweep. Labels and
     iterations equal those of sweeps that re-score every node.
     """
-    order, base_logits = check_sweep(adjacency, state, unlabeled,
-                                     base_logits, w_rel, max_iters)
+    order, base_logits, w_rel = check_sweep(adjacency, state, unlabeled,
+                                            base_logits, w_rel, max_iters)
     return sweeps(adjacency, state, order, base_logits, w_rel, max_iters)
 
 

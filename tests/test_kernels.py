@@ -516,12 +516,11 @@ def test_sweep_refuses_bad_operands_before_it_runs(backend, which, bad,
 
 
 @needs_c
-@pytest.mark.parametrize("leaves, k, fallback", [
-    (127, 9, False), (128, 9, True), (128, 7, False), (512, 7, True)])
-def test_compiled_sweep_hands_a_key_too_wide_to_numpy(leaves, k, fallback,
-                                                      monkeypatch):
-    # a hub's count vector takes k times the bit length of its degree
-    # bits: 9 * 7 and 7 * 8 fit a 63-bit key, 9 * 8 and 7 * 10 do not
+@pytest.mark.parametrize("leaves, k", [
+    (127, 9), (128, 9), (128, 7), (512, 7), (600, 9)])
+def test_compiled_sweep_scores_a_wide_hub_in_c(leaves, k, monkeypatch):
+    # a hub's relational term adds one w_rel row per leaf, and C adds them
+    # with no help from the NumPy sweeps at any degree or class count
     n = leaves + 1
     adjacency = build_graph([(0, j) for j in range(1, n)], np.zeros((n, 1)),
                             np.zeros(n)).adjacency
@@ -531,21 +530,38 @@ def test_compiled_sweep_hands_a_key_too_wide_to_numpy(leaves, k, fallback,
     want = state.copy()
     result = _csr_np.relabel(adjacency, want, np.arange(n), base_logits,
                              w_rel, 10)
-    calls = []
-    numpy_sweeps = _csr_np.sweeps
-    monkeypatch.setattr(_csr_np, "sweeps",
-                        lambda *a: calls.append(1) or numpy_sweeps(*a))
+    monkeypatch.setattr(_csr_np, "sweeps", lambda *a: pytest.fail(
+        "the compiled sweep called the NumPy sweeps"))
     got = state.copy()
     assert kernels._BACKENDS["c"].relabel(adjacency, got, np.arange(n),
                                           base_logits, w_rel, 10) == result
     assert got.tobytes() == want.tobytes()
-    assert bool(calls) == fallback
 
 
 @needs_c
-def test_compiled_sweep_refuses_a_table_size_not_a_power_of_two():
-    with pytest.raises(ValueError, match="power of two"):
-        kernels._BACKENDS["c"].relabel(*_sweep_operands(), slots=3)
+def test_compiled_sweep_reads_a_strided_w_rel_as_numpy_does():
+    # w_rel is every other column of a wider array, whose raw memory holds
+    # other weights; the C sweep must read the view's values
+    n, k = 40, 4
+    rng = np.random.default_rng(7)
+    edges = [tuple(e) for e in rng.integers(0, n, (120, 2))]
+    adjacency = build_graph(edges, np.zeros((n, 1)), np.zeros(n)).adjacency
+    state = rng.integers(0, k, n)
+    base_logits = rng.standard_normal((n, k))
+    wide = rng.standard_normal((k, 2 * k)) * 4.0
+    w_rel = wide[:, ::2]
+    assert not w_rel.flags.c_contiguous
+    want = state.copy()
+    result = _csr_np.relabel(adjacency, want, np.arange(n), base_logits,
+                             w_rel.copy(), 10)
+    raw = state.copy()
+    _csr_np.relabel(adjacency, raw, np.arange(n), base_logits,
+                    wide.reshape(-1)[:k * k].reshape(k, k), 10)
+    assert raw.tobytes() != want.tobytes()  # the raw memory scores otherwise
+    got = state.copy()
+    assert kernels._BACKENDS["c"].relabel(adjacency, got, np.arange(n),
+                                          base_logits, w_rel, 10) == result
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(shutil.which(_csr_c.COMPILER) is None, reason="no C compiler")
