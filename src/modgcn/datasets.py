@@ -453,8 +453,6 @@ def load_graph_cache(path: Path) -> Graph:
 
 def _cached_graph(arrays: dict) -> Graph:
     meta = arrays["meta"]
-    # a negative node count with empty row_offsets would reach an index
-    # that CsrMatrix.validate assumes exists
     if meta.shape != (5,) or np.any(meta < 0):
         raise ValueError(f"meta must be 5 non-negative counts, got "
                          f"{meta.dtype} {meta.shape}")

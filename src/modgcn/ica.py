@@ -163,6 +163,8 @@ def ica_train_predict(g: Graph, train_ids, test_ids,
     label changes or max_iters sweeps.
     """
     n, k = g.num_nodes, g.num_classes
+    if k < 2:
+        raise ValueError("graph must carry at least 2 label classes")
     train_ids = train_node_ids(train_ids, n)
     test_ids = node_ids(test_ids, "test ids", n)
     train_labels = g.labels[train_ids]

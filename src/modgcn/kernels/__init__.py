@@ -16,11 +16,12 @@ multiplying label counts by ``w_rel`` with BLAS, whose bits follow the
 CPU kernel OpenBLAS selects; so their labels are the same on every
 machine.
 
-A backend checks the operands that stay fixed once, in a binding: a CSR
-matrix's three arrays (``csr_dense_matmul``'s ``bindings``), a parameter
-and its moment buffers (:func:`bind_adam`), or a whole regression
-(:func:`bind_logistic`). A binding belongs to the backend that made it,
-so a caller that keeps one keeps it under :func:`backend_name`.
+A backend checks the operands that stay fixed once, in a binding, and
+both backends make the same checks (see ``_csr_np``). A CSR matrix's
+binding checks its structure once per backend; a ``CsrMatrix`` keeps it
+(``csr_dense_matmul``'s ``bindings``) for its products, regressions and
+sweeps. A binding belongs to the backend that made it, so a caller that
+keeps one keeps it under :func:`backend_name`.
 """
 
 import os
@@ -44,7 +45,7 @@ def available_backends():
 
 def set_backend(name):
     """Select the kernel backend ('numpy' or 'c'). Returns the old name."""
-    global _active, _active_name
+    global _active_name
     name = _ALIASES.get(name, name)
     if name is None:
         name = "c" if "c" in _BACKENDS else "numpy"
@@ -52,9 +53,7 @@ def set_backend(name):
         problem = (f"kernel backend {name!r} is not available" if name in _KNOWN
                    else f"unknown kernel backend {name!r}")
         raise ValueError(f"{problem}; available: {available_backends()}")
-    old = _active_name
-    _active_name = name
-    _active = _BACKENDS[name]
+    old, _active_name = _active_name, name
     return old
 
 
@@ -70,7 +69,25 @@ def backend_name():
 
 
 _active_name = None
-_active = None
+
+
+def _bound(n_rows, n_cols, indptr, indices, data, bindings):
+    """The active backend's binding of an (n_rows, n_cols) CSR matrix,
+    which checks its structure once. ``bindings``, a dict kept with the
+    matrix or None, holds it under the backend's name for later calls."""
+    name = backend_name()
+    bound = None if bindings is None else bindings.get(name)
+    if bound is None:
+        bound = _BACKENDS[name].bind_csr(n_rows, n_cols, indptr, indices, data)
+        if bindings is not None:
+            bindings[name] = bound
+    return bound
+
+
+def _bound_matrix(m):
+    """:func:`_bound` for a ``CsrMatrix``, kept with the matrix."""
+    return _bound(m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values,
+                  m._bindings)
 
 
 def _as_dense(x):
@@ -90,16 +107,8 @@ def csr_dense_matmul(n_rows, n_cols, indptr, indices, data, x, out=None,
     the active backend's binding of them is kept in it under the backend's
     name, so a later product with the same dict checks only x and out.
     """
-    if _active is None:
-        backend_name()
+    bound = _bound(n_rows, n_cols, indptr, indices, data, bindings)
     x = _as_dense(x)
-    if x.shape[0] != n_cols:
-        raise ValueError(f"shape mismatch: ({n_rows}, {n_cols}) @ {x.shape}")
-    bound = None if bindings is None else bindings.get(_active_name)
-    if bound is None:
-        bound = _active.bind_csr(indptr, indices, data)
-        if bindings is not None:
-            bindings[_active_name] = bound
     if out is None:
         out = np.zeros((n_rows, x.shape[1]))
         bound(x, out)
@@ -111,25 +120,23 @@ def csr_dense_matmul(n_rows, n_cols, indptr, indices, data, x, out=None,
 def bind_adam(p, m, v, b1, b2, eps):
     """The active backend's Adam step for parameter ``p`` and its moment
     buffers ``m`` and ``v``; see ``_csr_np.AdamBinding``."""
-    if _active is None:
-        backend_name()
-    return _active.bind_adam(p, m, v, b1, b2, eps)
+    return _BACKENDS[backend_name()].bind_adam(p, m, v, b1, b2, eps)
 
 
 def bind_logistic(x, x_t, y, params, l2, lr, b1, b2, eps):
-    """The active backend's logistic regression on CSR ``x`` (with its
-    transpose ``x_t``) and targets ``y``, stepping ``params``' weights and
-    bias in place; see ``_csr_np.LogisticBinding``."""
-    if _active is None:
-        backend_name()
-    return _active.bind_logistic(x, x_t, y, params, l2, lr, b1, b2, eps)
+    """The active backend's logistic regression on ``CsrMatrix`` ``x``
+    (with its transpose ``x_t``) and targets ``y``, stepping ``params``'
+    weights and bias in place; see ``_csr_np.LogisticBinding``."""
+    bound = _bound_matrix(x), _bound_matrix(x_t)
+    return _BACKENDS[backend_name()].bind_logistic(*bound, y, params, l2, lr,
+                                                   b1, b2, eps)
 
 
 def relabel(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
-    """ICA's inference sweeps in the active backend, in place on ``state``;
-    returns ``(iterations, converged, visits)``. See ``_csr_np.relabel``
-    for what they compute and ``_csr_np.check_sweep`` for the operands."""
-    if _active is None:
-        backend_name()
-    return _active.relabel(adjacency, state, unlabeled, base_logits, w_rel,
-                           max_iters)
+    """ICA's inference sweeps in the active backend, in place on ``state``,
+    on the ``CsrMatrix`` ``adjacency``; returns ``(iterations, converged,
+    visits)``. See ``_csr_np.relabel`` for what they compute and
+    ``_csr_np.check_sweep`` for the operands."""
+    bound = _bound_matrix(adjacency)
+    return _BACKENDS[backend_name()].relabel(bound, state, unlabeled,
+                                             base_logits, w_rel, max_iters)

@@ -28,17 +28,12 @@ step, less NumPy's ``tanh`` between them, with ``spmm``'s row blocks and
 term the sum of its neighbours' ``w_rel`` rows, added in stored order
 from +0.0 as NumPy's axis-0 sum adds them; no BLAS routine is involved.
 
-C checks no bounds. The bindings check first: :class:`CompiledCsr`
-checks a matrix's three arrays once and turns them into pointers, then
-checks ``x`` and ``out`` on each product (dtypes, contiguity, shapes and
-that ``out`` overlaps no input); column indices must already lie in
-``[0, x.shape[0])``, which ``CsrMatrix.from_coo`` and
-``CsrMatrix.validate`` guarantee. :class:`CompiledAdam` checks a
-parameter and its moment buffers once and the gradient on each step, and
-:class:`CompiledLogistic` every operand of a regression once.
-:meth:`CompiledKernel.relabel` checks the sweeps' operands with
-``_csr_np.check_sweep``, which also makes them C-contiguous, before the
-one C call.
+C checks no bounds. The classes here subclass the bindings of
+``_csr_np``, which check the operands first, so the C code reads only
+checked operands and both backends refuse the same ones; each turns its
+fixed operands into pointers once. :meth:`CompiledKernel.relabel` takes
+a bound adjacency and checks the sweeps' other operands with
+``_csr_np.check_sweep`` before the one C call.
 """
 
 import ctypes
@@ -277,11 +272,10 @@ LIB_NAME = "_csr_c.{}.so".format(
 
 
 class CompiledCsr(_csr_np.CsrBinding):
-    """A CSR binding whose products run the C ``spmm``: the matrix's
-    three arrays are checked and turned into pointers once."""
+    """A CSR binding whose products run the C ``spmm``."""
 
-    def __init__(self, fn, indptr, indices, data):
-        super().__init__(indptr, indices, data)
+    def __init__(self, fn, n_rows, n_cols, indptr, indices, data):
+        super().__init__(n_rows, n_cols, indptr, indices, data)
         self._fn = fn
         self._pointers = tuple(_csr_np.address(a) for a in self.arrays)
 
@@ -290,27 +284,15 @@ class CompiledCsr(_csr_np.CsrBinding):
 
 
 class CompiledAdam(_csr_np.AdamBinding):
-    """An Adam binding whose steps run the C ``adam``: the parameter and
-    its moment buffers are checked and turned into pointers once, and a
-    step checks and passes only the gradient."""
+    """An Adam binding whose steps run the C ``adam``, which is passed the
+    pointers of the parameter and its moment buffers and the gradient's."""
 
     def __init__(self, fn, p, m, v, b1, b2, eps):
         super().__init__(p, m, v, b1, b2, eps)
-        if (np.may_share_memory(p, m) or np.may_share_memory(p, v)
-                or np.may_share_memory(m, v)):
-            raise ValueError("a parameter and its moment buffers must not "
-                             "share memory")
         self._fn = fn
-        self._taken = _csr_np.spans(("the parameter", p), ("m", m), ("v", v))
         self._args = (p.size, *(_csr_np.address(a) for a in (p, m, v)))
 
-    def __call__(self, g, lr, bc1, bc2):
-        if not (isinstance(g, np.ndarray) and g.dtype == np.float64
-                and g.flags.c_contiguous):
-            g = np.ascontiguousarray(g, dtype=np.float64)
-        self.check_shape(g)
-        at = _csr_np.address(g)
-        _csr_np.check_apart("gradient", g, at, self._taken)
+    def apply(self, g, at, lr, bc1, bc2):
         if self._fn(*self._args, at, lr, self.b1, self.b2, bc1, bc2, self.eps):
             raise ValueError("non-finite gradient")
 
@@ -330,8 +312,8 @@ class _Logistic(ctypes.Structure):
 class CompiledLogistic(_csr_np.LogisticBinding):
     """A logistic binding whose steps run in two C calls around NumPy's
     ``tanh``: ``logistic_forward`` computes ``(x @ W + b) * 0.5``, and
-    ``logistic_step`` the rest of the gradients and both Adam steps. All
-    operands are checked, and turned into pointers, once.
+    ``logistic_step`` the rest of the gradients and both Adam steps. The
+    checked operands are turned into pointers once.
 
     ``tanh`` stays in NumPy because NumPy's SIMD ``tanh`` and the C
     library's round differently, and the NumPy backend's bits are NumPy's.
@@ -384,29 +366,14 @@ class CompiledKernel:
                                     + [ctypes.c_void_p] * 9)
         self._ica_sweep.restype = None
 
-    def bind_csr(self, indptr, indices, data) -> CompiledCsr:
-        return CompiledCsr(self._spmm, indptr, indices, data)
+    def bind_csr(self, n_rows, n_cols, indptr, indices, data) -> CompiledCsr:
+        return CompiledCsr(self._spmm, n_rows, n_cols, indptr, indices, data)
 
-    def spmm(self, indptr, indices, data, x, out):
-        """out += A @ x for a CSR matrix A given by (indptr, indices, data)."""
-        self.bind_csr(indptr, indices, data)(x, out)
-
-    def bind_adam(self, p, m, v, b1, b2, eps) -> _csr_np.AdamBinding:
-        """The C step for C-contiguous, writeable float64 arrays; the NumPy
-        step, which computes the same bits, for another layout or dtype."""
-        if not all(isinstance(a, np.ndarray) and a.dtype == np.float64
-                   and a.flags.c_contiguous and a.flags.writeable
-                   for a in (p, m, v)):
-            return _csr_np.AdamBinding(p, m, v, b1, b2, eps)
+    def bind_adam(self, p, m, v, b1, b2, eps) -> CompiledAdam:
         return CompiledAdam(self._adam, p, m, v, b1, b2, eps)
 
     def bind_logistic(self, x, x_t, y, params, l2, lr, b1, b2,
-                      eps) -> _csr_np.LogisticBinding:
-        """The C step from two classes up. With one class NumPy sums the
-        bias gradient's single column pairwise, not row by row, so the
-        NumPy step, which computes NumPy's bits, runs instead."""
-        if y.ndim == 2 and y.shape[1] == 1:
-            return _csr_np.LogisticBinding(x, x_t, y, params, l2, lr, b1, b2, eps)
+                      eps) -> CompiledLogistic:
         return CompiledLogistic(self._logistic_forward, self._logistic_step,
                                 x, x_t, y, params, l2, lr, b1, b2, eps)
 
@@ -419,7 +386,7 @@ class CompiledKernel:
             adjacency, state, unlabeled, base_logits, w_rel, max_iters)
         n, k = base_logits.shape
         result = np.zeros(3, dtype=np.int64)
-        arrays = (order, adjacency.row_offsets, adjacency.col_indices, state,
+        arrays = (order, *adjacency.arrays[:2], state,
                   np.ones(n, dtype=np.uint8), base_logits, w_rel, np.empty(k),
                   result)
         self._ica_sweep(order.size, k, int(max_iters),

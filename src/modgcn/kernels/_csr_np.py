@@ -1,13 +1,13 @@
 """The NumPy backend: the fallback when the compiled one is missing.
 
-A backend offers ``spmm``, the CSR x dense product added into ``out``,
-and three bindings that check their fixed operands once, so that each
-later call checks only what changes from call to call: ``bind_csr`` binds
-a CSR matrix's three arrays, ``bind_adam`` one parameter and its two
-moment buffers, and ``bind_logistic`` a whole logistic regression. The
-compiled backend (``_csr_c``) subclasses the bindings, so both backends
-accept and refuse the same operands. ``relabel`` runs ICA's inference
-sweeps; both backends check its operands with :func:`check_sweep`.
+A backend offers ICA's sweeps (``relabel``) and three bindings, which
+check their fixed operands once so that a later call checks only what
+changes: ``bind_csr`` binds a CSR matrix, whose structure
+:func:`check_csr` checks (``CsrMatrix.validate`` runs it too),
+``bind_adam`` a parameter and its moment buffers, and ``bind_logistic``
+a regression on two bound matrices. The compiled backend (``_csr_c``)
+subclasses the bindings and calls :func:`check_sweep`, so both backends
+refuse the same operands with the same messages.
 
 The product computes the compiled kernel's bits. Every output entry adds
 its row's stored entries in stored order, as ``out[i, c] + v * x[j, c]``,
@@ -47,11 +47,6 @@ def plan_rows(indptr):
     starts = indptr[:-1][order]
     active = np.searchsorted(-counts, -np.arange(counts[0]), side="left")
     return order, counts, starts, active
-
-
-def spmm(indptr, indices, data, x, out):
-    """out += A @ x for a CSR matrix A given by (indptr, indices, data)."""
-    add_planned(plan_rows(indptr), indices, data, x, out)
 
 
 def add_planned(plan, indices, data, x, out):
@@ -99,53 +94,79 @@ def check_array(name: str, arr, dtype, ndim: int) -> None:
                          f"{np.dtype(dtype).name} array")
 
 
+def check_writeable(name: str, arr, shape) -> None:
+    check_array(name, arr, np.float64, len(shape))
+    if arr.shape != shape or not arr.flags.writeable:
+        raise ValueError(f"{name} must be a writeable {shape} array, got "
+                         f"shape {arr.shape}")
+
+
 def spans(*named) -> tuple:
     """(name, first byte, end) of each nonempty array of ``named`` pairs."""
     starts = [(name, a, address(a)) for name, a in named if a.size]
     return tuple((name, at, at + a.nbytes) for name, a, at in starts)
 
 
-def check_apart(name: str, arr, at: int, taken: tuple) -> None:
+def check_apart(name: str, arr, at: int, taken: tuple) -> tuple:
     """Refuse ``arr``, whose first byte is at ``at``, if it overlaps a span
-    of ``taken``."""
+    of ``taken``; returns ``taken`` with ``arr``'s span added."""
     end = at + arr.nbytes
     for other, lo, hi in taken:
         if lo < end and at < hi:
             raise ValueError(f"{name} must not share memory with {other}")
+    return (*taken, (name, at, end))
+
+
+def check_csr(n_rows, n_cols, row_offsets, col_indices, values) -> None:
+    """Refuse, with one ValueError raised before any index is read, a CSR
+    matrix that a product could read out of bounds: a negative dimension,
+    arrays of another kind or length, offsets that do not run from 0 to
+    the stored entries without decreasing, or a column outside
+    ``[0, n_cols)``."""
+    if n_rows < 0 or n_cols < 0:
+        raise ValueError(f"CSR shape ({n_rows}, {n_cols}) has a negative "
+                         f"dimension")
+    for name, arr, dtype in (("row_offsets", row_offsets, np.int64),
+                             ("col_indices", col_indices, np.int64),
+                             ("values", values, np.float64)):
+        check_array(name, arr, dtype, 1)
+    if len(col_indices) != len(values):
+        raise ValueError("col_indices and values length mismatch")
+    nnz = len(values)
+    if (len(row_offsets) != n_rows + 1 or row_offsets[0] != 0
+            or row_offsets[-1] != nnz):
+        raise ValueError(f"row_offsets must hold {n_rows + 1} offsets from 0 "
+                         f"to the {nnz} stored entries")
+    if np.any(row_offsets[1:] < row_offsets[:-1]):
+        raise ValueError("row_offsets must be non-decreasing")
+    if nnz and (col_indices.min() < 0 or col_indices.max() >= n_cols):
+        raise ValueError(f"column index out of range [0, {n_cols})")
 
 
 class CsrBinding:
-    """A CSR matrix's (indptr, indices, data), checked once.
+    """An (n_rows, n_cols) CSR matrix's three arrays, checked once by
+    :func:`check_csr`.
 
     Calling it with ``(x, out)`` checks those two and adds A @ x into
-    ``out``. Both are C-contiguous 2-D float64 arrays, ``out`` writeable,
-    of shape ``(n_rows, x.shape[1])`` and apart from ``x`` and the three
-    arrays. With ``zero_first`` it zeroes ``out`` after the checks, so
-    ``out`` receives A @ x.
+    ``out``. Both are C-contiguous 2-D float64 arrays, ``x`` of
+    ``n_cols`` rows, ``out`` writeable, of shape ``(n_rows, x.shape[1])``
+    and apart from ``x`` and the three arrays. With ``zero_first`` it
+    zeroes ``out`` after the checks, so ``out`` receives A @ x.
     """
 
-    def __init__(self, indptr, indices, data):
-        for name, arr, dtype in (("indptr", indptr, np.int64),
-                                 ("indices", indices, np.int64),
-                                 ("data", data, np.float64)):
-            check_array(name, arr, dtype, 1)
-        if len(indptr) == 0:
-            raise ValueError("indptr must hold at least one offset")
-        if indptr[0] != 0 or indptr[-1] != len(indices) or len(indices) != len(data):
-            raise ValueError(f"indptr spans [{indptr[0]}, {indptr[-1]}] but "
-                             f"{len(indices)} indices and {len(data)} values "
-                             f"are stored")
+    def __init__(self, n_rows, n_cols, indptr, indices, data):
+        check_csr(n_rows, n_cols, indptr, indices, data)
         self.arrays = (indptr, indices, data)
-        self.n_rows = len(indptr) - 1
-        self.spans = spans(("data", data), ("indices", indices),
-                           ("indptr", indptr))
+        self.n_rows, self.n_cols = n_rows, n_cols
+        self.spans = spans(("values", data), ("col_indices", indices),
+                           ("row_offsets", indptr))
 
     def __call__(self, x, out, zero_first=False):
         check_array("x", x, np.float64, 2)
-        check_array("out", out, np.float64, 2)
-        if out.shape != (self.n_rows, x.shape[1]) or not out.flags.writeable:
-            raise ValueError(f"out must be a writeable {(self.n_rows, x.shape[1])} "
-                             f"array, got shape {out.shape}")
+        if x.shape[0] != self.n_cols:
+            raise ValueError(f"shape mismatch: ({self.n_rows}, {self.n_cols}) "
+                             f"@ {x.shape}")
+        check_writeable("out", out, (self.n_rows, x.shape[1]))
         if not out.size:
             return
         x_at, out_at = address(x), address(out)
@@ -168,30 +189,36 @@ class CsrBinding:
 
 class AdamBinding:
     """One parameter ``p`` and its moment buffers ``m`` and ``v``, checked
-    once, with Adam's constants.
+    once (writeable C-contiguous float64 arrays of one shape that share no
+    memory), with Adam's constants.
 
     Calling it with ``(g, lr, bc1, bc2)`` makes one bias-corrected Adam
     step in place: ``m*b1 + (1-b1)*g``, then ``v*b2 + ((1-b2)*g)*g``, then
     ``p - (lr*(m/bc1)) / (sqrt(v/bc2) + eps)``. A gradient of the wrong
-    shape or with a NaN or infinite entry is a ValueError, raised before
-    anything changes.
+    shape, one that shares memory with them, or one with a NaN or
+    infinite entry is a ValueError, raised before anything changes.
     """
 
     def __init__(self, p, m, v, b1, b2, eps):
-        for name, arr in (("m", m), ("v", v)):
-            if arr.shape != p.shape:
-                raise ValueError(f"{name} shape {arr.shape} != parameter "
-                                 f"shape {p.shape}")
+        self.taken = ()
+        for name, arr in (("the parameter", p), ("m", m), ("v", v)):
+            check_writeable(name, arr, np.shape(p))
+            if arr.size:
+                self.taken = check_apart(name, arr, address(arr), self.taken)
         self.p, self.m, self.v = p, m, v
         self.b1, self.b2, self.eps = b1, b2, eps
 
-    def check_shape(self, g):
+    def __call__(self, g, lr, bc1, bc2):
+        g = np.ascontiguousarray(g, dtype=np.float64)
         if g.shape != self.p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape "
                              f"{self.p.shape}")
+        at = address(g)
+        check_apart("the gradient", g, at, self.taken)
+        self.apply(g, at, lr, bc1, bc2)
 
-    def __call__(self, g, lr, bc1, bc2):
-        self.check_shape(g)
+    def apply(self, g, at, lr, bc1, bc2):
+        """The step on a checked gradient ``g`` whose data is at ``at``."""
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient")
         m, v = self.m, self.v
@@ -206,14 +233,14 @@ class LogisticBinding:
     """A one-vs-rest logistic regression's operands, checked once, for
     full-batch Adam steps with per-column sigmoid cross-entropy.
 
-    ``x`` is an (m, n) CSR matrix (``n_rows``, ``n_cols``, ``row_offsets``,
-    ``col_indices``, ``values``) and ``x_t`` its transpose; ``y`` holds the
-    (m, p) targets; ``params`` maps a name to the (n, p) weights ``W`` and
-    then a name to the (1, p) bias ``b``, both stepped in place; ``l2``
-    adds ``l2 * W`` to the weight gradient when it is above zero; ``lr``,
-    ``b1``, ``b2`` and ``eps`` are Adam's constants. The binding holds
-    the moment buffers (``m`` and ``v``, keyed like ``params``) and the
-    work buffers, and counts its steps in ``t``.
+    ``x`` and ``x_t`` are the :class:`CsrBinding` of an (m, n) matrix
+    and of its transpose; ``y`` holds the (m, p) targets, p >= 2;
+    ``params`` maps a name to the (n, p) weights ``W`` and then a name to
+    the (1, p) bias ``b``, both stepped in place and sharing no memory;
+    ``l2`` adds ``l2 * W`` to the weight gradient when it is above zero;
+    ``lr``, ``b1``, ``b2`` and ``eps`` are Adam's constants. The binding
+    holds the moment buffers (``m`` and ``v``, keyed like ``params``) and
+    the work buffers, and counts its steps in ``t``.
 
     Each :meth:`step` computes ``pre = x @ W + b``, the loss gradient at
     ``pre``, ``(0.5 * (1 + tanh(0.5 * pre)) - y) / m``, then ``x_t @ pre``
@@ -225,28 +252,23 @@ class LogisticBinding:
 
     def __init__(self, x, x_t, y, params, l2, lr, b1, b2, eps):
         (w_name, w), (b_name, b) = params.items()
-        self.x = CsrBinding(x.row_offsets, x.col_indices, x.values)
-        self.x_t = CsrBinding(x_t.row_offsets, x_t.col_indices, x_t.values)
         m, n = x.n_rows, x.n_cols
         check_array("y", y, np.float64, 2)
         p = y.shape[1]
-        for name, arr, shape in ((w_name, w, (n, p)), (b_name, b, (1, p))):
-            check_array(name, arr, np.float64, 2)
-            if arr.shape != shape or not arr.flags.writeable:
-                raise ValueError(f"{name} must be a writeable {shape} array, "
-                                 f"got shape {arr.shape}")
-        if ((self.x.n_rows, x_t.n_rows, self.x_t.n_rows, x_t.n_cols, y.shape[0])
-                != (m, n, n, m, m)):
-            raise ValueError(f"shape mismatch: x ({m}, {n}) holds "
-                             f"{self.x.n_rows} rows, x_t ({x_t.n_rows}, "
-                             f"{x_t.n_cols}) holds {self.x_t.n_rows}, y is "
-                             f"{y.shape}")
-        taken = (*self.x.spans, *self.x_t.spans, *spans(("y", y)))
+        # one column would be summed pairwise by NumPy, not row by row
+        if p < 2:
+            raise ValueError(f"a logistic regression needs at least 2 "
+                             f"classes, got {p}")
+        check_writeable(w_name, w, (n, p))
+        check_writeable(b_name, b, (1, p))
+        if (x_t.n_rows, x_t.n_cols, y.shape[0]) != (n, m, m):
+            raise ValueError(f"shape mismatch: x ({m}, {n}), x_t ({x_t.n_rows}, "
+                             f"{x_t.n_cols}), y {y.shape}")
+        taken = (*x.spans, *x_t.spans, *spans(("y", y)))
         for name, arr in ((w_name, w), (b_name, b)):
             if arr.size:
-                at = address(arr)
-                check_apart(name, arr, at, taken)
-                taken = (*taken, (name, at, at + arr.nbytes))
+                taken = check_apart(name, arr, address(arr), taken)
+        self.x, self.x_t = x, x_t
         self.y, self.w, self.b = y, w, b
         self.names = (w_name, b_name)
         self.rows, self.l2, self.lr = m, l2, lr
@@ -289,25 +311,21 @@ def check_sweep(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
     the swept ids as an int64 array, and ``base_logits`` and ``w_rel``
     C-contiguous.
 
-    ``adjacency`` is an n x n CSR matrix whose column indices lie in
-    ``[0, n)``, as ``CsrMatrix`` guarantees; ``state`` a writeable
-    C-contiguous int64 array of n labels, each in ``[0, k)``;
-    ``unlabeled`` integer ids in ``[0, n)``; ``base_logits`` an (n, k)
-    and ``w_rel`` a (k, k) float64 array; ``max_iters`` an int >= 1.
-    Anything else is one ValueError."""
+    ``adjacency`` is the binding of an n x n CSR matrix (see
+    :class:`CsrBinding`), so its column indices lie in ``[0, n)``;
+    ``state`` a writeable C-contiguous int64 array of n labels, each in
+    ``[0, k)``; ``unlabeled`` integer ids in ``[0, n)``; ``base_logits``
+    an (n, k) and ``w_rel`` a (k, k) float64 array; ``max_iters`` an int
+    >= 1. Anything else is one ValueError."""
     if (not isinstance(state, np.ndarray) or state.dtype != np.int64
             or state.ndim != 1 or not state.flags.c_contiguous
             or not state.flags.writeable):
         raise ValueError("state must be a writeable C-contiguous 1-D int64 "
                          "array")
     n = state.size
-    indptr, indices = adjacency.row_offsets, adjacency.col_indices
-    check_array("indptr", indptr, np.int64, 1)
-    check_array("indices", indices, np.int64, 1)
-    if (adjacency.n_rows, adjacency.n_cols, len(indptr)) != (n, n, n + 1):
+    if (adjacency.n_rows, adjacency.n_cols) != (n, n):
         raise ValueError(f"adjacency ({adjacency.n_rows}, {adjacency.n_cols}) "
-                         f"with {len(indptr)} offsets does not match {n} "
-                         f"labels")
+                         f"does not match {n} labels")
     for name, arr in (("base_logits", base_logits), ("w_rel", w_rel)):
         if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
             raise ValueError(f"{name} must be a float64 array")
@@ -334,8 +352,8 @@ def check_sweep(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
 def sweeps(adjacency, state, order, base_logits, w_rel, max_iters):
     """:func:`relabel`'s sweeps on checked operands."""
     stale = np.ones(state.size, dtype=bool)
-    offsets = adjacency.row_offsets.tolist()
-    cols = adjacency.col_indices
+    offsets, cols, _ = adjacency.arrays
+    offsets = offsets.tolist()
     order = order.tolist()
     visits = 0
     for sweep in range(max_iters):

@@ -115,8 +115,8 @@ class GraphConvLayer:
         if len(shapes) != 1:
             raise ValueError(f"weight matrices must share one shape, got {shapes}")
         self.filter = cheb
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.bias = np.asarray(bias, dtype=np.float64).reshape(1, -1)
+        self.weights = [np.ascontiguousarray(w, dtype=np.float64) for w in weights]
+        self.bias = np.ascontiguousarray(bias, dtype=np.float64).reshape(1, -1)
         self.activation = activation
 
     @classmethod
@@ -162,8 +162,8 @@ class DenseLayer:
     def __init__(self, weight, bias, activation):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
-        self.weight = np.asarray(weight, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64).reshape(1, -1)
+        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
+        self.bias = np.ascontiguousarray(bias, dtype=np.float64).reshape(1, -1)
         self.activation = activation
 
     @classmethod

@@ -1,6 +1,7 @@
 """Two-layer graph-convolutional models and checkpoint serialization."""
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -33,6 +34,12 @@ class ModelSpec:
     lambda_max: float | None = None  # chebnet only; None means power iteration
 
     def __post_init__(self):
+        for name in ("cheb_order", "hidden_dim", "k_aux", "epochs", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not math.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr!r}")
         if self.encoder not in ENCODERS:
             raise ValueError(f"unknown encoder {self.encoder!r}")
         if self.variant not in VARIANTS:
@@ -47,8 +54,9 @@ class ModelSpec:
             raise ValueError("epochs must be >= 0 and lr > 0")
         if self.k_aux < 0:
             raise ValueError("k_aux must be >= 0")
-        if self.lambda_max is not None and not self.lambda_max > 0.0:
-            raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
+        if self.lambda_max is not None and not 0.0 < self.lambda_max < math.inf:
+            raise ValueError(f"lambda_max must be positive and finite, got "
+                             f"{self.lambda_max}")
         if self.variant == "plain" and self.alpha != 0.0:
             raise ValueError(f"alpha={self.alpha} needs the mod or aux variant")
         if self.variant != "aux" and self.k_aux != 0:

@@ -2,8 +2,8 @@
 
 The arithmetic runs in the active kernel backend (``kernels.bind_adam``):
 a single C pass per parameter, or the NumPy ufunc sequence, with the same
-bits. ``AdamState`` binds each parameter with its moment buffers once, so
-a step checks and passes only the gradient.
+bits, and the same refusals. ``AdamState`` binds each parameter with its
+moment buffers once, so a step checks and passes only the gradient.
 """
 
 from dataclasses import dataclass, field
@@ -49,8 +49,8 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
     """One Adam update, in place on ``params`` and ``state``.
 
     Parameters are stepped in order. Raises ValueError naming the
-    offending parameter if its gradient has the wrong shape or contains
-    NaN or Inf; that parameter and the ones after it are left unchanged.
+    parameter whose binding or gradient ``kernels.bind_adam`` refuses;
+    that parameter and the ones after it are left unchanged.
     """
     state.step += 1
     t = state.step
@@ -60,10 +60,10 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> None:
     for key, p in params.items():
         g = grads[key]
         held = state.bound.get(key)
-        if held is None or held[0] is not p or held[1] != backend:
-            held = state.bound[key] = (p, backend, kernels.bind_adam(
-                p, state.m[key], state.v[key], BETA1, BETA2, EPS))
         try:
+            if held is None or held[0] is not p or held[1] != backend:
+                held = state.bound[key] = (p, backend, kernels.bind_adam(
+                    p, state.m[key], state.v[key], BETA1, BETA2, EPS))
             held[2](g, state.lr, bc1, bc2)
         except ValueError as exc:
             raise ValueError(f"{exc} in {key!r}") from None

@@ -12,6 +12,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
+from .kernels._csr_np import check_csr
 
 UNLABELED = -1
 
@@ -99,9 +100,9 @@ class CsrMatrix:
 
     @cached_property
     def _bindings(self) -> dict:
-        """The kernel backends' bindings of the three arrays, by backend
-        name: each checked and turned into pointers once, on the first
-        product under that backend."""
+        """The kernel backends' bindings of the matrix, by backend name:
+        each checks the structure and turns the arrays into pointers once,
+        on the matrix's first use in a kernel under that backend."""
         return {}
 
     def __getstate__(self):
@@ -127,23 +128,11 @@ class CsrMatrix:
 
     def validate(self) -> None:
         """Raise ValueError if any canonical-form invariant is violated or
-        a stored value is NaN or infinite."""
-        if self.n_rows < 0 or self.n_cols < 0:
-            raise ValueError(f"CSR shape {self.shape} has a negative dimension")
+        a stored value is NaN or infinite. The structure is checked by
+        the kernels' own check, which every binding runs."""
+        check_csr(self.n_rows, self.n_cols, self.row_offsets,
+                  self.col_indices, self.values)
         off, cols, vals = self.row_offsets, self.col_indices, self.values
-        if (off.dtype != np.int64 or cols.dtype != np.int64 or vals.dtype != np.float64
-                or off.ndim != 1 or cols.ndim != 1 or vals.ndim != 1):
-            raise ValueError("CSR arrays must be 1-D: int64 row_offsets and "
-                             "col_indices, float64 values")
-        if len(off) != self.n_rows + 1 or off[0] != 0 or off[-1] != len(vals):
-            raise ValueError("row_offsets inconsistent with stored entries")
-        if np.any(np.diff(off) < 0):
-            raise ValueError("row_offsets must be non-decreasing")
-        if len(cols) != len(vals):
-            raise ValueError("col_indices and values length mismatch")
-        # the compiled kernel reads x[col] unchecked
-        if len(cols) and (cols.min() < 0 or cols.max() >= self.n_cols):
-            raise ValueError("column index out of range")
         # bad[j] flags stored entries j and j+1; pairs that straddle a row
         # boundary are not compared
         bad = np.diff(cols) <= 0

@@ -773,6 +773,8 @@ lr = 0.2
         ("[experiment]\nmodels = gcn, gcn-aux\n[alpha]\ngcn-aux = 0.5\n"
          "chebnet-aux = 0.5\n", "alpha override 'chebnet-aux' is not in models"),
         ("[experiment]\n[alpha]\ngcn-mod = 0.3\ngcn-mod = 0.7\n", "'gcn-mod'"),
+        ("[experiment]\nlr = nan\n", "gcn: lr must be finite, got nan"),
+        ("[experiment]\nlr = inf\n", "gcn: lr must be finite, got inf"),
     ], ids=["experiment-key", "ica-key", "alpha-typo", "alpha-plain",
             "alpha-ica", "section", "model-name", "ica-value", "ica-l2-nan",
             "ica-lr-inf", "ica-max-iters-float",
@@ -780,7 +782,7 @@ lr = 0.2
             "repeated-budget", "budget-range", "n-runs-range", "alpha-range",
             "alpha-override-range", "lr-range", "epochs-range",
             "hidden-dim-range", "cheb-order-range", "alpha-not-run",
-            "alpha-one-not-run", "alpha-repeated"])
+            "alpha-one-not-run", "alpha-repeated", "lr-nan", "lr-inf"])
     def test_bad_config_is_one_error_naming_the_file(self, tmp_path, text,
                                                      key):
         path = tmp_path / "typo.cfg"

@@ -164,6 +164,12 @@ class TestIca:
         with pytest.raises(ValueError, match="absent"):
             ica_train_predict(g, np.array([0, 1]), np.array([5]))
 
+    def test_one_class_graph_is_an_error(self):
+        # as build_model refuses it: a regression takes two classes up
+        g = build_graph([(0, 1), (1, 2)], np.eye(3), np.zeros(3))
+        with pytest.raises(ValueError, match="at least 2 label classes"):
+            ica_train_predict(g, np.array([0]), np.array([2]))
+
     # a cast or a wrap would read each of these as some other node
     @pytest.mark.parametrize("train, test, message", [
         ([0.7, 4.2], [1, 5], "train ids must be integer"),

@@ -2,12 +2,17 @@
 check a matrix's arrays once."""
 
 import importlib
+import json
 import pickle
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modgcn
 from conftest import sequential_spmm
 from modgcn import cli, kernels
 from modgcn.datasets import preprocess_features, stratified_split
@@ -75,7 +80,8 @@ def test_c_kernel_matches_sequential_reference_bitwise(width, monkeypatch):
     expected = sequential_spmm(m.row_offsets, m.col_indices, m.values, x, start)
     for name, backend in kernels._BACKENDS.items():
         out = start.copy()
-        backend.spmm(m.row_offsets, m.col_indices, m.values, x, out)
+        backend.bind_csr(m.n_rows, m.n_cols, m.row_offsets, m.col_indices,
+                         m.values)(x, out)
         assert out.tobytes() == expected.tobytes(), name
 
 
@@ -84,7 +90,8 @@ def test_numpy_tail_adds_into_out_of_any_layout(layout):
     # The tail adds through a flat reshape of the rows it gathers from
     # out. Were that reshape a copy, as it would be of a gathered array
     # that is not C-contiguous, the tail's sums would be lost. These 19
-    # rows are all tail.
+    # rows are all tail. A binding passes only a C-contiguous out, so the
+    # planned add is called directly.
     rng = np.random.default_rng(9)
     _, dense = _random_csr(rng, 19, 23, density=0.5)
     m = CsrMatrix.from_dense(dense)
@@ -93,7 +100,8 @@ def test_numpy_tail_adds_into_out_of_any_layout(layout):
     expected = sequential_spmm(m.row_offsets, m.col_indices, m.values, x, start)
     out = {"C": start.copy(), "F": np.asfortranarray(start),
            "strided": np.repeat(start, 2, axis=1)[:, ::2]}[layout]
-    _csr_np.spmm(m.row_offsets, m.col_indices, m.values, x, out)
+    _csr_np.add_planned(_csr_np.plan_rows(m.row_offsets), m.col_indices,
+                        m.values, x, out)
     assert out.tobytes() == expected.tobytes()
 
 
@@ -118,7 +126,6 @@ def test_set_backend_rejects_unknown(restore_backend):
 def test_env_backend_is_resolved_on_first_use(monkeypatch):
     monkeypatch.setenv("MODGCN_KERNELS", "fortran")
     monkeypatch.setattr(kernels, "_active_name", None)
-    monkeypatch.setattr(kernels, "_active", None)
     with pytest.raises(ValueError,
                        match="MODGCN_KERNELS='fortran': unknown kernel backend"):
         kernels.backend_name()
@@ -153,19 +160,20 @@ def test_c_wrapper_rejects_bad_arguments():
     kernel = _csr_c.load()
     m = CsrMatrix.from_dense(np.eye(3))
     x = np.ones((3, 2))
+    bound = kernel.bind_csr(3, 3, m.row_offsets, m.col_indices, m.values)
     with pytest.raises(ValueError, match="indices must be a C-contiguous 1-D int64"):
-        kernel.spmm(m.row_offsets, m.col_indices.astype(np.int32), m.values, x,
-                    np.zeros((3, 2)))
+        kernel.bind_csr(3, 3, m.row_offsets, m.col_indices.astype(np.int32),
+                        m.values)(x, np.zeros((3, 2)))
     with pytest.raises(ValueError, match="out must be"):
-        kernel.spmm(m.row_offsets, m.col_indices, m.values, x, np.zeros((3, 3)))
+        bound(x, np.zeros((3, 3)))
     with pytest.raises(ValueError, match="out must be"):
-        kernel.spmm(m.row_offsets, m.col_indices, m.values, x, np.zeros((2, 2)))
+        bound(x, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="x must be"):
-        kernel.spmm(m.row_offsets, m.col_indices, m.values, np.ones((2, 3)).T,
-                    np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="indptr spans"):
-        kernel.spmm(m.row_offsets, m.col_indices[:2], m.values[:2], x,
-                    np.zeros((3, 2)))
+        bound(np.ones((2, 3)).T, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="row_offsets must hold 4 offsets "
+                                         "from 0 to the 2 stored entries"):
+        kernel.bind_csr(3, 3, m.row_offsets, m.col_indices[:2],
+                        m.values[:2])(x, np.zeros((3, 2)))
 
 
 @needs_c
@@ -173,14 +181,91 @@ def test_c_wrapper_rejects_out_overlapping_an_input():
     kernel = _csr_c.load()
     m = CsrMatrix.from_dense(np.eye(3))
     x = np.ones((3, 2))
+    bound = kernel.bind_csr(3, 3, m.row_offsets, m.col_indices, m.values)
     with pytest.raises(ValueError, match="out must not share memory with x"):
-        kernel.spmm(m.row_offsets, m.col_indices, m.values, x, x)
+        bound(x, x)
     with pytest.raises(ValueError, match="out must not share memory with x"):
-        kernel.spmm(m.row_offsets, m.col_indices, m.values, x, x.view())
+        bound(x, x.view())
     buffer = np.ones(8)
-    with pytest.raises(ValueError, match="out must not share memory with data"):
-        kernel.spmm(m.row_offsets, m.col_indices, buffer[:3], x,
-                    buffer[2:].reshape(3, 2))
+    with pytest.raises(ValueError, match="out must not share memory with values"):
+        kernel.bind_csr(3, 3, m.row_offsets, m.col_indices, buffer[:3])(
+            x, buffer[2:].reshape(3, 2))
+
+
+# (row_offsets, col_indices) of a 3 x 3 matrix that stores three ones,
+# built with the dataclass constructor, which checks nothing
+MALFORMED_CSR = {
+    "column-past-n-cols": ([0, 1, 2, 3], [0, 3, 1]),
+    "column-negative": ([0, 1, 2, 3], [0, -1, 1]),
+    "offsets-decrease": ([0, 2, 1, 3], [0, 1, 2]),
+    "offset-past-nnz": ([0, 10**8, 2, 3], [0, 1, 2]),
+    "last-offset-past-nnz": ([0, 1, 2, 4], [0, 1, 2]),
+}
+
+
+def _gate_messages(offsets, cols):
+    """The ValueError message of each kernel entry point that takes a
+    CsrMatrix, given the malformed one, under the active backend."""
+    m = CsrMatrix(3, 3, np.array(offsets, dtype=np.int64),
+                  np.array(cols, dtype=np.int64), np.ones(3))
+    y = np.eye(3)[:, :2].copy()
+    calls = {
+        "dot": lambda: m.dot(np.ones((3, 2))),
+        "relabel": lambda: kernels.relabel(
+            m, np.zeros(3, dtype=np.int64), np.arange(3), np.zeros((3, 2)),
+            np.zeros((2, 2)), 2),
+        "bind_logistic": lambda: kernels.bind_logistic(
+            m, CsrMatrix.identity(3), y,
+            {"w": np.zeros((3, 2)), "b": np.zeros((1, 2))}, 0.0, 0.1, 0.9,
+            0.999, 1e-8),
+    }
+    messages = {}
+    for name, call in calls.items():
+        try:
+            call()
+        except ValueError as exc:
+            messages[name] = str(exc)
+    return messages
+
+
+# run in a child process, so that a C read out of bounds kills the child
+# and fails one test rather than the whole run
+GATE_SCRIPT = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from modgcn import kernels
+from test_kernels import MALFORMED_CSR, _gate_messages
+kernels.set_backend("c")
+print(json.dumps(_gate_messages(*MALFORMED_CSR[sys.argv[3]])))
+"""
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CSR))
+def test_malformed_csr_is_one_value_error_on_every_backend(case,
+                                                           restore_backend):
+    kernels.set_backend("numpy")
+    want = _gate_messages(*MALFORMED_CSR[case])
+    assert sorted(want) == ["bind_logistic", "dot", "relabel"]
+    assert len(set(want.values())) == 1, want
+    if "c" not in kernels.available_backends():
+        pytest.skip("C kernel not built")
+    paths = (str(Path(modgcn.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent))
+    proc = subprocess.run([sys.executable, "-c", GATE_SCRIPT, *paths, case],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == want
+
+
+@pytest.mark.skipif(shutil.which(_csr_c.COMPILER) is None, reason="no C compiler")
+def test_c_source_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(
+        [_csr_c.COMPILER, *_csr_c.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-x", "c", "-", "-o", str(tmp_path / "lib.so")],
+        input=_csr_c.SOURCE, capture_output=True, text=True,
+        timeout=_csr_c.COMPILE_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_flags_keep_every_machine_on_the_same_bits():
@@ -199,8 +284,8 @@ def test_build_writes_only_the_library(monkeypatch, tmp_path):
     assert kernel is not None
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [_csr_c.LIB_NAME]
     out = np.zeros((2, 1))
-    kernel.spmm(np.array([0, 1, 2]), np.array([1, 0]), np.array([2.0, 3.0]),
-                np.array([[5.0], [7.0]]), out)
+    kernel.bind_csr(2, 2, np.array([0, 1, 2]), np.array([1, 0]),
+                    np.array([2.0, 3.0]))(np.array([[5.0], [7.0]]), out)
     np.testing.assert_array_equal(out, [[14.0], [15.0]])
 
 
@@ -453,10 +538,66 @@ def test_c_logistic_binding_runs_the_compiled_step_from_two_classes(
     kernels.set_backend("c")
     x, y, w, b = _logistic_operands()
     assert isinstance(_bind(x, y, w, b), _csr_c.CompiledLogistic)
-    # one class: NumPy sums the bias gradient's one column pairwise, so the
-    # NumPy step runs
-    single = _bind(x, y[:, :1].copy(), w[:, :1].copy(), b[:, :1].copy())
-    assert type(single) is _csr_np.LogisticBinding
+    # one class: NumPy would sum the bias gradient's one column pairwise,
+    # not row by row as C does, so neither backend runs it
+    with pytest.raises(ValueError, match="at least 2 classes, got 1"):
+        _bind(x, y[:, :1].copy(), w[:, :1].copy(), b[:, :1].copy())
+
+
+def _adam_operands(fault):
+    """A parameter, its moment buffers and a gradient, with ``fault``."""
+    p = np.arange(6.0).reshape(2, 3)
+    m, v, g = np.zeros_like(p), np.zeros_like(p), np.ones_like(p)
+    if fault == "m-is-the-parameter":
+        m = p
+    elif fault == "v-overlaps-m":
+        buffer = np.zeros(9)
+        m, v = buffer[:6].reshape(2, 3), buffer[3:].reshape(2, 3)
+    elif fault == "gradient-is-the-parameter":
+        g = p
+    elif fault == "fortran-order":
+        p = np.asfortranarray(p)
+    elif fault == "read-only":
+        p.flags.writeable = False
+    return p, m, v, g
+
+
+def _logistic_operands_with(fault):
+    x, y, w, b = _logistic_operands()
+    if fault == "bias-in-the-weights":
+        b = w[:1]
+    elif fault == "fortran-order":
+        w = np.asfortranarray(w)
+    elif fault == "read-only":
+        w.flags.writeable = False
+    elif fault == "one-class":
+        y, w, b = y[:, :1].copy(), w[:, :1].copy(), b[:, :1].copy()
+    return x, y, w, b
+
+
+@needs_c
+@pytest.mark.parametrize("fault", [
+    ("adam", "m-is-the-parameter"), ("adam", "v-overlaps-m"),
+    ("adam", "gradient-is-the-parameter"), ("adam", "fortran-order"),
+    ("adam", "read-only"), ("logistic", "bias-in-the-weights"),
+    ("logistic", "fortran-order"), ("logistic", "read-only"),
+    ("logistic", "one-class")], ids="-".join)
+def test_both_backends_refuse_the_same_operands(fault, restore_backend):
+    kind, fault = fault
+    messages = []
+    for backend in ("numpy", "c"):
+        kernels.set_backend(backend)
+        if kind == "adam":
+            p, m, v, g = _adam_operands(fault)
+            before = p.copy()
+            with pytest.raises(ValueError) as err:
+                kernels.bind_adam(p, m, v, 0.9, 0.999, 1e-8)(g, 0.1, 0.1, 0.001)
+            assert p.tobytes() == before.tobytes()
+        else:
+            with pytest.raises(ValueError) as err:
+                _bind(*_logistic_operands_with(fault))
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def _sweep_operands():
@@ -518,7 +659,8 @@ def test_sweep_refuses_bad_operands_before_it_runs(backend, which, bad,
 @needs_c
 @pytest.mark.parametrize("leaves, k", [
     (127, 9), (128, 9), (128, 7), (512, 7), (600, 9)])
-def test_compiled_sweep_scores_a_wide_hub_in_c(leaves, k, monkeypatch):
+def test_compiled_sweep_scores_a_wide_hub_in_c(leaves, k, monkeypatch,
+                                               restore_backend):
     # a hub's relational term adds one w_rel row per leaf, and C adds them
     # with no help from the NumPy sweeps at any degree or class count
     n = leaves + 1
@@ -528,18 +670,20 @@ def test_compiled_sweep_scores_a_wide_hub_in_c(leaves, k, monkeypatch):
     state = rng.integers(0, k, n)
     base_logits, w_rel = rng.standard_normal((n, k)), rng.standard_normal((k, k))
     want = state.copy()
-    result = _csr_np.relabel(adjacency, want, np.arange(n), base_logits,
+    kernels.set_backend("numpy")
+    result = kernels.relabel(adjacency, want, np.arange(n), base_logits,
                              w_rel, 10)
     monkeypatch.setattr(_csr_np, "sweeps", lambda *a: pytest.fail(
         "the compiled sweep called the NumPy sweeps"))
     got = state.copy()
-    assert kernels._BACKENDS["c"].relabel(adjacency, got, np.arange(n),
-                                          base_logits, w_rel, 10) == result
+    kernels.set_backend("c")
+    assert kernels.relabel(adjacency, got, np.arange(n), base_logits, w_rel,
+                           10) == result
     assert got.tobytes() == want.tobytes()
 
 
 @needs_c
-def test_compiled_sweep_reads_a_strided_w_rel_as_numpy_does():
+def test_compiled_sweep_reads_a_strided_w_rel_as_numpy_does(restore_backend):
     # w_rel is every other column of a wider array, whose raw memory holds
     # other weights; the C sweep must read the view's values
     n, k = 40, 4
@@ -551,16 +695,18 @@ def test_compiled_sweep_reads_a_strided_w_rel_as_numpy_does():
     wide = rng.standard_normal((k, 2 * k)) * 4.0
     w_rel = wide[:, ::2]
     assert not w_rel.flags.c_contiguous
+    kernels.set_backend("numpy")
     want = state.copy()
-    result = _csr_np.relabel(adjacency, want, np.arange(n), base_logits,
+    result = kernels.relabel(adjacency, want, np.arange(n), base_logits,
                              w_rel.copy(), 10)
     raw = state.copy()
-    _csr_np.relabel(adjacency, raw, np.arange(n), base_logits,
+    kernels.relabel(adjacency, raw, np.arange(n), base_logits,
                     wide.reshape(-1)[:k * k].reshape(k, k), 10)
     assert raw.tobytes() != want.tobytes()  # the raw memory scores otherwise
     got = state.copy()
-    assert kernels._BACKENDS["c"].relabel(adjacency, got, np.arange(n),
-                                          base_logits, w_rel, 10) == result
+    kernels.set_backend("c")
+    assert kernels.relabel(adjacency, got, np.arange(n), base_logits, w_rel,
+                           10) == result
     assert got.tobytes() == want.tobytes()
 
 

@@ -60,9 +60,27 @@ class TestModelSpec:
             ModelSpec(hidden_dim=0)
         with pytest.raises(ValueError):
             ModelSpec(encoder="chebnet", cheb_order=-1)
-        for bad in (0.0, -1.0, float("nan")):
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="lambda_max must be positive"):
                 ModelSpec(encoder="chebnet", lambda_max=bad)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"lr": float("nan")}, "lr must be finite, got nan"),
+        ({"lr": float("inf")}, "lr must be finite, got inf"),
+        ({"epochs": 2.5}, "epochs must be an int, got 2.5"),
+        ({"hidden_dim": True}, "hidden_dim must be an int, got True"),
+        ({"cheb_order": 2.0}, "cheb_order must be an int, got 2.0"),
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"variant": "aux", "k_aux": 3.0}, "k_aux must be an int, got 3.0"),
+    ], ids=["lr-nan", "lr-inf", "epochs", "hidden_dim", "cheb_order", "seed",
+            "k_aux"])
+    def test_refuses_a_field_of_the_wrong_kind(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(**fields)
+
+    def test_accepts_numpy_integers(self):
+        spec = ModelSpec(epochs=np.int64(3), seed=np.int32(2))
+        assert (spec.epochs, spec.seed) == (3, 2)
 
 
 class TestBuildModel:
@@ -294,6 +312,17 @@ class TestMalformedCheckpoints:
         path = tmp_path / "extra_field.ckpt"
         _write_npz(path, spec=_spec_member(dropout=0.5))
         self._assert_rejected(path, "dropout")
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("lr", float("nan")), ("hidden_dim", True)])
+    def test_spec_field_of_the_wrong_kind(self, tmp_path, field, value):
+        path = tmp_path / "spec.ckpt"
+        _write_npz(path, spec=_spec_member(**{field: value}))
+        with pytest.raises(ValueError, match=f"malformed checkpoint .*: "
+                                             f"{field} must be") as info:
+            load_model(path, two_cliques_graph())
+        assert str(path) in str(info.value)
+        assert "\n" not in str(info.value)
 
     def test_refused_spec(self, tmp_path):
         path = tmp_path / "plain_alpha.ckpt"

@@ -69,7 +69,8 @@ class TestCsrMatrix:
                 m.validate()
 
     def test_validate_rejects_wrong_dtypes(self):
-        with pytest.raises(ValueError, match="int64 row_offsets"):
+        with pytest.raises(ValueError, match="col_indices must be a "
+                                             "C-contiguous 1-D int64 array"):
             CsrMatrix(1, 2, np.array([0, 1]), np.array([1], dtype=np.int32),
                       np.ones(1)).validate()
 
