@@ -2,10 +2,12 @@
 only between two backends or two runs of the same code.
 
 On a small seeded graph, a child process writes the ``results.csv`` of a
-gcn/chebnet x plain/mod/aux matrix, and one training log and one
-checkpoint per encoder x variant. The test compares their SHA-256 with
-the digests below, which change only in a commit that moves bits on
-purpose and says which outputs moved and why.
+gcn/chebnet x plain/mod/aux matrix and of an ICA matrix, one training log
+and one checkpoint per encoder x variant, a ``sweep.csv`` of two models
+at two alphas, the weights and biases of ICA's two regressions without
+and with L2, and the output of ``check-gradients --instances 6``. The
+test compares their SHA-256 with the digests below, which change only in
+a commit that moves bits on purpose and says which outputs moved and why.
 
 The backends agree bit for bit, so one set of digests serves both. The
 machine does not: NumPy's SIMD dispatch moves ``exp``, ``log`` and
@@ -13,8 +15,9 @@ machine does not: NumPy's SIMD dispatch moves ``exp``, ``log`` and
 therefore runs under a pinned dispatch that every x86-64 machine can run,
 AVX2 and AVX-512 off in NumPy and OpenBLAS's Nehalem kernel. NumPy's
 version fixes these bits too, so on another NumPy version, or outside
-x86-64, only ``results.csv`` is checked, whose argmax hides the low bits,
-and the logs and checkpoints skip with the reason.
+x86-64, only the CSV files are checked, whose argmax hides the low bits,
+and the logs, checkpoints, ICA weights and gradient output skip with the
+reason.
 """
 
 import hashlib
@@ -38,6 +41,22 @@ PINNED_ENV = {
 
 RESULTS_SHA256 = (
     "b34d6b7214a97a433c2ef2a3bcee7e91cbc6faf722f6482c4cd9432dc6789516")
+# accuracies, checked on every machine
+CSV_SHA256 = {
+    "ica results.csv":
+        "53b525b0b4bdbe9529dc484ade94e73674f0b1ba32f7f15cf817edfdb3bbc082",
+    "sweep.csv":
+        "cb2636280801d285726904c1426e7401e408885a8678ea93709b830c36d5ea47",
+}
+# every bit of ICA's regressions, and the gradient suite's printed errors
+BITS_SHA256 = {
+    "ica weights l2=0.0":
+        "6d6506690852a75e05e44cee78a17cd81552ed820a50ac26657b44e4d26fb1a7",
+    "ica weights l2=0.01":
+        "60693acc170a7ab28a2465532081399b89b5a0caf6663bb7d76b6dc3671a789d",
+    "check-gradients":
+        "b9c36a3c1c902f94a1d8c1830d8751b5dff94b0bf57ca67cf16d27da9d03b568",
+}
 # per encoder-variant model: (training log, checkpoint)
 TRAINED_SHA256 = {
     "gcn": (
@@ -61,11 +80,14 @@ TRAINED_SHA256 = {
 }
 
 CHILD = r"""
-import hashlib, json, sys
+import contextlib, hashlib, io, json, sys
 from pathlib import Path
 
+from modgcn import cli
 from modgcn.datasets import load_dataset, stratified_split
-from modgcn.harness import MatrixConfig, run_matrix, train_once
+from modgcn.harness import (MatrixConfig, alpha_sweep, run_matrix, train_once,
+                            write_sweep_csv)
+from modgcn.ica import IcaConfig, train_classifiers
 from modgcn.model import ModelSpec, build_model, save_checkpoint
 
 data, out = Path(sys.argv[1]), Path(sys.argv[2])
@@ -91,6 +113,27 @@ for name in models:
     train_once(model, graph, split, log_path=log)
     save_checkpoint(model, checkpoint)
     digests[name] = [sha256(log), sha256(checkpoint)]
+run_matrix(MatrixConfig(dataset=str(data / "golden"), data_dir=str(data),
+                        models=("ica",), budgets=(3, 10), n_runs=2,
+                        test_size=100, out_dir=str(out / "ica")))
+digests["ica results.csv"] = sha256(out / "ica" / "results.csv")
+# as CI's comparison of the backends hashes them
+for cfg in (IcaConfig(), IcaConfig(l2=0.01)):
+    h = hashlib.sha256()
+    for clf in train_classifiers(graph, split.train_ids, cfg, split.seed):
+        h.update(clf.weight.tobytes() + clf.bias.tobytes())
+    digests[f"ica weights l2={cfg.l2}"] = h.hexdigest()
+sweeps, _ = alpha_sweep(MatrixConfig(
+    dataset=str(data / "golden"), data_dir=str(data),
+    models=("gcn-mod", "chebnet-aux"), budgets=(3,), n_runs=1,
+    test_size=100), grid=(0.1, 0.5))
+write_sweep_csv(out / "sweep.csv", sweeps)
+digests["sweep.csv"] = sha256(out / "sweep.csv")
+printed = io.StringIO()
+with contextlib.redirect_stdout(printed):
+    cli.main(["check-gradients", "--instances", "6"])
+digests["check-gradients"] = hashlib.sha256(
+    printed.getvalue().encode()).hexdigest()
 print(json.dumps(digests))
 """
 
@@ -135,12 +178,26 @@ def test_results_csv_keeps_its_digest(digests):
     assert digests["results.csv"] == RESULTS_SHA256
 
 
-@pytest.mark.skipif(
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_ica_results_and_sweep_keep_their_digests(digests, name):
+    assert digests[name] == CSV_SHA256[name]
+
+
+pinned_numpy_on_x86_64 = pytest.mark.skipif(
     np.__version__ != DIGEST_NUMPY or platform.machine() not in (
         "x86_64", "AMD64"),
-    reason=f"training logs and checkpoints follow NumPy's version and the "
-           f"CPU; their digests hold for NumPy {DIGEST_NUMPY} on x86-64 "
-           f"(results.csv is still checked)")
+    reason=f"trained bits follow NumPy's version and the CPU; their "
+           f"digests hold for NumPy {DIGEST_NUMPY} on x86-64 (the CSV files "
+           f"are still checked)")
+
+
+@pinned_numpy_on_x86_64
 @pytest.mark.parametrize("name", sorted(TRAINED_SHA256))
 def test_training_log_and_checkpoint_keep_their_digests(digests, name):
     assert tuple(digests[name]) == TRAINED_SHA256[name]
+
+
+@pinned_numpy_on_x86_64
+@pytest.mark.parametrize("name", sorted(BITS_SHA256))
+def test_ica_weights_and_gradient_output_keep_their_digests(digests, name):
+    assert digests[name] == BITS_SHA256[name]
