@@ -11,8 +11,9 @@ number of runs, the median and the best of every end-to-end metric that
 BENCHMARK.json declares, and the git SHA, kernel backend, numpy version
 and CPU count the runs recorded. It also holds one calibration figure
 timed when the script runs: the C kernel's product of the row-normalised
-feature matrix of the seed-5 perfbench graph with a 16-column W. Records
-made on another day or machine can be put on one scale by it.
+feature matrix of the seed-5 perfbench graph with a 16-column W, made as
+training makes it, with the matrix bound (its structure checked) once.
+Records made on another day or machine can be put on one scale by it.
 """
 
 import json
@@ -76,7 +77,8 @@ def summarise(records, declared) -> list:
 
 def calibration() -> dict:
     """Best and median wall time of the C kernel's X·W on the seed-5
-    perfbench graph, X row-normalised as training reads it."""
+    perfbench graph, X row-normalised as training reads it and bound
+    once, as training's ``x.dot(w)`` is."""
     labels, edges, features = synth.generate(CALIBRATION_SEED)
     x = preprocess_features(build_graph(edges, features, labels)).feature_csr
     w = np.random.default_rng(0).standard_normal((x.n_cols, CALIBRATION_WIDTH))
@@ -84,13 +86,13 @@ def calibration() -> dict:
     times = []
     for _ in range(CALIBRATION_REPEATS):
         start = time.perf_counter()
-        kernels.csr_dense_matmul(x.n_rows, x.n_cols, x.row_offsets,
-                                 x.col_indices, x.values, w)
+        x.dot(w)
         times.append(time.perf_counter() - start)
     best = min(times)
-    return {"what": f"C spmm of X ({x.n_rows} x {x.n_cols}, {x.nnz} "
-                    f"stored, perfbench graph seed {CALIBRATION_SEED}) by a "
-                    f"dense {x.n_cols} x {CALIBRATION_WIDTH} W",
+    return {"what": f"C spmm x.dot(w) of X ({x.n_rows} x {x.n_cols}, "
+                    f"{x.nnz} stored, perfbench graph seed "
+                    f"{CALIBRATION_SEED}, bound once) by a dense {x.n_cols} "
+                    f"x {CALIBRATION_WIDTH} W",
             "repeats": CALIBRATION_REPEATS,
             "best_ms": 1e3 * best,
             "median_ms": 1e3 * statistics.median(times),

@@ -1,5 +1,6 @@
 """scripts/bench_record.py groups perfbench's records by workload, code
-hash and run length, and summarises each metric as its ``better`` says."""
+hash and run length, and summarises each metric as its ``better`` says;
+its calibration product binds the matrix once."""
 
 import importlib.util
 import sys
@@ -66,3 +67,26 @@ def test_median_and_best_follow_each_metrics_better(bench_record):
     assert metrics["epoch_ms"] == {"unit": "ms", "better": "lower",
                                    "median": 0.20, "best": 0.10}
     assert group["n_correct"] == 3
+
+
+def test_calibration_binds_the_matrix_once(bench_record, monkeypatch):
+    from modgcn import kernels
+    compiled = kernels._BACKENDS.get("c")
+    if compiled is None:
+        pytest.skip("C kernel not built")
+    binds = []
+
+    def bind_csr(*args):
+        binds.append(args[:2])
+        return type(compiled).bind_csr(compiled, *args)
+
+    monkeypatch.setattr(compiled, "bind_csr", bind_csr)
+    monkeypatch.setattr(bench_record, "CALIBRATION_REPEATS", 5)
+    previous = kernels.backend_name()
+    try:
+        figure = bench_record.calibration()
+    finally:
+        kernels.set_backend(previous)
+    assert len(binds) == 1
+    assert figure["repeats"] == 5 and "bound once" in figure["what"]
+    assert 0 < figure["best_ms"] <= figure["median_ms"]
