@@ -84,10 +84,12 @@ def _build_away_from_relu_kink(spec: ModelSpec, graph: Graph, seed: int,
                                margin: float = 50 * DEFAULT_H) -> Model:
     """Resample the init until no hidden pre-activation sits within the
     finite-difference step of the ReLU kink."""
+    x = graph.feature_csr
     for attempt in range(20):
         model = build_model(replace(spec, seed=seed + 7919 * attempt), graph)
-        fwd = model.forward(graph.feature_csr)
-        if np.min(np.abs(fwd.cache1.pre)) > margin:
+        layer = model.layer1
+        pre = layer.filter.apply([x.dot(w) for w in layer.weights]) + layer.bias
+        if np.min(np.abs(pre)) > margin:
             return model
     return model
 

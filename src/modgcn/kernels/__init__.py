@@ -19,6 +19,10 @@ CPU kernel OpenBLAS selects; so their labels are the same on every
 machine. The row-wise passes compute the bits of the NumPy expressions
 they replace, in both backends.
 
+Each op has one output rule: a CSR product returns a new array, the bias
+add (with ReLU) works in place on its operand, and a bound Adam or
+regression step updates the buffers it was bound to.
+
 A backend checks the operands that stay fixed once, in a binding, and
 both backends make the same checks (see ``_csr_np``). A CSR matrix's
 binding checks its structure once per backend; a ``CsrMatrix`` keeps it
@@ -106,24 +110,16 @@ def _as_dense(x):
     return x
 
 
-def csr_dense_matmul(n_rows, n_cols, indptr, indices, data, x, out=None,
+def csr_dense_matmul(n_rows, n_cols, indptr, indices, data, x,
                      bindings=None):
-    """A @ x where A is (n_rows, n_cols) CSR and x is dense (n_cols, p).
+    """A @ x, a new C-contiguous float64 (n_rows, p) array, where A is
+    (n_rows, n_cols) CSR and x is dense (n_cols, p).
 
-    ``out``, if given, receives the product and is returned: a writeable,
-    C-contiguous float64 (n_rows, p) array that overlaps neither x nor A.
     ``bindings`` is a dict that the caller keeps with A's three arrays:
     the active backend's binding of them is kept in it under the backend's
-    name, so a later product with the same dict checks only x and out.
+    name, so a later product with the same dict checks only x.
     """
-    bound = _bound(n_rows, n_cols, indptr, indices, data, bindings)
-    x = _as_dense(x)
-    if out is None:
-        out = np.zeros((n_rows, x.shape[1]))
-        bound(x, out)
-    else:
-        bound(x, out, zero_first=True)
-    return out
+    return _bound(n_rows, n_cols, indptr, indices, data, bindings)(_as_dense(x))
 
 
 def bind_adam(p, m, v, b1, b2, eps):
@@ -154,8 +150,8 @@ def relabel(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
 def add_bias(pre, bias, relu=False):
     """``pre += bias`` in place in the active backend, the (1, p) ``bias``
     added to each row of ``pre``, a writeable C-contiguous (n, p) float64
-    array. Returns ``np.maximum(pre, 0.0)`` as a new array with ``relu``,
-    else ``pre``."""
+    array, and with ``relu`` then ``np.maximum(pre, 0.0)`` in place too.
+    Returns ``pre``."""
     return _BACKENDS[backend_name()].add_bias(pre, _as_dense(bias), relu)
 
 
@@ -165,7 +161,8 @@ def column_sums(m):
     return _BACKENDS[backend_name()].column_sums(_as_dense(m))
 
 
-def relu_backward(g, pre):
-    """``g * (pre > 0.0)`` in the active backend, a new array."""
+def relu_backward(g, out):
+    """ReLU's gradient ``g * (out > 0.0)`` in the active backend, a new
+    array, given the output gradient ``g`` and ReLU's output ``out``."""
     return _BACKENDS[backend_name()].relu_backward(_as_dense(g),
-                                                   _as_dense(pre))
+                                                   _as_dense(out))

@@ -29,11 +29,11 @@ step, less NumPy's ``tanh`` between them, with ``spmm``'s row blocks and
 term the sum of its neighbours' ``w_rel`` rows, added in stored order
 from +0.0 as NumPy's axis-0 sum adds them; no BLAS routine is involved.
 The row-wise passes of the graph-convolution and dense layers are
-``bias_act`` (the bias added to each row, and NumPy's ``maximum(pre,
-0.0)`` when ReLU follows), ``column_sums`` (the bias gradient, added row
-by row from +0.0 as NumPy's axis-0 sum adds two or more columns; one
-column stays in NumPy, which sums it pairwise) and ``relu_backward``
-(``g * (pre > 0.0)``).
+``bias_act`` (the bias added to each row in place, then NumPy's
+``maximum(pre, 0.0)`` in place when ReLU follows), ``column_sums`` (the
+bias gradient, added row by row from +0.0 as NumPy's axis-0 sum adds two
+or more columns; one column stays in NumPy, which sums it pairwise) and
+``relu_backward`` (``g * (out > 0.0)``, read from ReLU's output).
 
 ``spmm``, ``adam`` and the row-wise passes have two entry points, built
 from the same inlined bodies: the baseline one, and on x86-64 an ``_avx``
@@ -150,19 +150,19 @@ adam_body(int64_t n, double *restrict p, double *restrict m,
     return 0;
 }
 
-/* pre (n, p) += bias (1, p), row by row; when out is not NULL, also
-   out = NumPy's maximum(pre, 0.0): a NaN is kept and -0.0 gives +0.0. */
+/* pre (n, p) += bias (1, p), row by row; with relu, each row then
+   becomes NumPy's maximum(pre, 0.0): a NaN is kept and -0.0 gives +0.0. */
 static inline __attribute__((always_inline)) void
 bias_act_body(int64_t n, int64_t p, double *restrict pre,
-              const double *restrict bias, double *restrict out)
+              const double *restrict bias, int relu)
 {
     for (int64_t i = 0; i < n; i++) {
         double *restrict row = pre + i * p;
         for (int64_t c = 0; c < p; c++)
             row[c] = row[c] + bias[c];
-        if (out)
+        if (relu)
             for (int64_t c = 0; c < p; c++)
-                out[i * p + c] = row[c] <= 0.0 ? 0.0 : row[c];
+                row[c] = row[c] <= 0.0 ? 0.0 : row[c];
     }
 }
 
@@ -179,16 +179,17 @@ column_sums_body(int64_t n, int64_t p, const double *restrict m,
             out[c] = out[c] + m[i * p + c];
 }
 
-/* out = g * (pre > 0.0) over n entries, the comparison a 1.0 or a 0.0 as
-   NumPy casts it: g * 0.0 keeps a NaN and gives -0.0 for a negative g.
-   Every entry is multiplied, so the loop vectorises. */
+/* grad = g * (out > 0.0) over n entries, out being ReLU's output, the
+   comparison a 1.0 or a 0.0 as NumPy casts it: g * 0.0 keeps a NaN and
+   gives -0.0 for a negative g. Every entry is multiplied, so the loop
+   vectorises. */
 static inline __attribute__((always_inline)) void
 relu_backward_body(int64_t n, const double *restrict g,
-                   const double *restrict pre, double *restrict out)
+                   const double *restrict out, double *restrict grad)
 {
     for (int64_t i = 0; i < n; i++) {
-        const double unit = pre[i] > 0.0 ? 1.0 : 0.0;
-        out[i] = g[i] * unit;
+        const double unit = out[i] > 0.0 ? 1.0 : 0.0;
+        grad[i] = g[i] * unit;
     }
 }
 
@@ -213,9 +214,9 @@ ISA int adam##SUFFIX(int64_t n, double *restrict p, double *restrict m,      \
     return adam_body(n, p, m, v, g, lr, b1, b2, bc1, bc2, eps);              \
 }                                                                            \
 ISA void bias_act##SUFFIX(int64_t n, int64_t p, double *restrict pre,        \
-                          const double *restrict bias, double *restrict out) \
+                          const double *restrict bias, int relu)             \
 {                                                                            \
-    bias_act_body(n, p, pre, bias, out);                                     \
+    bias_act_body(n, p, pre, bias, relu);                                    \
 }                                                                            \
 ISA void column_sums##SUFFIX(int64_t n, int64_t p, const double *restrict m, \
                              double *restrict out)                           \
@@ -223,10 +224,10 @@ ISA void column_sums##SUFFIX(int64_t n, int64_t p, const double *restrict m, \
     column_sums_body(n, p, m, out);                                          \
 }                                                                            \
 ISA void relu_backward##SUFFIX(int64_t n, const double *restrict g,          \
-                               const double *restrict pre,                   \
-                               double *restrict out)                         \
+                               const double *restrict out,                   \
+                               double *restrict grad)                        \
 {                                                                            \
-    relu_backward_body(n, g, pre, out);                                      \
+    relu_backward_body(n, g, out, grad);                                     \
 }
 
 ENTRY_POINTS(, )
@@ -400,8 +401,9 @@ class CompiledCsr(_csr_np.CsrBinding):
         self._fn = fn
         self._pointers = tuple(_csr_np.address(a) for a in self.arrays)
 
-    def add(self, x, out, x_at, out_at):
-        self._fn(self.n_rows, x.shape[1], *self._pointers, x_at, out_at)
+    def add(self, x, out):
+        self._fn(self.n_rows, x.shape[1], *self._pointers, _csr_np.address(x),
+                 _csr_np.address(out))
 
 
 class CompiledAdam(_csr_np.AdamBinding):
@@ -490,7 +492,8 @@ class CompiledKernel:
 
         self._spmm = entry("spmm", None, i64, i64, *[ptr] * 5)
         self._adam = entry("adam", ctypes.c_int, i64, *[ptr] * 4, *[f64] * 6)
-        self._bias_act = entry("bias_act", None, i64, i64, *[ptr] * 3)
+        self._bias_act = entry("bias_act", None, i64, i64, ptr, ptr,
+                               ctypes.c_int)
         self._column_sums = entry("column_sums", None, i64, i64, ptr, ptr)
         self._relu_backward = entry("relu_backward", None, i64, *[ptr] * 3)
         logistic = ctypes.POINTER(_Logistic)
@@ -502,13 +505,11 @@ class CompiledKernel:
                                 suffix="")
 
     def add_bias(self, pre, bias, relu=False):
-        """``_csr_np.add_bias`` by the C ``bias_act``."""
+        """``_csr_np.add_bias`` by the C ``bias_act``, in place."""
         _csr_np.check_bias(pre, bias)
-        out = np.empty(pre.shape) if relu else None
         self._bias_act(*pre.shape, _csr_np.address(pre),
-                       _csr_np.address(bias),
-                       None if out is None else _csr_np.address(out))
-        return pre if out is None else out
+                       _csr_np.address(bias), relu)
+        return pre
 
     def column_sums(self, m):
         """``_csr_np.column_sums`` by the C ``column_sums``, which adds row
@@ -516,17 +517,17 @@ class CompiledKernel:
         pairwise."""
         _csr_np.check_rows(("m", m))
         if m.shape[1] == 1:
-            return m.sum(axis=0, keepdims=True)
+            return _csr_np.column_sums(m)
         out = np.empty((1, m.shape[1]))
         self._column_sums(*m.shape, _csr_np.address(m), _csr_np.address(out))
         return out
 
-    def relu_backward(self, g, pre):
+    def relu_backward(self, g, out):
         """``_csr_np.relu_backward`` by the C ``relu_backward``."""
-        _csr_np.check_rows(("g", g), ("pre", pre))
-        out = np.empty(g.shape)
-        self._relu_backward(g.size, *map(_csr_np.address, (g, pre, out)))
-        return out
+        _csr_np.check_rows(("g", g), ("out", out))
+        grad = np.empty(g.shape)
+        self._relu_backward(g.size, *map(_csr_np.address, (g, out, grad)))
+        return grad
 
     def bind_csr(self, n_rows, n_cols, indptr, indices, data) -> CompiledCsr:
         return CompiledCsr(self._spmm, n_rows, n_cols, indptr, indices, data)

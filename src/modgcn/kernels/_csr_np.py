@@ -25,7 +25,8 @@ The Adam step is a sequence of NumPy ufuncs, each rounding once; the
 compiled step makes the same operations in the same order. The sweeps add
 a node's neighbors' ``w_rel`` rows in the compiled sweep's order. The
 row-wise passes are the NumPy expressions whose order and rounding the
-compiled ones follow.
+compiled ones follow. All of them run under :func:`quiet`: an overflow or
+an invalid operation gives its infinity or NaN without a warning, as in C.
 """
 
 import ctypes
@@ -36,6 +37,12 @@ import numpy as np
 # below this many active rows, a vectorised step costs more than adding
 # the rest of their entries one by one with np.add.at
 _TAIL_ROWS = 64
+
+
+def quiet():
+    """NumPy's overflow and invalid-operation warnings off, as a decorator
+    for the arithmetic that the compiled backend runs silently."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def plan_rows(indptr):
@@ -53,6 +60,7 @@ def plan_rows(indptr):
     return order, counts, starts, active
 
 
+@quiet()
 def add_planned(plan, indices, data, x, out):
     """out += A @ x, A's rows visited in ``plan`` (see :func:`plan_rows`)."""
     if plan is None:
@@ -151,11 +159,8 @@ class CsrBinding:
     """An (n_rows, n_cols) CSR matrix's three arrays, checked once by
     :func:`check_csr`.
 
-    Calling it with ``(x, out)`` checks those two and adds A @ x into
-    ``out``. Both are C-contiguous 2-D float64 arrays, ``x`` of
-    ``n_cols`` rows, ``out`` writeable, of shape ``(n_rows, x.shape[1])``
-    and apart from ``x`` and the three arrays. With ``zero_first`` it
-    zeroes ``out`` after the checks, so ``out`` receives A @ x.
+    Calling it with a C-contiguous 2-D float64 ``x`` of ``n_cols`` rows
+    checks ``x`` and returns A @ x, a new (n_rows, x.shape[1]) array.
     """
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
@@ -165,29 +170,24 @@ class CsrBinding:
         self.spans = spans(("values", data), ("col_indices", indices),
                            ("row_offsets", indptr))
 
-    def __call__(self, x, out, zero_first=False):
+    def __call__(self, x):
         check_array("x", x, np.float64, 2)
         if x.shape[0] != self.n_cols:
             raise ValueError(f"shape mismatch: ({self.n_rows}, {self.n_cols}) "
                              f"@ {x.shape}")
-        check_writeable("out", out, (self.n_rows, x.shape[1]))
-        if not out.size:
-            return
-        x_at, out_at = address(x), address(out)
-        if x.size:
-            check_apart("out", out, out_at, (("x", x_at, x_at + x.nbytes),))
-        check_apart("out", out, out_at, self.spans)
-        if zero_first:
-            out.fill(0.0)
-        self.add(x, out, x_at, out_at)
+        out = np.zeros((self.n_rows, x.shape[1]))
+        if out.size:
+            self.add(x, out)
+        return out
 
     @cached_property
     def plan(self):
         """The rows' visiting order, planned on the first NumPy product."""
         return plan_rows(self.arrays[0])
 
-    def add(self, x, out, x_at, out_at):
-        """out += A @ x on operands already checked."""
+    def add(self, x, out):
+        """out += A @ x, unchecked: ``x`` as a call takes it, ``out`` a
+        C-contiguous float64 (n_rows, x.shape[1]) array apart from both."""
         add_planned(self.plan, *self.arrays[1:], x, out)
 
 
@@ -221,6 +221,7 @@ class AdamBinding:
         check_apart("the gradient", g, at, self.taken)
         self.apply(g, at, lr, bc1, bc2)
 
+    @quiet()
     def apply(self, g, at, lr, bc1, bc2):
         """The step on a checked gradient ``g`` whose data is at ``at``."""
         if not np.all(np.isfinite(g)):
@@ -258,15 +259,19 @@ def check_rows(*named) -> None:
                          f"have one shape, got {' and '.join(map(str, shapes))}")
 
 
+@quiet()
 def add_bias(pre, bias, relu=False):
     """``pre += bias`` in place, the (1, p) ``bias`` added to each row of
-    the (n, p) ``pre``. Returns ``np.maximum(pre, 0.0)``, a new array, with
-    ``relu``, else ``pre``. See :func:`check_bias` for the operands."""
+    the (n, p) ``pre``, then with ``relu`` ``np.maximum(pre, 0.0)`` in
+    place too; returns ``pre``. See :func:`check_bias` for the operands."""
     check_bias(pre, bias)
     pre += bias
-    return np.maximum(pre, 0.0) if relu else pre
+    if relu:
+        np.maximum(pre, 0.0, out=pre)
+    return pre
 
 
+@quiet()
 def column_sums(m):
     """``m.sum(axis=0, keepdims=True)`` of an (n, p) float64 matrix: with
     two or more columns each is added row by row from +0.0, one column
@@ -275,11 +280,13 @@ def column_sums(m):
     return m.sum(axis=0, keepdims=True)
 
 
-def relu_backward(g, pre):
-    """``g * (pre > 0.0)``, a new array: ReLU's gradient given the
-    output gradient ``g`` and the pre-activation ``pre``."""
-    check_rows(("g", g), ("pre", pre))
-    return g * (pre > 0.0)
+@quiet()
+def relu_backward(g, out):
+    """``g * (out > 0.0)``, a new array: ReLU's gradient given the output
+    gradient ``g`` and ReLU's output ``out``, which is above zero exactly
+    where its pre-activation is (elsewhere it is +0.0 or a NaN)."""
+    check_rows(("g", g), ("out", out))
+    return g * (out > 0.0)
 
 
 class LogisticBinding:
@@ -335,11 +342,13 @@ class LogisticBinding:
                                       b1, b2, eps)
                           for name, arr in ((w_name, w), (b_name, b)))
 
+    @quiet()
     def step(self):
         self.t += 1
         bc1, bc2 = 1.0 - self.b1 ** self.t, 1.0 - self.b2 ** self.t
         pre, (grad_w, grad_b) = self.pre, self.grads
-        self.x(self.w, pre, zero_first=True)
+        pre.fill(0.0)
+        self.x.add(self.w, pre)
         pre += self.b
         # the sigmoid 0.5 * (1 + tanh(0.5 * z)) stays finite for large |z|
         pre *= 0.5
@@ -348,7 +357,8 @@ class LogisticBinding:
         pre *= 0.5
         pre -= self.y
         pre /= self.rows
-        self.x_t(pre, grad_w, zero_first=True)
+        grad_w.fill(0.0)
+        self.x_t.add(pre, grad_w)
         if self.l2 > 0:
             grad_w += self.l2 * self.w
         np.sum(pre, axis=0, keepdims=True, out=grad_b)
@@ -402,6 +412,7 @@ def check_sweep(adjacency, state, unlabeled, base_logits, w_rel, max_iters):
             np.ascontiguousarray(w_rel))
 
 
+@quiet()
 def sweeps(adjacency, state, order, base_logits, w_rel, max_iters):
     """:func:`relabel`'s sweeps on checked operands."""
     stale = np.ones(state.size, dtype=bool)

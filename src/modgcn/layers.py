@@ -1,10 +1,11 @@
 """Dense math for graph-convolution and feed-forward layers.
 
 Forward passes return a cache holding everything the hand-derived backward
-pass needs. Layers apply sigma'(pre-activation) themselves; callers that fuse
-softmax with cross-entropy feed the pre-activation gradient straight into
-``backward_from_pre``. Both backward methods return (grad_in, grads), where
-``grads`` lists one gradient per ``param_items`` entry, in that order.
+pass needs: the input, and the activation's output, from which layers apply
+sigma' themselves; callers that fuse softmax with cross-entropy feed the
+pre-activation gradient straight into ``backward_from_pre``. Both backward
+methods return (grad_in, grads), where ``grads`` lists one gradient per
+``param_items`` entry, in that order.
 """
 
 from dataclasses import dataclass
@@ -71,30 +72,23 @@ def softmax_rows_backward(out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return out * (grad_out - row_sum(grad_out * out))
 
 
-def apply_activation(name: str, pre: np.ndarray) -> np.ndarray:
-    if name == "identity":
-        return pre
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    if name == "softmax_rows":
-        return softmax_rows(pre)
-    raise ValueError(f"unknown activation {name!r}")
-
-
 def add_bias_and_activate(name: str, pre: np.ndarray, bias) -> np.ndarray:
-    """The activation of ``pre + bias``, the bias added to each row of
-    ``pre`` in place (``kernels.add_bias``, which fuses ReLU with it)."""
-    if name == "relu":
-        return kernels.add_bias(pre, bias, relu=True)
-    return apply_activation(name, kernels.add_bias(pre, bias))
+    """The activation of ``pre + bias``. The bias is added to each row of
+    ``pre`` in place, and so is ReLU (``kernels.add_bias``), so
+    ``identity`` and ``relu`` return ``pre`` itself."""
+    if name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    out = kernels.add_bias(pre, bias, relu=name == "relu")
+    return softmax_rows(out) if name == "softmax_rows" else out
 
 
-def activation_backward(name: str, pre, out, grad_out) -> np.ndarray:
-    """Gradient w.r.t. the pre-activation given the output gradient."""
+def activation_backward(name: str, out, grad_out) -> np.ndarray:
+    """Gradient w.r.t. the pre-activation given the activation's output
+    and the output gradient."""
     if name == "identity":
         return grad_out
     if name == "relu":
-        return kernels.relu_backward(grad_out, pre)
+        return kernels.relu_backward(grad_out, out)
     if name == "softmax_rows":
         return softmax_rows_backward(out, grad_out)
     raise ValueError(f"unknown activation {name!r}")
@@ -103,7 +97,6 @@ def activation_backward(name: str, pre, out, grad_out) -> np.ndarray:
 @dataclass
 class LayerCache:
     h_in: object          # dense ndarray or CsrMatrix
-    pre: np.ndarray
     out: np.ndarray
 
 
@@ -140,7 +133,7 @@ class GraphConvLayer:
             raise ValueError(f"input has {h_in.shape[1]} columns, weights expect {c}")
         pre = self.filter.apply([h_in.dot(w) for w in self.weights])
         out = add_bias_and_activate(self.activation, pre, self.bias)
-        return out, LayerCache(h_in, pre, out)
+        return out, LayerCache(h_in, out)
 
     def backward_from_pre(self, cache: LayerCache, delta: np.ndarray):
         """Gradients given d(loss)/d(pre-activation).
@@ -156,7 +149,7 @@ class GraphConvLayer:
         return grad_in, [*grad_weights, kernels.column_sums(delta)]
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray):
-        delta = activation_backward(self.activation, cache.pre, cache.out, grad_out)
+        delta = activation_backward(self.activation, cache.out, grad_out)
         return self.backward_from_pre(cache, delta)
 
     def param_items(self, prefix):
@@ -186,7 +179,7 @@ class DenseLayer:
                              f"weights expect {self.weight.shape[0]}")
         pre = h_in @ self.weight
         out = add_bias_and_activate(self.activation, pre, self.bias)
-        return out, LayerCache(h_in, pre, out)
+        return out, LayerCache(h_in, out)
 
     def backward_from_pre(self, cache: LayerCache, delta: np.ndarray):
         grad_w = cache.h_in.T @ delta
@@ -194,7 +187,7 @@ class DenseLayer:
         return grad_in, [grad_w, kernels.column_sums(delta)]
 
     def backward(self, cache: LayerCache, grad_out: np.ndarray):
-        delta = activation_backward(self.activation, cache.pre, cache.out, grad_out)
+        delta = activation_backward(self.activation, cache.out, grad_out)
         return self.backward_from_pre(cache, delta)
 
     def param_items(self, prefix):

@@ -111,20 +111,14 @@ class CsrMatrix:
         state.pop("_bindings", None)
         return state
 
-    def dot(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """self @ x for dense x of shape (n_cols, p) or (n_cols,).
-
-        With ``out``, a writeable C-contiguous float64 array of the
-        product's shape that overlaps neither x nor this matrix, the
-        product is written there and ``out`` is returned; its bytes are
-        those of ``dot(x)``.
-        """
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """self @ x, a new array, for dense x of shape (n_cols, p) or
+        (n_cols,)."""
         if x.ndim == 1:
-            column = self.dot(x[:, None], None if out is None else out[:, None])
-            return column[:, 0] if out is None else out
+            return self.dot(x[:, None])[:, 0]
         return kernels.csr_dense_matmul(self.n_rows, self.n_cols, self.row_offsets,
                                         self.col_indices, self.values, x,
-                                        out=out, bindings=self._bindings)
+                                        bindings=self._bindings)
 
     def validate(self) -> None:
         """Raise ValueError if any canonical-form invariant is violated or

@@ -2,11 +2,13 @@
 one, called directly and held to the NumPy backend byte for byte: the
 CSR product, the Adam step, and the layers' bias add (with and without
 ReLU), column sums and ReLU gradient. Cases reach widths 0 to 40, zero
-rows, signed zeros, NaN, infinities and subnormals. The AVX half skips,
-with its reason, on a CPU without AVX (needs the `test` extras)."""
+rows, signed zeros, NaN, infinities and subnormals, and neither backend
+warns of an overflow or an invalid operation. The AVX half skips, with
+its reason, on a CPU without AVX (needs the `test` extras)."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -80,9 +82,8 @@ def test_spmm_gives_the_bytes_of_numpy(compiled, case):
     m, x, start = case
     arrays_ = (m.n_rows, m.n_cols, m.row_offsets, m.col_indices, m.values)
     want, got = start.copy(), start.copy()
-    with np.errstate(all="ignore"):
-        _csr_np.bind_csr(*arrays_)(x, want)
-    compiled.bind_csr(*arrays_)(x, got)
+    _csr_np.bind_csr(*arrays_).add(x, want)
+    compiled.bind_csr(*arrays_).add(x, got)
     _same(got, want)
 
 
@@ -98,12 +99,11 @@ def test_adam_gives_the_bytes_of_numpy(compiled, n, data):
     for backend in (_csr_np, compiled):
         state = [p.copy(), m.copy(), v.copy()]
         step = backend.bind_adam(*state, BETA1, BETA2, EPS)
-        with np.errstate(all="ignore"):
-            try:
-                step(g, 0.01, 1.0 - BETA1 ** t, 1.0 - BETA2 ** t)
-                error = None
-            except ValueError as exc:
-                error = str(exc)
+        try:
+            step(g, 0.01, 1.0 - BETA1 ** t, 1.0 - BETA2 ** t)
+            error = None
+        except ValueError as exc:
+            error = str(exc)
         outcomes.append([error, *(a.tobytes() for a in state)])
     assert outcomes[0] == outcomes[1]
 
@@ -114,31 +114,86 @@ def test_add_bias_gives_the_bytes_of_numpy(compiled, rows, width, relu, data):
     pre = data.draw(matrix((rows, width)))
     bias = data.draw(matrix((1, width)))
     want_pre, got_pre = pre.copy(), pre.copy()
-    with np.errstate(all="ignore"):
-        want = _csr_np.add_bias(want_pre, bias, relu)
+    want = _csr_np.add_bias(want_pre, bias, relu)
     got = compiled.add_bias(got_pre, bias, relu)
     _same(got_pre, want_pre)
-    _same(got, want)
-    assert (got is got_pre) != relu
+    # in place, with ReLU as without
+    assert want is want_pre and got is got_pre
 
 
 @SETTINGS
 @given(rows=ROWS, width=WIDTHS, data=st.data())
 def test_column_sums_give_the_bytes_of_numpy(compiled, rows, width, data):
     m = data.draw(matrix((rows, width)))
+    want = _csr_np.column_sums(m)
     with np.errstate(all="ignore"):
-        want = _csr_np.column_sums(m)
         _same(want, m.sum(axis=0, keepdims=True))
-        _same(compiled.column_sums(m), want)
+    _same(compiled.column_sums(m), want)
 
 
 @SETTINGS
 @given(rows=ROWS, width=WIDTHS, data=st.data())
 def test_relu_backward_gives_the_bytes_of_numpy(compiled, rows, width, data):
+    g, out = (data.draw(matrix((rows, width))) for _ in range(2))
+    _same(compiled.relu_backward(g, out), _csr_np.relu_backward(g, out))
+
+
+@SETTINGS
+@given(rows=ROWS, width=WIDTHS, data=st.data())
+def test_relu_backward_reads_the_mask_of_pre_from_the_output(compiled, rows,
+                                                             width, data):
+    # ReLU's output is above zero exactly where its pre-activation is,
+    # signed zeros, NaN, infinities and subnormals included
     g, pre = (data.draw(matrix((rows, width))) for _ in range(2))
-    with np.errstate(all="ignore"):
-        want = _csr_np.relu_backward(g, pre)
-    _same(compiled.relu_backward(g, pre), want)
+    out = np.maximum(pre, 0.0)
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        want = g * (pre > 0.0)
+    for backend in (_csr_np, compiled):
+        _same(backend.relu_backward(g, out), want)
+
+
+def _quiet_cases():
+    """(name, call) pairs, each of which overflows or makes inf * 0.0 in
+    one of the five NumPy ops that once warned; ``call(backend)`` returns
+    the arrays it made or changed."""
+    big = np.full((2, 3), 1e308)
+
+    def adam(backend):
+        p, m, v = np.zeros(3), np.zeros(3), np.zeros(3)
+        backend.bind_adam(p, m, v, BETA1, BETA2, EPS)(
+            np.full(3, 1e300), 0.01, 1.0 - BETA1, 1.0 - BETA2)
+        return p, m, v
+
+    def product(backend):
+        m = CsrMatrix.from_dense(big[:, :2])
+        return (backend.bind_csr(m.n_rows, m.n_cols, m.row_offsets,
+                                 m.col_indices, m.values)(big[:2]),)
+
+    return [
+        ("add_bias", lambda b: (b.add_bias(big.copy(), big[:1].copy()),)),
+        ("add_bias-relu",
+         lambda b: (b.add_bias(big.copy(), big[:1].copy(), relu=True),)),
+        ("relu_backward",
+         lambda b: (b.relu_backward(np.full((2, 3), math.inf),
+                                    np.zeros((2, 3))),)),
+        ("column_sums", lambda b: (b.column_sums(big),)),
+        ("column_sums-one-column",
+         lambda b: (b.column_sums(big[:, :1].copy()),)),
+        ("product", product),
+        ("adam", adam),
+    ]
+
+
+@pytest.mark.parametrize("name, call", _quiet_cases(),
+                         ids=[name for name, _ in _quiet_cases()])
+def test_overflow_gives_the_same_bytes_without_a_warning(compiled, name,
+                                                         call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want, got = call(_csr_np), call(compiled)
+    assert not all(np.isfinite(a).all() for a in want)  # the case overflows
+    for w, g in zip(want, got, strict=True):
+        _same(g, w)
 
 
 @pytest.mark.parametrize("rows", [2708, 20000])
@@ -158,7 +213,7 @@ def test_column_sums_of_tall_matrices_give_the_bytes_of_numpy(compiled,
     ("column_sums", (np.zeros(3),), "m must be a C"),
     ("relu_backward", (np.zeros((2, 3)), np.zeros((3, 2))), "one shape"),
     ("relu_backward", (np.zeros((2, 3)), np.zeros((2, 3), np.float32)),
-     "pre must be a C"),
+     "out must be a C"),
 ])
 def test_row_passes_refuse_the_same_operands(compiled, op, args, message):
     for backend in (_csr_np, compiled):

@@ -72,7 +72,8 @@ def dense_layer_logistic(x, y_onehot, cfg, seed, layer_id):
     state = AdamState.create(params, lr=cfg.lr)
     for _ in range(cfg.epochs):
         _, cache = layer.forward(x)
-        grad_pre = (_sigmoid(cache.pre) - y_onehot) / x.shape[0]
+        # the identity activation's output is its pre-activation
+        grad_pre = (_sigmoid(cache.out) - y_onehot) / x.shape[0]
         _, (grad_w, grad_b) = layer.backward_from_pre(cache, grad_pre)
         if cfg.l2 > 0:
             grad_w = grad_w + cfg.l2 * layer.weight

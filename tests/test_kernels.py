@@ -81,7 +81,7 @@ def test_c_kernel_matches_sequential_reference_bitwise(width, monkeypatch):
     for name, backend in kernels._BACKENDS.items():
         out = start.copy()
         backend.bind_csr(m.n_rows, m.n_cols, m.row_offsets, m.col_indices,
-                         m.values)(x, out)
+                         m.values).add(x, out)
         assert out.tobytes() == expected.tobytes(), name
 
 
@@ -148,6 +148,28 @@ def test_empty_rows_and_matrix(restore_backend):
         np.testing.assert_array_equal(got, np.zeros((4, 2)))
 
 
+def test_product_is_a_new_c_contiguous_array(restore_backend):
+    rng = np.random.default_rng(8)
+    m, dense = _random_csr(rng, 6, 6)
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        # x as the product's shape, strided, and without columns
+        for x in (rng.standard_normal((6, 6)),
+                  rng.standard_normal((6, 8))[:, ::2], np.zeros((6, 0))):
+            before = x.copy()
+            got = kernels.csr_dense_matmul(m.n_rows, m.n_cols, m.row_offsets,
+                                           m.col_indices, m.values, x)
+            again = m.dot(x)
+            assert type(got) is np.ndarray and got.dtype == np.float64
+            assert got.shape == (6, x.shape[1]) and got.flags.c_contiguous
+            assert got.flags.writeable and got.flags.owndata
+            assert not np.shares_memory(got, x)
+            assert not np.shares_memory(got, again)
+            assert got.tobytes() == again.tobytes()
+            assert x.tobytes() == before.tobytes()
+            np.testing.assert_allclose(got, dense @ x, atol=1e-13)
+
+
 def test_shape_mismatch_raises():
     m = CsrMatrix.from_dense(np.eye(3))
     with pytest.raises(ValueError):
@@ -163,33 +185,15 @@ def test_c_wrapper_rejects_bad_arguments():
     bound = kernel.bind_csr(3, 3, m.row_offsets, m.col_indices, m.values)
     with pytest.raises(ValueError, match="indices must be a C-contiguous 1-D int64"):
         kernel.bind_csr(3, 3, m.row_offsets, m.col_indices.astype(np.int32),
-                        m.values)(x, np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="out must be"):
-        bound(x, np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="out must be"):
-        bound(x, np.zeros((2, 2)))
+                        m.values)(x)
     with pytest.raises(ValueError, match="x must be"):
-        bound(np.ones((2, 3)).T, np.zeros((3, 2)))
+        bound(np.ones((2, 3)).T)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        bound(np.ones((2, 2)))
     with pytest.raises(ValueError, match="row_offsets must hold 4 offsets "
                                          "from 0 to the 2 stored entries"):
         kernel.bind_csr(3, 3, m.row_offsets, m.col_indices[:2],
-                        m.values[:2])(x, np.zeros((3, 2)))
-
-
-@needs_c
-def test_c_wrapper_rejects_out_overlapping_an_input():
-    kernel = _csr_c.load()
-    m = CsrMatrix.from_dense(np.eye(3))
-    x = np.ones((3, 2))
-    bound = kernel.bind_csr(3, 3, m.row_offsets, m.col_indices, m.values)
-    with pytest.raises(ValueError, match="out must not share memory with x"):
-        bound(x, x)
-    with pytest.raises(ValueError, match="out must not share memory with x"):
-        bound(x, x.view())
-    buffer = np.ones(8)
-    with pytest.raises(ValueError, match="out must not share memory with values"):
-        kernel.bind_csr(3, 3, m.row_offsets, m.col_indices, buffer[:3])(
-            x, buffer[2:].reshape(3, 2))
+                        m.values[:2])(x)
 
 
 # (row_offsets, col_indices) of a 3 x 3 matrix that stores three ones,
@@ -283,9 +287,8 @@ def test_build_writes_only_the_library(monkeypatch, tmp_path):
     kernel = _csr_c.load()
     assert kernel is not None
     assert [p.name for p in (tmp_path / "cache").iterdir()] == [_csr_c.LIB_NAME]
-    out = np.zeros((2, 1))
-    kernel.bind_csr(2, 2, np.array([0, 1, 2]), np.array([1, 0]),
-                    np.array([2.0, 3.0]))(np.array([[5.0], [7.0]]), out)
+    out = kernel.bind_csr(2, 2, np.array([0, 1, 2]), np.array([1, 0]),
+                          np.array([2.0, 3.0]))(np.array([[5.0], [7.0]]))
     np.testing.assert_array_equal(out, [[14.0], [15.0]])
 
 
@@ -410,45 +413,6 @@ def test_matrix_keeps_one_binding_per_backend(restore_backend):
         assert m.dot(x).tobytes() == first.tobytes()
         assert m._bindings[name] is bound
     assert sorted(m._bindings) == kernels.available_backends()
-
-
-@pytest.mark.parametrize("width", [None, 1, 5])
-def test_dot_into_a_buffer_gives_the_bytes_of_dot(width, restore_backend):
-    rng = np.random.default_rng(5)
-    m, _ = _random_csr(rng, 11, 8)
-    shape = (8,) if width is None else (8, width)
-    x = rng.standard_normal(shape)
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        buf = rng.standard_normal((11,) + shape[1:])  # overwritten, not added to
-        assert m.dot(x, out=buf) is buf
-        assert buf.tobytes() == m.dot(x).tobytes()
-
-
-def test_dot_refuses_a_bad_buffer_before_writing(restore_backend):
-    rng = np.random.default_rng(6)
-    m, _ = _random_csr(rng, 4, 4, density=1.0)  # 16 stored entries
-    x = rng.standard_normal((4, 4))
-    for name in kernels.available_backends():
-        kernels.set_backend(name)
-        for out, problem in (
-                (x, "share memory with x"),
-                (x[:, :], "share memory with x"),
-                (np.zeros((4, 3)), "out must be a writeable"),
-                (np.zeros((4, 4), dtype=np.float32), "out must be a C-contiguous"),
-                (np.zeros((4, 8))[:, ::2], "out must be a C-contiguous")):
-            before = x.copy()
-            with pytest.raises(ValueError, match=problem):
-                m.dot(x, out=out)
-            assert x.tobytes() == before.tobytes()
-        # a buffer laid over the matrix's own arrays
-        for field in ("values", "col_indices", "row_offsets"):
-            stored = getattr(m, field)
-            start = stored.copy()
-            over = stored.view(np.float64)[:4].reshape(4, 1)
-            with pytest.raises(ValueError, match="must not share memory"):
-                m.dot(x[:, :1], out=over)
-            assert stored.tobytes() == start.tobytes()
 
 
 @pytest.mark.parametrize("what", ["matrix", "graph"])

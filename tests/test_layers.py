@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph, two_cliques_graph
-from modgcn.layers import (DenseLayer, GraphConvLayer, apply_activation,
+from modgcn.layers import (DenseLayer, GraphConvLayer, add_bias_and_activate,
                            glorot_init, softmax_rows)
 from modgcn.sparse import CsrMatrix, gcn_support
 from modgcn.spectral import ChebFilter, build_chebyshev_supports
@@ -52,12 +52,15 @@ class TestActivations:
 
     def test_relu(self):
         pre = np.array([[-1.0, 0.0, 2.0]])
-        np.testing.assert_array_equal(apply_activation("relu", pre),
-                                      [[0.0, 0.0, 2.0]])
+        out = add_bias_and_activate("relu", pre, np.array([[0.5, -0.0, 1.0]]))
+        assert out is pre  # the bias and ReLU both work in place
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 3.0]])
 
     def test_unknown_activation(self):
+        pre = np.zeros((1, 1))
         with pytest.raises(ValueError, match="activation"):
-            apply_activation("tanh", np.zeros((1, 1)))
+            add_bias_and_activate("tanh", pre, np.ones((1, 1)))
+        assert pre[0, 0] == 0.0  # refused before the bias is added
 
 
 class TestGraphConvLayer:
@@ -69,7 +72,7 @@ class TestGraphConvLayer:
         out, cache = layer.forward(h)
         want = gcn_support(g).to_dense() @ h @ layer.weights[0] + layer.bias
         np.testing.assert_allclose(out, want, atol=1e-12)
-        np.testing.assert_array_equal(cache.pre, out)
+        assert cache.out is out
 
     def test_multi_support_sums_terms(self):
         rng = np.random.default_rng(2)
