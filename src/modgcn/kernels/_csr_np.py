@@ -176,8 +176,7 @@ class CsrBinding:
             raise ValueError(f"shape mismatch: ({self.n_rows}, {self.n_cols}) "
                              f"@ {x.shape}")
         out = np.zeros((self.n_rows, x.shape[1]))
-        if out.size:
-            self.add(x, out)
+        self.add(x, out)
         return out
 
     @cached_property
