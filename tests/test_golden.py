@@ -4,10 +4,11 @@ only between two backends or two runs of the same code.
 On a small seeded graph, a child process writes the ``results.csv`` of a
 gcn/chebnet x plain/mod/aux matrix and of an ICA matrix, one training log
 and one checkpoint per encoder x variant, a ``sweep.csv`` of two models
-at two alphas, the weights and biases of ICA's two regressions without
-and with L2, and the output of ``check-gradients --instances 6``. The
-test compares their SHA-256 with the digests below, which change only in
-a commit that moves bits on purpose and says which outputs moved and why.
+at two alphas, the accuracy line that ``modgcn ica`` prints, the weights
+and biases of ICA's two regressions without and with L2, and the output
+of ``check-gradients --instances 6``. The test compares their SHA-256
+with the digests below, which change only in a commit that moves bits on
+purpose and says which outputs moved and why.
 
 The backends agree bit for bit, so one set of digests serves both. The
 machine does not: NumPy's SIMD dispatch moves ``exp``, ``log`` and
@@ -15,9 +16,9 @@ machine does not: NumPy's SIMD dispatch moves ``exp``, ``log`` and
 therefore runs under a pinned dispatch that every x86-64 machine can run,
 AVX2 and AVX-512 off in NumPy and OpenBLAS's Nehalem kernel. NumPy's
 version fixes these bits too, so on another NumPy version, or outside
-x86-64, only the CSV files are checked, whose argmax hides the low bits,
-and the logs, checkpoints, ICA weights and gradient output skip with the
-reason.
+x86-64, only the CSV files and the ICA accuracy line are checked, whose
+argmax hides the low bits, and the logs, checkpoints, ICA weights and
+gradient output skip with the reason.
 """
 
 import hashlib
@@ -47,6 +48,8 @@ CSV_SHA256 = {
         "53b525b0b4bdbe9529dc484ade94e73674f0b1ba32f7f15cf817edfdb3bbc082",
     "sweep.csv":
         "cb2636280801d285726904c1426e7401e408885a8678ea93709b830c36d5ea47",
+    "ica accuracy line":
+        "92c54bd56b59239e94478b826cd0a92527b463dd32b3b8791f3f78296388c064",
 }
 # every bit of ICA's regressions, and the gradient suite's printed errors
 BITS_SHA256 = {
@@ -129,6 +132,15 @@ sweeps, _ = alpha_sweep(MatrixConfig(
     test_size=100), grid=(0.1, 0.5))
 write_sweep_csv(out / "sweep.csv", sweeps)
 digests["sweep.csv"] = sha256(out / "sweep.csv")
+printed = io.StringIO()
+with contextlib.redirect_stdout(printed):
+    cli.main(["ica", "--dataset", str(data / "golden"), "--data-dir",
+              str(data), "--labels-per-class", "5", "--test-size", "100",
+              "--seed", "3"])
+# the settings line names the temporary data directory; hash the result
+(line,) = [row for row in printed.getvalue().splitlines()
+           if row.startswith("ica test accuracy")]
+digests["ica accuracy line"] = hashlib.sha256(line.encode()).hexdigest()
 printed = io.StringIO()
 with contextlib.redirect_stdout(printed):
     cli.main(["check-gradients", "--instances", "6"])
