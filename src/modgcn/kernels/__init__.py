@@ -1,7 +1,8 @@
 """The CSR x dense product, the Adam step, a logistic-regression step,
-ICA's inference sweeps and the layers' row-wise passes (bias add with
-ReLU, column sums, ReLU's gradient), each with a compiled core and a
-NumPy fallback.
+ICA's inference sweeps, the layers' row-wise passes (bias add with ReLU,
+column sums, ReLU's gradient) and the objective's row passes (softmax,
+its gradient, the output logits' gradient and the modularity operator's
+rank-one part and terms), each with a compiled core and a NumPy fallback.
 
 The backend is chosen on first use: the C kernel if it compiled and loaded
 at import (see ``_csr_c``), else the pure-NumPy implementation.
@@ -17,11 +18,17 @@ every input. The sweeps (:func:`relabel`) add a node's neighbours'
 multiplying label counts by ``w_rel`` with BLAS, whose bits follow the
 CPU kernel OpenBLAS selects; so their labels are the same on every
 machine. The row-wise passes compute the bits of the NumPy expressions
-they replace, in both backends.
+they replace, in both backends. The objective's row passes do too: their
+NumPy bodies are the expressions themselves, and the compiled backend
+runs them in C only on C-contiguous rows of 1 to 7 columns that hold no
+NaN. Other widths, where NumPy's row reductions change order, other
+memory layouts and NaN operands, whose NaN NumPy's loops pick by rules
+of their own, run the NumPy body in both backends.
 
-Each op has one output rule: a CSR product returns a new array, the bias
-add (with ReLU) works in place on its operand, and a bound Adam or
-regression step updates the buffers it was bound to.
+Each op has one output rule: a CSR product and the objective's row
+passes return new arrays, the bias add (with ReLU) and
+:func:`subtract_outer` work in place on their operand, and a bound Adam
+or regression step updates the buffers it was bound to.
 
 A backend checks the operands that stay fixed once, in a binding, and
 both backends make the same checks (see ``_csr_np``). A CSR matrix's
@@ -166,3 +173,47 @@ def relu_backward(g, out):
     array, given the output gradient ``g`` and ReLU's output ``out``."""
     return _BACKENDS[backend_name()].relu_backward(_as_dense(g),
                                                    _as_dense(out))
+
+
+def _as_matrix(m):
+    """``m`` as a float64 array, in its memory layout: the NumPy bodies of
+    the objective's row passes reduce rows as NumPy does for that layout."""
+    return np.asarray(m, dtype=np.float64)
+
+
+def softmax_rows(m):
+    """Row-wise softmax of a 2-D ``m`` in the active backend, a new array:
+    ``e / row_sum(e)`` with ``e = exp(m - row_max(m))``, with NumPy's bits
+    (see ``_csr_np.softmax_rows``)."""
+    return _BACKENDS[backend_name()].softmax_rows(_as_matrix(m))
+
+
+def softmax_rows_backward(out, grad_out):
+    """The gradient through a row softmax, ``out * (grad_out -
+    row_sum(grad_out * out))``, in the active backend, a new array."""
+    return _BACKENDS[backend_name()].softmax_rows_backward(
+        _as_matrix(out), _as_matrix(grad_out))
+
+
+def output_delta(z, onehot, rows, alpha, grad_q=None):
+    """The output logits' gradient of ``(1 - alpha) * CE - alpha * Q`` in
+    the active backend, a new array; see ``_csr_np.output_delta``."""
+    if grad_q is not None:
+        grad_q = _as_matrix(grad_q)
+    return _BACKENDS[backend_name()].output_delta(
+        _as_matrix(z), _as_matrix(onehot), rows, alpha, grad_q)
+
+
+def subtract_outer(m, u, v, d):
+    """``m -= np.outer(u, v) / d`` in place in the active backend, ``m`` a
+    writeable C-contiguous (n, p) float64 array; returns ``m``."""
+    return _BACKENDS[backend_name()].subtract_outer(
+        m, *(np.ascontiguousarray(a, dtype=np.float64) for a in (u, v)), d)
+
+
+def modularity_terms(h, bh, scale, weight):
+    """``(h * bh, weight * (scale * bh))``, two new arrays, in the active
+    backend: the entries of ``tr(H^T B H)`` and a weighted multiple of
+    ``B @ H``."""
+    return _BACKENDS[backend_name()].modularity_terms(
+        _as_matrix(h), _as_matrix(bh), scale, weight)

@@ -1,6 +1,6 @@
 """Compiled backend: hand-written C ``spmm``, ``adam``, a logistic
-regression's step, ICA's inference sweeps and the layers' row-wise
-passes, called through ctypes.
+regression's step, ICA's inference sweeps, the layers' row-wise passes
+and the objective's row passes, called through ctypes.
 
 The C source is kept here as a string, so that an installed package
 carries it and anything that fingerprints the package's Python files
@@ -35,7 +35,28 @@ bias gradient, added row by row from +0.0 as NumPy's axis-0 sum adds two
 or more columns; one column stays in NumPy, which sums it pairwise) and
 ``relu_backward`` (``g * (out > 0.0)``, read from ReLU's output).
 
-``spmm``, ``adam`` and the row-wise passes have two entry points, built
+The objective's row passes work on the n x k class outputs: the softmax
+as ``softmax_shift`` (each row less its max, taken as NumPy's column walk
+of ``maximum`` takes it, by a compare and a select) and ``softmax_scale``
+(each row divided by its sum from +0.0) around NumPy's ``exp``;
+``softmax_backward`` (``z * (g - s)``, s the row sum of ``g * z``);
+``output_delta`` (``(1 - alpha) * (z - y)`` on the training rows and
+``(1 - alpha) * 0.0`` elsewhere, with the modularity variant's
+``alpha * softmax_backward`` added in the same pass); ``subtract_outer``
+(the modularity operator's rank-one part, ``(k[i] * kh[c]) / 2e``,
+subtracted in place from the fresh A @ H); and ``modularity_terms``
+(``h * bh`` for NumPy's pairwise sum, and the weighted gradient
+``weight * (scale * bh)``). Each rounds once per operation, in the
+order of the NumPy body it replaces. They take rows of 1 to 7 columns,
+each width a compile-time constant; NumPy's row reductions change order
+from 8 columns on, so wider and empty rows, and operands that are not
+C-contiguous, stay in NumPy. Where two NaNs meet in a sum or a product,
+NumPy's loops keep one by rules of their own; a NaN that arithmetic
+makes always has the same bits, so the passes whose operands hold a NaN
+return 1 having written nothing, and the NumPy body runs instead.
+
+``spmm``, ``adam`` and the row-wise passes of the layers and of the
+objective have two entry points, built
 from the same inlined bodies: the baseline one, and on x86-64 an ``_avx``
 twin compiled under ``__attribute__((target("avx")))``. AVX widens the
 vectors; it adds no instruction that rounds otherwise (no FMA), so both
@@ -51,7 +72,8 @@ checked operands and both backends refuse the same ones; each turns its
 fixed operands into pointers once. :meth:`CompiledKernel.relabel` takes
 a bound adjacency and checks the sweeps' other operands with
 ``_csr_np.check_sweep`` before the one C call, and the row-wise passes
-check theirs with ``_csr_np.check_bias`` and ``_csr_np.check_rows``.
+check theirs with ``_csr_np.check_bias``, ``_csr_np.check_rows`` and the
+checks of the objective's NumPy bodies.
 """
 
 import ctypes
@@ -193,6 +215,150 @@ relu_backward_body(int64_t n, const double *restrict g,
     }
 }
 
+/* The objective's row passes take rows of 1..7 columns (wider and empty
+   rows stay in NumPy, whose reductions change order from 8 columns on).
+   Each body runs with a compile-time width w, so its row loops unroll;
+   BY_WIDTH makes the constant. */
+#define BY_WIDTH(p, CALL)                                                    \
+    switch (p) {                                                             \
+    case 1: { const int w = 1; CALL; } break;                               \
+    case 2: { const int w = 2; CALL; } break;                               \
+    case 3: { const int w = 3; CALL; } break;                               \
+    case 4: { const int w = 4; CALL; } break;                               \
+    case 5: { const int w = 5; CALL; } break;                               \
+    case 6: { const int w = 6; CALL; } break;                               \
+    case 7: { const int w = 7; CALL; } break;                               \
+    }
+
+/* Where both operands of a + b or a * b are NaNs, NumPy's loops give one
+   of them by rules of their own, and a compiler may swap the operands of
+   + and *. A NaN that arithmetic makes always has the same bits, so NaNs
+   can differ only where an operand holds one: a pass whose operands may
+   meet two NaNs first checks them with has_nan and, finding one, returns
+   1 having written nothing, for the caller to run NumPy's expression. */
+
+/* 1 if any of the n entries of x is a NaN. */
+static inline __attribute__((always_inline)) int
+has_nan(int64_t n, const double *restrict x)
+{
+    int any = 0;
+    for (int64_t i = 0; i < n; i++)
+        any |= x[i] != x[i];
+    return any;
+}
+
+/* Rows per block in the passes that divide: a block's divisions run as
+   one flat loop, each entry by its own divisor, so that they vectorise
+   across rows. */
+#define ROWS 8
+
+/* out = m - the row max of m, where m holds no NaN. NumPy's column walk
+   of maximum(acc, x) keeps acc on a tie and takes x where x > acc: a
+   compare and a select, with no branch to mispredict on random rows. */
+static inline __attribute__((always_inline)) void
+softmax_shift_body(int64_t n, const int w, const double *restrict m,
+                   double *restrict out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        const double *restrict row = m + i * w;
+        double top = row[0];
+        for (int c = 1; c < w; c++)
+            top = row[c] > top ? row[c] : top;
+        for (int c = 0; c < w; c++)
+            out[i * w + c] = row[c] - top;
+    }
+}
+
+/* e = e / the row sum of e, in place, each sum added from +0.0 left to
+   right as NumPy adds fewer than 8 entries. */
+static inline __attribute__((always_inline)) void
+softmax_scale_body(int64_t n, const int w, double *restrict e)
+{
+    double sums[ROWS * 7];
+    for (int64_t i0 = 0; i0 < n; i0 += ROWS) {
+        const int rows = n - i0 < ROWS ? (int)(n - i0) : ROWS;
+        double *restrict block = e + i0 * w;
+        for (int r = 0; r < rows; r++) {
+            double sum = 0.0;
+            for (int c = 0; c < w; c++)
+                sum = sum + block[r * w + c];
+            for (int c = 0; c < w; c++)
+                sums[r * w + c] = sum;
+        }
+        for (int j = 0; j < rows * w; j++)
+            block[j] = block[j] / sums[j];
+    }
+}
+
+/* The gradient through a row softmax of output z, given the gradient g:
+   z * (g - s), s the row sum of g * z from +0.0. Stored in res, or with
+   add_to, alpha times it added to res. */
+static inline __attribute__((always_inline)) void
+softmax_backward_row(const int w, const double *restrict z,
+                     const double *restrict g, const int add_to,
+                     double alpha, double *restrict res)
+{
+    double sum = 0.0;
+    for (int c = 0; c < w; c++)
+        sum = sum + g[c] * z[c];
+    for (int c = 0; c < w; c++) {
+        const double grad = z[c] * (g[c] - sum);
+        res[c] = add_to ? res[c] + alpha * grad : grad;
+    }
+}
+
+static inline __attribute__((always_inline)) void
+softmax_backward_body(int64_t n, const int w, const double *restrict z,
+                      const double *restrict g, double *restrict res)
+{
+    for (int64_t i = 0; i < n; i++)
+        softmax_backward_row(w, z + i * w, g + i * w, 0, 0.0, res + i * w);
+}
+
+/* The output logits' gradient: keep * (z - y) on the rows whose train
+   flag is set, keep * 0.0 elsewhere, then with gq alpha times the softmax
+   gradient of gq added. */
+static inline __attribute__((always_inline)) void
+output_delta_body(int64_t n, const int w, const double *restrict z,
+                  const double *restrict y, const uint8_t *restrict train,
+                  double keep, double alpha, const double *restrict gq,
+                  double *restrict d)
+{
+    const double off = keep * 0.0;
+    for (int64_t i = 0; i < n; i++) {
+        const double *restrict zi = z + i * w, *restrict yi = y + i * w;
+        double *restrict di = d + i * w;
+        if (train[i])
+            for (int c = 0; c < w; c++)
+                di[c] = keep * (zi[c] - yi[c]);
+        else
+            for (int c = 0; c < w; c++)
+                di[c] = off;
+        if (gq)
+            softmax_backward_row(w, zi, gq + i * w, 1, alpha, di);
+    }
+}
+
+/* m (n, w) -= (u[i] * v[c]) / d, in place: NumPy's outer product, then its
+   division, then the subtraction, each rounded once. The divisions bound
+   its time, so w need not be a constant. */
+static inline __attribute__((always_inline)) void
+subtract_outer_body(int64_t n, const int w, double *restrict m,
+                    const double *restrict u, const double *restrict v,
+                    double d)
+{
+    double outer[ROWS * 7];
+    for (int64_t i0 = 0; i0 < n; i0 += ROWS) {
+        const int rows = n - i0 < ROWS ? (int)(n - i0) : ROWS;
+        double *restrict block = m + i0 * w;
+        for (int r = 0; r < rows; r++)
+            for (int c = 0; c < w; c++)
+                outer[r * w + c] = u[i0 + r] * v[c];
+        for (int j = 0; j < rows * w; j++)
+            block[j] = block[j] - outer[j] / d;
+    }
+}
+
 /* The exported entry points of one instruction set: ISA is empty for the
    baseline or a target attribute, SUFFIX the name's ending. Each inlines
    the bodies above, so every copy is compiled from the same source and
@@ -228,6 +394,65 @@ ISA void relu_backward##SUFFIX(int64_t n, const double *restrict g,          \
                                double *restrict grad)                        \
 {                                                                            \
     relu_backward_body(n, g, out, grad);                                     \
+}                                                                            \
+ISA int softmax_shift##SUFFIX(int64_t n, int64_t p, const double *restrict m, \
+                              double *restrict out)                          \
+{                                                                            \
+    if (has_nan(n * p, m))                                                   \
+        return 1;                                                            \
+    BY_WIDTH(p, softmax_shift_body(n, w, m, out))                            \
+    return 0;                                                                \
+}                                                                            \
+ISA void softmax_scale##SUFFIX(int64_t n, int64_t p, double *restrict e)     \
+{                                                                            \
+    BY_WIDTH(p, softmax_scale_body(n, w, e))                                 \
+}                                                                            \
+ISA int softmax_backward##SUFFIX(int64_t n, int64_t p,                       \
+                                 const double *restrict z,                   \
+                                 const double *restrict g,                   \
+                                 double *restrict res)                       \
+{                                                                            \
+    if (has_nan(n * p, z) | has_nan(n * p, g))                               \
+        return 1;                                                            \
+    BY_WIDTH(p, softmax_backward_body(n, w, z, g, res))                      \
+    return 0;                                                                \
+}                                                                            \
+ISA int output_delta##SUFFIX(int64_t n, int64_t p, const double *restrict z, \
+                             const double *restrict y,                       \
+                             const uint8_t *restrict train, double keep,     \
+                             double alpha, const double *restrict gq,        \
+                             double *restrict d)                             \
+{                                                                            \
+    if (!gq) {                                                               \
+        BY_WIDTH(p, output_delta_body(n, w, z, y, train, keep, alpha, 0, d)) \
+        return 0;                                                            \
+    }                                                                        \
+    if (has_nan(n * p, z) | has_nan(n * p, y) | has_nan(n * p, gq))          \
+        return 1;                                                            \
+    BY_WIDTH(p, output_delta_body(n, w, z, y, train, keep, alpha, gq, d))    \
+    return 0;                                                                \
+}                                                                            \
+ISA int subtract_outer##SUFFIX(int64_t n, int64_t p, double *restrict m,     \
+                               const double *restrict u,                     \
+                               const double *restrict v, double d)           \
+{                                                                            \
+    if (has_nan(p, v))                                                       \
+        return 1;                                                            \
+    subtract_outer_body(n, (int)p, m, u, v, d);                              \
+    return 0;                                                                \
+}                                                                            \
+ISA int modularity_terms##SUFFIX(int64_t n, const double *restrict h,        \
+                                 const double *restrict bh, double scale,    \
+                                 double weight, double *restrict prod,       \
+                                 double *restrict grad)                      \
+{                                                                            \
+    if (has_nan(n, h))                                                       \
+        return 1;                                                            \
+    for (int64_t i = 0; i < n; i++) {                                        \
+        prod[i] = h[i] * bh[i];                                              \
+        grad[i] = weight * (scale * bh[i]);                                  \
+    }                                                                        \
+    return 0;                                                                \
 }
 
 ENTRY_POINTS(, )
@@ -496,6 +721,19 @@ class CompiledKernel:
                                ctypes.c_int)
         self._column_sums = entry("column_sums", None, i64, i64, ptr, ptr)
         self._relu_backward = entry("relu_backward", None, i64, *[ptr] * 3)
+        # the objective's row passes; those that return an int return 1,
+        # having written nothing, where an operand holds a NaN
+        self._softmax_shift = entry("softmax_shift", ctypes.c_int, i64, i64,
+                                    ptr, ptr)
+        self._softmax_scale = entry("softmax_scale", None, i64, i64, ptr)
+        self._softmax_backward = entry("softmax_backward", ctypes.c_int, i64,
+                                       i64, *[ptr] * 3)
+        self._output_delta = entry("output_delta", ctypes.c_int, i64, i64,
+                                   *[ptr] * 3, f64, f64, ptr, ptr)
+        self._subtract_outer = entry("subtract_outer", ctypes.c_int, i64,
+                                     i64, *[ptr] * 3, f64)
+        self._modularity_terms = entry("modularity_terms", ctypes.c_int, i64,
+                                       ptr, ptr, f64, f64, ptr, ptr)
         logistic = ctypes.POINTER(_Logistic)
         self._logistic_forward = entry("logistic_forward", None, logistic,
                                        suffix="")
@@ -528,6 +766,71 @@ class CompiledKernel:
         grad = np.empty(g.shape)
         self._relu_backward(g.size, *map(_csr_np.address, (g, out, grad)))
         return grad
+
+    # The objective's row passes run in C on C-contiguous operands of 1 to
+    # 7 columns that hold no NaN (see _csr_np.compiled_rows and the C
+    # has_nan); the others run the NumPy body, in both backends.
+
+    def softmax_rows(self, m):
+        """``_csr_np.softmax_rows`` by the C ``softmax_shift``, NumPy's
+        ``exp`` in place, and the C ``softmax_scale``. ``exp`` stays in
+        NumPy, as ``tanh`` does in :class:`CompiledLogistic`."""
+        _csr_np.check_matrices(("m", m))
+        out = np.empty(m.shape)
+        at = _csr_np.address(out)
+        if (not _csr_np.compiled_rows(m)
+                or self._softmax_shift(*m.shape, _csr_np.address(m), at)):
+            return _csr_np.softmax_rows(m)
+        np.exp(out, out=out)
+        self._softmax_scale(*m.shape, at)
+        return out
+
+    def softmax_rows_backward(self, out, grad_out):
+        """``_csr_np.softmax_rows_backward`` by the C ``softmax_backward``."""
+        _csr_np.check_matrices(("out", out), ("grad_out", grad_out))
+        grad = np.empty(out.shape)
+        if (not _csr_np.compiled_rows(out, grad_out)
+                or self._softmax_backward(*out.shape, *map(
+                    _csr_np.address, (out, grad_out, grad)))):
+            return _csr_np.softmax_rows_backward(out, grad_out)
+        return grad
+
+    def output_delta(self, z, onehot, rows, alpha, grad_q=None):
+        """``_csr_np.output_delta`` by the C ``output_delta``, which takes
+        a null ``grad_q`` for the variants that route no Q through the
+        output softmax."""
+        _csr_np.check_output_delta(z, onehot, rows, grad_q)
+        scored = () if grad_q is None else (grad_q,)
+        at_q = None if grad_q is None else _csr_np.address(grad_q)
+        delta = np.empty(z.shape)
+        if (not _csr_np.compiled_rows(z, onehot, rows, *scored)
+                or self._output_delta(
+                    *z.shape, *map(_csr_np.address, (z, onehot, rows)),
+                    1.0 - alpha, alpha, at_q, _csr_np.address(delta))):
+            return _csr_np.output_delta(z, onehot, rows, alpha, grad_q)
+        return delta
+
+    def subtract_outer(self, m, u, v, d):
+        """``_csr_np.subtract_outer`` by the C ``subtract_outer``, in
+        place."""
+        _csr_np.check_outer(m, u, v)
+        if (not _csr_np.compiled_rows(m)
+                or self._subtract_outer(*m.shape, *map(_csr_np.address,
+                                                       (m, u, v)), d)):
+            return _csr_np.subtract_outer(m, u, v, d)
+        return m
+
+    def modularity_terms(self, h, bh, scale, weight):
+        """``_csr_np.modularity_terms`` by the C ``modularity_terms``."""
+        _csr_np.check_matrices(("h", h), ("bh", bh))
+        prod, grad = np.empty(h.shape), np.empty(h.shape)
+        if (not _csr_np.compiled_rows(h, bh)
+                or self._modularity_terms(h.size, _csr_np.address(h),
+                                          _csr_np.address(bh), scale, weight,
+                                          _csr_np.address(prod),
+                                          _csr_np.address(grad))):
+            return _csr_np.modularity_terms(h, bh, scale, weight)
+        return prod, grad
 
     def bind_csr(self, n_rows, n_cols, indptr, indices, data) -> CompiledCsr:
         return CompiledCsr(self._spmm, n_rows, n_cols, indptr, indices, data)

@@ -1,15 +1,18 @@
 """The NumPy backend: the fallback when the compiled one is missing.
 
 A backend offers ICA's sweeps (``relabel``), the layers' row-wise passes
-(``add_bias``, ``column_sums`` and ``relu_backward``), and three
+(``add_bias``, ``column_sums`` and ``relu_backward``), the objective's
+row passes (``softmax_rows``, ``softmax_rows_backward``,
+``output_delta``, ``subtract_outer`` and ``modularity_terms``), and three
 bindings, which check their fixed operands once so that a later call
 checks only what changes: ``bind_csr`` binds a CSR matrix, whose
 structure :func:`check_csr` checks (``CsrMatrix.validate`` runs it too),
 ``bind_adam`` a parameter and its moment buffers, and ``bind_logistic``
 a regression on two bound matrices. The compiled backend (``_csr_c``)
 subclasses the bindings and calls :func:`check_sweep`,
-:func:`check_bias` and :func:`check_rows`, so both backends refuse the
-same operands with the same messages.
+:func:`check_bias`, :func:`check_rows` and the objective's passes'
+checks, so both backends refuse the same operands with the same
+messages.
 
 The product computes the compiled kernel's bits. Every output entry adds
 its row's stored entries in stored order, as ``out[i, c] + v * x[j, c]``,
@@ -24,9 +27,14 @@ once per matrix.
 The Adam step is a sequence of NumPy ufuncs, each rounding once; the
 compiled step makes the same operations in the same order. The sweeps add
 a node's neighbors' ``w_rel`` rows in the compiled sweep's order. The
-row-wise passes are the NumPy expressions whose order and rounding the
-compiled ones follow. All of them run under :func:`quiet`: an overflow or
-an invalid operation gives its infinity or NaN without a warning, as in C.
+row-wise passes and the objective's row passes are the NumPy
+expressions whose order and rounding the compiled ones follow; the
+softmax's row max and row sums walk the columns of a row of 1 to 7
+entries (:func:`row_max`, :func:`row_sum`). The compiled backend calls
+these bodies itself for the operands its C passes do not take (see
+:func:`compiled_rows`). All of them run under :func:`quiet`: an overflow
+or an invalid operation gives its infinity or NaN without a warning, as
+in C.
 """
 
 import ctypes
@@ -252,6 +260,20 @@ def check_rows(*named) -> None:
     C-contiguous 2-D float64 arrays of one shape."""
     for name, arr in named:
         check_array(name, arr, np.float64, 2)
+    check_shapes(named)
+
+
+def check_matrices(*named) -> None:
+    """Refuse, with one ValueError, ``(name, array)`` operands other than
+    2-D float64 arrays of one shape, in any memory layout."""
+    for name, arr in named:
+        if (not isinstance(arr, np.ndarray) or arr.dtype != np.float64
+                or arr.ndim != 2):
+            raise ValueError(f"{name} must be a 2-D float64 array")
+    check_shapes(named)
+
+
+def check_shapes(named) -> None:
     shapes = [arr.shape for _, arr in named]
     if len(set(shapes)) > 1:
         raise ValueError(f"{' and '.join(name for name, _ in named)} must "
@@ -286,6 +308,142 @@ def relu_backward(g, out):
     where its pre-activation is (elsewhere it is +0.0 or a NaN)."""
     check_rows(("g", g), ("out", out))
     return g * (out > 0.0)
+
+
+# NumPy reduces a float64 row of fewer than 8 entries one entry at a time,
+# left to right. A walk over the columns with whole-column ufuncs does the
+# same arithmetic in the same order without NumPy's per-row reduction
+# overhead: at the 7-wide class axis the max is about 10x and the sum 3x
+# faster. From 8 entries on NumPy's sum switches to pairwise blocks, and
+# from 9 its max to SIMD blocks that can keep the other zero of a -0.0/+0.0
+# tie, so those widths go to NumPy; so does a 0-column matrix, whose max
+# must raise ValueError. The compiled row passes of the objective take the
+# walked widths and leave the others to the NumPy bodies below.
+_BLOCKED_FROM = 8
+
+
+def walked(m) -> bool:
+    """Whether ``m``'s rows are walked column by column: 1 to 7 columns."""
+    return 0 < m.shape[1] < _BLOCKED_FROM
+
+
+def compiled_rows(*operands) -> bool:
+    """Whether the compiled row passes may take ``operands``: C-contiguous
+    arrays whose first has rows of 1 to 7 columns. The others go to the
+    NumPy bodies, in both backends: where two NaNs meet, which one NumPy's
+    loops keep can follow the operands' memory layout. The C passes also
+    hand back operands that hold a NaN (see ``_csr_c``)."""
+    return walked(operands[0]) and all(a.flags.c_contiguous
+                                       for a in operands)
+
+
+def row_max(m):
+    """``m.max(axis=1, keepdims=True)`` of a float64 matrix, bit for bit,
+    but for one nan sign: where a row's first entry is a negative nan,
+    NumPy returns a positive one. Only the sign differs: a nan stays a nan.
+    Walked rows take ``np.maximum`` column by column, which keeps the
+    running max on a tie or when it is a nan, else takes the entry."""
+    if not walked(m):
+        return m.max(axis=1, keepdims=True)
+    acc = m[:, 0].copy()
+    for j in range(1, m.shape[1]):
+        np.maximum(acc, m[:, j], out=acc)
+    return acc[:, None]
+
+
+def row_sum(m):
+    """``m.sum(axis=1, keepdims=True)`` of a float64 matrix, bit for bit."""
+    if not walked(m):
+        return m.sum(axis=1, keepdims=True)
+    acc = m[:, 0] + 0.0  # NumPy starts from +0.0: a row of -0.0 sums to +0.0
+    for j in range(1, m.shape[1]):
+        acc += m[:, j]
+    return acc[:, None]
+
+
+@quiet()
+def softmax_rows(m):
+    """Row-wise softmax with max subtraction for overflow safety, a new
+    array: ``e / row_sum(e)`` with ``e = exp(m - row_max(m))``. A matrix of
+    no columns is a ValueError, as NumPy's max of no entries is."""
+    check_matrices(("m", m))
+    shifted = m - row_max(m)
+    e = np.exp(shifted)
+    return e / row_sum(e)
+
+
+@quiet()
+def softmax_rows_backward(out, grad_out):
+    """``out * (grad_out - row_sum(grad_out * out))``, a new array: the
+    gradient through a row softmax given its output."""
+    check_matrices(("out", out), ("grad_out", grad_out))
+    return out * (grad_out - row_sum(grad_out * out))
+
+
+def check_output_delta(z, onehot, rows, grad_q) -> None:
+    """Refuse, with one ValueError, operands of :func:`output_delta` other
+    than 2-D float64 ``z``, ``onehot`` and (unless None) ``grad_q`` of one
+    shape, and a 1-D bool ``rows`` with one flag per row of ``z``."""
+    named = [("z", z), ("onehot", onehot)]
+    if grad_q is not None:
+        named.append(("grad_q", grad_q))
+    check_matrices(*named)
+    if (not isinstance(rows, np.ndarray) or rows.dtype != np.bool_
+            or rows.shape != z.shape[:1]):
+        raise ValueError(f"rows must be a 1-D bool array of {z.shape[0]} "
+                         f"flags")
+
+
+@quiet()
+def output_delta(z, onehot, rows, alpha, grad_q=None):
+    """The gradient of ``(1 - alpha) * CE - alpha * Q`` w.r.t. the logits
+    under the output softmax ``z``, a new array: ``(1 - alpha) * (z -
+    onehot)`` on the training ``rows``, ``(1 - alpha) * 0.0`` on the
+    others, and with ``grad_q``, Q's gradient w.r.t. ``z`` scaled as the
+    loss takes it, ``alpha * softmax_rows_backward(z, grad_q)`` added.
+    See :func:`check_output_delta` for the operands."""
+    check_output_delta(z, onehot, rows, grad_q)
+    grad = np.zeros_like(z)
+    grad[rows] = z[rows] - onehot[rows]
+    delta = (1.0 - alpha) * grad
+    if grad_q is not None:
+        delta += alpha * softmax_rows_backward(z, grad_q)
+    return delta
+
+
+def check_outer(m, u, v) -> None:
+    """Refuse, with one ValueError, operands of :func:`subtract_outer`
+    other than a writeable C-contiguous (n, p) float64 ``m`` and
+    C-contiguous 1-D float64 ``u`` of n and ``v`` of p entries apart from
+    it."""
+    check_array("m", m, np.float64, 2)
+    check_writeable("m", m, m.shape)
+    for name, arr, size in (("u", u, m.shape[0]), ("v", v, m.shape[1])):
+        check_array(name, arr, np.float64, 1)
+        if arr.size != size:
+            raise ValueError(f"{name} must hold {size} entries, got "
+                             f"{arr.size}")
+        if arr.size:
+            check_apart(name, arr, address(arr), spans(("m", m)))
+
+
+@quiet()
+def subtract_outer(m, u, v, d):
+    """``m -= np.outer(u, v) / d`` in place; returns ``m``. See
+    :func:`check_outer` for the operands."""
+    check_outer(m, u, v)
+    m -= np.outer(u, v) / d
+    return m
+
+
+@quiet()
+def modularity_terms(h, bh, scale, weight):
+    """``(h * bh, weight * (scale * bh))``, two new arrays, given H and
+    ``bh`` = B @ H: the entries whose sum is ``tr(H^T B H)``, and
+    ``scale * B @ H``, the gradient of ``scale / 2`` times that trace,
+    weighted as the caller's loss takes it."""
+    check_matrices(("h", h), ("bh", bh))
+    return h * bh, weight * (scale * bh)
 
 
 class LogisticBinding:

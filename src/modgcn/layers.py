@@ -3,7 +3,11 @@
 Forward passes return a cache holding everything the hand-derived backward
 pass needs: the input, and the activation's output, from which layers apply
 sigma' themselves; callers that fuse softmax with cross-entropy feed the
-pre-activation gradient straight into ``backward_from_pre``. Both backward
+pre-activation gradient straight into ``backward_from_pre``. The row-wise
+passes run in the kernel backend: the bias add with ReLU, ReLU's gradient
+and the bias gradient, and the row softmax and its gradient
+(``kernels.softmax_rows`` and ``kernels.softmax_rows_backward``, which
+compute NumPy's bits). Both backward
 methods return (grad_in, grads), where ``grads`` lists one gradient per
 ``param_items`` entry, in that order.
 """
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .kernels import softmax_rows, softmax_rows_backward
 from .sparse import CsrMatrix
 from .spectral import ChebFilter
 
@@ -25,51 +30,6 @@ def glorot_init(rows: int, cols: int, seed) -> np.ndarray:
         raise ValueError("matrix dimensions must be >= 1")
     a = np.sqrt(6.0 / (rows + cols))
     return np.random.default_rng(seed).uniform(-a, a, size=(rows, cols))
-
-
-# NumPy reduces a float64 row of fewer than 8 entries one entry at a time,
-# left to right. A walk over the columns with whole-column ufuncs does the
-# same arithmetic in the same order without NumPy's per-row reduction
-# overhead: at the 7-wide class axis the max is about 10x and the sum 3x
-# faster. From 8 entries on NumPy's sum switches to pairwise blocks, and
-# from 9 its max to SIMD blocks that can keep the other zero of a -0.0/+0.0
-# tie, so those widths go to NumPy; so does a 0-column matrix, whose max
-# must raise ValueError.
-_BLOCKED_FROM = 8
-
-
-def row_max(m: np.ndarray) -> np.ndarray:
-    """``m.max(axis=1, keepdims=True)`` of a float64 matrix, bit for bit,
-    but for one nan sign: where a row's first entry is a negative nan,
-    NumPy returns a positive one. Only the sign differs: a nan stays a nan."""
-    if not 0 < m.shape[1] < _BLOCKED_FROM:
-        return m.max(axis=1, keepdims=True)
-    acc = m[:, 0].copy()
-    for j in range(1, m.shape[1]):
-        np.maximum(acc, m[:, j], out=acc)
-    return acc[:, None]
-
-
-def row_sum(m: np.ndarray) -> np.ndarray:
-    """``m.sum(axis=1, keepdims=True)`` of a float64 matrix, bit for bit."""
-    if not 0 < m.shape[1] < _BLOCKED_FROM:
-        return m.sum(axis=1, keepdims=True)
-    acc = m[:, 0] + 0.0  # NumPy starts from +0.0: a row of -0.0 sums to +0.0
-    for j in range(1, m.shape[1]):
-        acc += m[:, j]
-    return acc[:, None]
-
-
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = m - row_max(m)
-    e = np.exp(shifted)
-    return e / row_sum(e)
-
-
-def softmax_rows_backward(out: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient through a row softmax given its output."""
-    return out * (grad_out - row_sum(grad_out * out))
 
 
 def add_bias_and_activate(name: str, pre: np.ndarray, bias) -> np.ndarray:

@@ -4,13 +4,20 @@ that combines them.
 The cross-entropy is summed (not averaged) over the labeled nodes, so the
 trade-off weight alpha keeps the same meaning across label budgets; note
 this interacts with the learning rate when changing budgets.
+
+The passes over the n x k outputs run in the kernel backend with the bits
+of the NumPy expressions they replace: the output logits' gradient
+(``kernels.output_delta``), and the modularity term's entries and
+weighted gradient (``kernels.modularity_terms``). The logarithm and the
+sums of the losses stay in NumPy.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .layers import softmax_rows_backward
+from . import kernels
 from .model import Model
 from .sparse import Graph, modularity_apply, train_node_ids
 
@@ -37,6 +44,13 @@ class LabelMask:
         onehot[train_ids, labels] = 1.0
         return cls(train_ids, onehot)
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """One bool flag per node, set on the training rows."""
+        rows = np.zeros(self.onehot.shape[0], dtype=bool)
+        rows[self.train_ids] = True
+        return rows
+
 
 @dataclass(frozen=True)
 class LossReport:
@@ -55,26 +69,30 @@ def masked_cross_entropy(z: np.ndarray, mask: LabelMask):
     cross-entropy backward passes are fused, giving (z - y) on labeled rows
     and zero elsewhere.
     """
+    return (_cross_entropy(z, mask),
+            kernels.output_delta(z, mask.onehot, mask.rows, 0.0))
+
+
+def _cross_entropy(z: np.ndarray, mask: LabelMask) -> float:
     ids = mask.train_ids
     if len(ids) == 0:
         raise ValueError("empty training set")
     picked = np.sum(z[ids] * mask.onehot[ids], axis=1)
-    loss = -float(np.sum(np.log(np.maximum(picked, LOG_CLAMP))))
-    grad_pre = np.zeros_like(z)
-    grad_pre[ids] = z[ids] - mask.onehot[ids]
-    return loss, grad_pre
+    return -float(np.sum(np.log(np.maximum(picked, LOG_CLAMP))))
 
 
-def modularity_loss(g: Graph, h: np.ndarray):
+def modularity_loss(g: Graph, h: np.ndarray, weight: float = 1.0):
     """Negated normalized modularity: loss = -tr(H^T B H) / 2e.
 
-    Returns (loss, gradient w.r.t. H); B is symmetric, so the gradient is
-    -(2 / 2e) * B @ H, computed through the lazy operator.
+    Returns (loss, ``weight`` times its gradient w.r.t. H); B is
+    symmetric, so the gradient is -(2 / 2e) * B @ H, computed through the
+    lazy operator. One kernel pass makes the entries of tr(H^T B H), which
+    NumPy sums pairwise, and the weighted gradient.
     """
     bh = modularity_apply(g, h)
     two_e = 2.0 * g.num_edges
-    loss = -float(np.sum(h * bh)) / two_e
-    return loss, -(2.0 / two_e) * bh
+    terms, grad = kernels.modularity_terms(h, bh, -(2.0 / two_e), weight)
+    return -float(np.sum(terms)) / two_e, grad
 
 
 def objective_for(model: Model, graph: Graph, mask: LabelMask):
@@ -94,24 +112,26 @@ def objective_for(model: Model, graph: Graph, mask: LabelMask):
     """
     variant, alpha = model.spec.variant, model.spec.alpha
     fwd = model.forward(graph.feature_csr)
-    sup, grad_pre_sup = masked_cross_entropy(fwd.output, mask)
-    q = 0.0
+    sup = _cross_entropy(fwd.output, mask)
+    q, grad_mod = 0.0, None
     if variant != "plain":
         scored = fwd.output if variant == "mod" else fwd.aux_out
-        mod_loss, grad_mod = modularity_loss(graph, scored)
+        # the aux head takes alpha * dQ: scaling the upstream gradient by
+        # alpha scales every aux gradient with it, so alpha = 0 yields
+        # exact zeros
+        mod_loss, grad_mod = modularity_loss(
+            graph, scored, 1.0 if variant == "mod" else alpha)
         q = -mod_loss
 
-    delta2 = (1.0 - alpha) * grad_pre_sup
-    if variant == "mod" and alpha > 0.0:
-        # route the modularity gradient through the output softmax
-        delta2 += alpha * softmax_rows_backward(fwd.output, grad_mod)
+    # (1 - alpha) * dCE, and for mod alpha * dQ routed through the output
+    # softmax, in one pass
+    delta2 = kernels.output_delta(
+        fwd.output, mask.onehot, mask.rows, alpha,
+        grad_mod if variant == "mod" and alpha > 0.0 else None)
     grad_hidden, grads2 = model.layer2.backward_from_pre(fwd.cache2, delta2)
     grads_aux = []
     if model.aux is not None:
-        # scaling the upstream gradient by alpha scales every aux gradient
-        # with it, so alpha = 0 yields exact zeros
-        grad_in_aux, grads_aux = model.aux.backward(fwd.cache_aux,
-                                                    alpha * grad_mod)
+        grad_in_aux, grads_aux = model.aux.backward(fwd.cache_aux, grad_mod)
         grad_hidden = grad_hidden + grad_in_aux
     _, grads1 = model.layer1.backward(fwd.cache1, grad_hidden)
 

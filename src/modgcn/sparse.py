@@ -300,7 +300,8 @@ def modularity_apply(g: Graph, h: np.ndarray) -> np.ndarray:
     h = _check_modularity_args(g, h)
     k = g.degrees
     two_e = 2.0 * g.num_edges
-    return g.adjacency.dot(h) - np.outer(k, k @ h) / two_e
+    # the rank-one part, subtracted in place from the fresh A @ H
+    return kernels.subtract_outer(g.adjacency.dot(h), k, k @ h, two_e)
 
 
 def modularity_trace(g: Graph, h: np.ndarray) -> float:

@@ -1,7 +1,10 @@
 """Each entry point of the compiled kernel, the baseline one and the AVX
 one, called directly and held to the NumPy backend byte for byte: the
-CSR product, the Adam step, and the layers' bias add (with and without
-ReLU), column sums and ReLU gradient. Cases reach widths 0 to 40, zero
+CSR product, the Adam step, the layers' bias add (with and without
+ReLU), column sums and ReLU gradient, and the objective's row passes
+(softmax, its gradient, the output logits' gradient and the modularity
+operator's rank-one part and terms). Cases reach widths 0 to 40 (0 to 12
+for the objective's passes, which run in C from 1 to 7 columns), zero
 rows, signed zeros, NaN, infinities and subnormals, and neither backend
 warns of an overflow or an invalid operation. The AVX half skips, with
 its reason, on a CPU without AVX (needs the `test` extras)."""
@@ -152,6 +155,112 @@ def test_relu_backward_reads_the_mask_of_pre_from_the_output(compiled, rows,
         _same(backend.relu_backward(g, out), want)
 
 
+# the objective's row passes: the C widths 1 to 7 and both NumPy sides
+OBJECTIVE_WIDTHS = st.integers(0, 12)
+ALPHAS = st.sampled_from([0.0, 0.5, 1.0])
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives: the bytes of each array it returns, or
+    its ValueError's message."""
+    try:
+        result = fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    arrays = result if isinstance(result, tuple) else (result,)
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+@SETTINGS
+@given(rows=ROWS, width=OBJECTIVE_WIDTHS, data=st.data())
+def test_softmax_rows_gives_the_bytes_of_numpy(compiled, rows, width, data):
+    m = data.draw(matrix((rows, width)))
+    want = _outcome(_csr_np.softmax_rows, m)
+    assert _outcome(compiled.softmax_rows, m) == want
+    assert isinstance(want, list) or width == 0  # no columns, no max
+
+
+@SETTINGS
+@given(rows=ROWS, width=OBJECTIVE_WIDTHS, data=st.data())
+def test_softmax_rows_backward_gives_the_bytes_of_numpy(compiled, rows,
+                                                        width, data):
+    out, g = (data.draw(matrix((rows, width))) for _ in range(2))
+    _same(compiled.softmax_rows_backward(out, g),
+          _csr_np.softmax_rows_backward(out, g))
+
+
+@SETTINGS
+@given(rows=ROWS, width=OBJECTIVE_WIDTHS, alpha=ALPHAS,
+       scored=st.booleans(), data=st.data())
+def test_output_delta_gives_the_bytes_of_numpy(compiled, rows, width, alpha,
+                                               scored, data):
+    z, onehot = (data.draw(matrix((rows, width))) for _ in range(2))
+    train = data.draw(arrays(np.bool_, (rows,), elements=st.booleans(),
+                             fill=st.nothing()))
+    grad_q = data.draw(matrix((rows, width))) if scored else None
+    _same(compiled.output_delta(z, onehot, train, alpha, grad_q),
+          _csr_np.output_delta(z, onehot, train, alpha, grad_q))
+
+
+@SETTINGS
+@given(rows=ROWS, width=OBJECTIVE_WIDTHS, data=st.data())
+def test_subtract_outer_gives_the_bytes_of_numpy(compiled, rows, width,
+                                                 data):
+    m = data.draw(matrix((rows, width)))
+    u, v = data.draw(matrix((rows,))), data.draw(matrix((width,)))
+    d = data.draw(st.sampled_from([2.0, 10556.0, 5e-324, 1e300, -3.0]))
+    want, got = m.copy(), m.copy()
+    assert _csr_np.subtract_outer(want, u, v, d) is want
+    assert compiled.subtract_outer(got, u, v, d) is got
+    _same(got, want)
+
+
+@SETTINGS
+@given(rows=ROWS, width=OBJECTIVE_WIDTHS, data=st.data())
+def test_modularity_terms_give_the_bytes_of_numpy(compiled, rows, width,
+                                                  data):
+    h, bh = (data.draw(matrix((rows, width))) for _ in range(2))
+    scale, weight = (data.draw(st.sampled_from([-2.0 / 10556.0, 0.5, 1.0,
+                                                0.0, 1e300]))
+                     for _ in range(2))
+    assert (_outcome(compiled.modularity_terms, h, bh, scale, weight)
+            == _outcome(_csr_np.modularity_terms, h, bh, scale, weight))
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_a_negative_nan_first_in_a_row_gives_the_bytes_of_numpy(compiled,
+                                                                width):
+    # a row's max is its first NaN; at a negative NaN first NumPy's own
+    # max would return a positive one (see _csr_np.row_max)
+    rng = np.random.default_rng(width)
+    m = rng.standard_normal((4, width))
+    m[0, 0] = DEFAULT_NAN
+    m[1, -1] = DEFAULT_NAN
+    m[2] = [math.inf, -math.inf, *([0.0] * (width - 2))][:width]
+    out = _csr_np.softmax_rows(m)
+    assert math.isnan(out[0, 0]) and np.signbit(out[0, 0])
+    _same(compiled.softmax_rows(m), out)
+    train = np.array([True, False, True, True])
+    for backend in (_csr_np, compiled):
+        _same(backend.softmax_rows_backward(out, m),
+              _csr_np.softmax_rows_backward(out, m))
+        _same(backend.output_delta(out, m, train, 0.5, m),
+              _csr_np.output_delta(out, m, train, 0.5, m))
+
+
+@pytest.mark.parametrize("width", [3, 7, 9])
+def test_output_delta_at_alpha_one_keeps_the_sign_of_zero(compiled, width):
+    # (1 - 1) * (z - y) is -0.0 where z < y, and (1 - 1) * 0.0 is +0.0
+    z = np.full((2, width), 0.25)
+    onehot = np.zeros((2, width))
+    onehot[:, 0] = 1.0
+    train = np.array([True, False])
+    for backend in (_csr_np, compiled):
+        delta = backend.output_delta(z, onehot, train, 1.0)
+        assert np.signbit(delta[0, 0]) and not np.signbit(delta[0, 1])
+        assert not np.signbit(delta[1]).any() and not delta.any()
+
+
 BIG = np.full((2, 3), 1e308)
 
 
@@ -181,6 +290,18 @@ OVERFLOWS = {
     "column_sums-one-column": lambda b: (b.column_sums(BIG[:, :1].copy()),),
     "product": _product_overflow,
     "adam": _adam_overflow,
+    "softmax_rows":  # inf - inf in the shift
+        lambda b: (b.softmax_rows(np.array([[math.inf, 0.0, -math.inf],
+                                            [1.0, 2.0, 3.0]])),),
+    "softmax_rows_backward": lambda b: (b.softmax_rows_backward(BIG, BIG),),
+    "output_delta": lambda b: (b.output_delta(BIG, -BIG, np.ones(2, bool),
+                                              0.5),),
+    "output_delta-modularity":
+        lambda b: (b.output_delta(BIG, BIG, np.ones(2, bool), 0.5, BIG),),
+    "subtract_outer": lambda b: (b.subtract_outer(
+        np.zeros((2, 3)), np.full(2, 1e308), np.full(3, 1e308), 1.0),),
+    "modularity_terms":
+        lambda b: b.modularity_terms(BIG, BIG, -1e308, 1e308),
 }
 
 
@@ -212,6 +333,24 @@ def test_column_sums_of_tall_matrices_give_the_bytes_of_numpy(compiled,
     ("relu_backward", (np.zeros((2, 3)), np.zeros((3, 2))), "one shape"),
     ("relu_backward", (np.zeros((2, 3)), np.zeros((2, 3), np.float32)),
      "out must be a C"),
+    ("softmax_rows", (np.zeros(3),), "m must be a 2-D float64"),
+    ("softmax_rows", (np.zeros((2, 3), np.float32),), "m must be a 2-D"),
+    ("softmax_rows_backward", (np.zeros((2, 3)), np.zeros((3, 2))),
+     "out and grad_out must have one shape"),
+    ("output_delta", (np.zeros((2, 3)), np.zeros((2, 3)), np.zeros(2), 0.5),
+     "rows must be a 1-D bool array of 2"),
+    ("output_delta", (np.zeros((2, 3)), np.zeros((2, 3)), np.ones(3, bool),
+                      0.5), "rows must be a 1-D bool array of 2"),
+    ("output_delta", (np.zeros((2, 3)), np.zeros((2, 3)), np.ones(2, bool),
+                      0.5, np.zeros((3, 2))), "one shape"),
+    ("subtract_outer", (np.zeros((3, 2)).T, np.zeros(2), np.zeros(3), 2.0),
+     "m must be a C"),
+    ("subtract_outer", (np.zeros((2, 3)), np.zeros(3), np.zeros(3), 2.0),
+     "u must hold 2 entries"),
+    ("subtract_outer", (np.zeros((2, 3)), np.zeros(2), np.zeros((1, 3)),
+                        2.0), "v must be a C"),
+    ("modularity_terms", (np.zeros((2, 3)), np.zeros((2, 2)), 1.0, 1.0),
+     "h and bh must have one shape"),
 ])
 def test_row_passes_refuse_the_same_operands(compiled, op, args, message):
     for backend in (_csr_np, compiled):
@@ -225,6 +364,14 @@ def test_add_bias_refuses_a_bias_inside_pre(compiled):
         with pytest.raises(ValueError, match="bias must not share memory "
                                              "with pre"):
             backend.add_bias(pre, pre[1:2], relu=True)
+
+
+def test_subtract_outer_refuses_a_vector_inside_m(compiled):
+    m = np.zeros((3, 2))
+    for backend in (_csr_np, compiled):
+        with pytest.raises(ValueError, match="v must not share memory "
+                                             "with m"):
+            backend.subtract_outer(m, np.zeros(3), m[1], 2.0)
 
 
 def test_the_kernel_runs_the_widest_entry_points_the_cpu_has():

@@ -3,10 +3,15 @@ functions, then spot checks of the suite plumbing. The full suite runs as
 an acceptance criterion."""
 
 import numpy as np
+import pytest
 
-from modgcn.gradcheck import (check_layer_gradients, check_loss_gradients,
-                              gradients_close, numerical_gradient,
-                              run_full_suite)
+from modgcn import kernels
+from modgcn.gradcheck import (_build_away_from_relu_kink, _random_graph,
+                              check_layer_gradients, check_loss_gradients,
+                              check_model_gradients, gradients_close,
+                              numerical_gradient, run_full_suite)
+from modgcn.model import ModelSpec
+from modgcn.objectives import LabelMask
 
 
 def test_numerical_gradient_of_quadratic():
@@ -58,3 +63,28 @@ def test_small_suite_is_clean_and_labeled():
     # all six encoder/variant combinations appear
     assert {"gcn", "gcn-mod", "gcn-aux",
             "chebnet", "chebnet-mod", "chebnet-aux"} <= names
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+@pytest.mark.parametrize("variant, classes, k_aux", [("mod", 9, 0),
+                                                     ("aux", 3, 9)])
+def test_a_nine_wide_head_passes_the_check(backend, variant, classes, k_aux):
+    # The objective's row passes run in C on 1 to 7 columns and in NumPy
+    # from 8; the suite draws 2 to 4 classes, so it never reaches NumPy's
+    # side. Here the scored output is 9 wide: the output softmax of
+    # gcn-mod, the aux head of gcn-aux.
+    old = kernels.set_backend(backend)
+    try:
+        rng = np.random.default_rng(9)
+        graph = _random_graph(rng, 12, 0.45, 4, classes)
+        spec = ModelSpec(encoder="gcn", variant=variant, hidden_dim=4,
+                         alpha=0.6, k_aux=k_aux)
+        model = _build_away_from_relu_kink(spec, graph, 17)
+        scored = model.layer2 if variant == "mod" else model.aux
+        assert scored.bias.shape == (1, 9)
+        mask = LabelMask.from_graph(graph, np.arange(0, 12, 2))
+        results = check_model_gradients(graph, model, mask)
+    finally:
+        kernels.set_backend(old)
+    assert results and all(r.ok for r in results), [r for r in results
+                                                     if not r.ok]

@@ -31,8 +31,8 @@ from modgcn.harness import (MODEL_ORDER, RunResult, read_results_csv,  # noqa: E
                             write_results_csv)
 from modgcn.ica import _classifier_input  # noqa: E402
 from modgcn.kernels import _csr_np, relabel  # noqa: E402
-from modgcn.layers import (row_max, row_sum, softmax_rows,  # noqa: E402
-                           softmax_rows_backward)
+from modgcn.kernels._csr_np import row_max, row_sum  # noqa: E402
+from modgcn.layers import softmax_rows, softmax_rows_backward  # noqa: E402
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
                           load_checkpoint, save_checkpoint)
 from modgcn.optim import BETA1, BETA2, EPS, AdamState, adam_step  # noqa: E402
