@@ -2,7 +2,7 @@
 ICA's inference sweeps, the layers' row-wise passes (bias add with ReLU,
 column sums, ReLU's gradient) and the objective's row passes (softmax,
 its gradient, the output logits' gradient and the modularity operator's
-rank-one part and terms), each with a compiled core and a NumPy fallback.
+rank-one part), each with a compiled core and a NumPy fallback.
 
 The backend is chosen on first use: the C kernel if it compiled and loaded
 at import (see ``_csr_c``), else the pure-NumPy implementation.
@@ -209,11 +209,3 @@ def subtract_outer(m, u, v, d):
     writeable C-contiguous (n, p) float64 array; returns ``m``."""
     return _BACKENDS[backend_name()].subtract_outer(
         m, *(np.ascontiguousarray(a, dtype=np.float64) for a in (u, v)), d)
-
-
-def modularity_terms(h, bh, scale, weight):
-    """``(h * bh, weight * (scale * bh))``, two new arrays, in the active
-    backend: the entries of ``tr(H^T B H)`` and a weighted multiple of
-    ``B @ H``."""
-    return _BACKENDS[backend_name()].modularity_terms(
-        _as_matrix(h), _as_matrix(bh), scale, weight)

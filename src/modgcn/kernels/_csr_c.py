@@ -42,18 +42,17 @@ of ``maximum`` takes it, by a compare and a select) and ``softmax_scale``
 ``softmax_backward`` (``z * (g - s)``, s the row sum of ``g * z``);
 ``output_delta`` (``(1 - alpha) * (z - y)`` on the training rows and
 ``(1 - alpha) * 0.0`` elsewhere, with the modularity variant's
-``alpha * softmax_backward`` added in the same pass); ``subtract_outer``
-(the modularity operator's rank-one part, ``(k[i] * kh[c]) / 2e``,
-subtracted in place from the fresh A @ H); and ``modularity_terms``
-(``h * bh`` for NumPy's pairwise sum, and the weighted gradient
-``weight * (scale * bh)``). Each rounds once per operation, in the
-order of the NumPy body it replaces. They take rows of 1 to 7 columns,
-each width a compile-time constant; NumPy's row reductions change order
-from 8 columns on, so wider and empty rows, and operands that are not
-C-contiguous, stay in NumPy. Where two NaNs meet in a sum or a product,
-NumPy's loops keep one by rules of their own; a NaN that arithmetic
-makes always has the same bits, so the passes whose operands hold a NaN
-return 1 having written nothing, and the NumPy body runs instead.
+``alpha * softmax_backward`` added in the same pass); and
+``subtract_outer`` (the modularity operator's rank-one part,
+``(k[i] * kh[c]) / 2e``, subtracted in place from the fresh A @ H). Each
+rounds once per operation, in the order of the NumPy body it replaces.
+They take rows of 1 to 7 columns, each width a compile-time constant;
+NumPy's row reductions change order from 8 columns on, so wider and
+empty rows, and operands that are not C-contiguous, stay in NumPy.
+Where two NaNs meet in a sum or a product, NumPy's loops keep one by
+rules of their own; a NaN that arithmetic makes always has the same
+bits, so the passes whose operands hold a NaN return 1 having written
+nothing, and the NumPy body runs instead.
 
 ``spmm``, ``adam`` and the row-wise passes of the layers and of the
 objective have two entry points, built
@@ -440,19 +439,6 @@ ISA int subtract_outer##SUFFIX(int64_t n, int64_t p, double *restrict m,     \
         return 1;                                                            \
     subtract_outer_body(n, (int)p, m, u, v, d);                              \
     return 0;                                                                \
-}                                                                            \
-ISA int modularity_terms##SUFFIX(int64_t n, const double *restrict h,        \
-                                 const double *restrict bh, double scale,    \
-                                 double weight, double *restrict prod,       \
-                                 double *restrict grad)                      \
-{                                                                            \
-    if (has_nan(n, h))                                                       \
-        return 1;                                                            \
-    for (int64_t i = 0; i < n; i++) {                                        \
-        prod[i] = h[i] * bh[i];                                              \
-        grad[i] = weight * (scale * bh[i]);                                  \
-    }                                                                        \
-    return 0;                                                                \
 }
 
 ENTRY_POINTS(, )
@@ -732,8 +718,6 @@ class CompiledKernel:
                                    *[ptr] * 3, f64, f64, ptr, ptr)
         self._subtract_outer = entry("subtract_outer", ctypes.c_int, i64,
                                      i64, *[ptr] * 3, f64)
-        self._modularity_terms = entry("modularity_terms", ctypes.c_int, i64,
-                                       ptr, ptr, f64, f64, ptr, ptr)
         logistic = ctypes.POINTER(_Logistic)
         self._logistic_forward = entry("logistic_forward", None, logistic,
                                        suffix="")
@@ -801,12 +785,15 @@ class CompiledKernel:
         output softmax."""
         _csr_np.check_output_delta(z, onehot, rows, grad_q)
         scored = () if grad_q is None else (grad_q,)
-        at_q = None if grad_q is None else _csr_np.address(grad_q)
         delta = np.empty(z.shape)
+        # the addresses are taken only once the layouts are known to be
+        # C-contiguous: a ctypes view refuses any other writeable array
         if (not _csr_np.compiled_rows(z, onehot, rows, *scored)
                 or self._output_delta(
                     *z.shape, *map(_csr_np.address, (z, onehot, rows)),
-                    1.0 - alpha, alpha, at_q, _csr_np.address(delta))):
+                    1.0 - alpha, alpha,
+                    None if grad_q is None else _csr_np.address(grad_q),
+                    _csr_np.address(delta))):
             return _csr_np.output_delta(z, onehot, rows, alpha, grad_q)
         return delta
 
@@ -819,18 +806,6 @@ class CompiledKernel:
                                                        (m, u, v)), d)):
             return _csr_np.subtract_outer(m, u, v, d)
         return m
-
-    def modularity_terms(self, h, bh, scale, weight):
-        """``_csr_np.modularity_terms`` by the C ``modularity_terms``."""
-        _csr_np.check_matrices(("h", h), ("bh", bh))
-        prod, grad = np.empty(h.shape), np.empty(h.shape)
-        if (not _csr_np.compiled_rows(h, bh)
-                or self._modularity_terms(h.size, _csr_np.address(h),
-                                          _csr_np.address(bh), scale, weight,
-                                          _csr_np.address(prod),
-                                          _csr_np.address(grad))):
-            return _csr_np.modularity_terms(h, bh, scale, weight)
-        return prod, grad
 
     def bind_csr(self, n_rows, n_cols, indptr, indices, data) -> CompiledCsr:
         return CompiledCsr(self._spmm, n_rows, n_cols, indptr, indices, data)

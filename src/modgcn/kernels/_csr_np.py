@@ -3,10 +3,10 @@
 A backend offers ICA's sweeps (``relabel``), the layers' row-wise passes
 (``add_bias``, ``column_sums`` and ``relu_backward``), the objective's
 row passes (``softmax_rows``, ``softmax_rows_backward``,
-``output_delta``, ``subtract_outer`` and ``modularity_terms``), and three
-bindings, which check their fixed operands once so that a later call
-checks only what changes: ``bind_csr`` binds a CSR matrix, whose
-structure :func:`check_csr` checks (``CsrMatrix.validate`` runs it too),
+``output_delta`` and ``subtract_outer``), and three bindings, which
+check their fixed operands once so that a later call checks only what
+changes: ``bind_csr`` binds a CSR matrix, whose structure
+:func:`check_csr` checks (``CsrMatrix.validate`` runs it too),
 ``bind_adam`` a parameter and its moment buffers, and ``bind_logistic``
 a regression on two bound matrices. The compiled backend (``_csr_c``)
 subclasses the bindings and calls :func:`check_sweep`,
@@ -357,7 +357,9 @@ def row_sum(m):
         return m.sum(axis=1, keepdims=True)
     acc = m[:, 0] + 0.0  # NumPy starts from +0.0: a row of -0.0 sums to +0.0
     for j in range(1, m.shape[1]):
-        acc += m[:, j]
+        # out of place: of two NaNs, an add in place into a one-entry acc
+        # keeps the other one than m.sum keeps
+        acc = acc + m[:, j]
     return acc[:, None]
 
 
@@ -434,16 +436,6 @@ def subtract_outer(m, u, v, d):
     check_outer(m, u, v)
     m -= np.outer(u, v) / d
     return m
-
-
-@quiet()
-def modularity_terms(h, bh, scale, weight):
-    """``(h * bh, weight * (scale * bh))``, two new arrays, given H and
-    ``bh`` = B @ H: the entries whose sum is ``tr(H^T B H)``, and
-    ``scale * B @ H``, the gradient of ``scale / 2`` times that trace,
-    weighted as the caller's loss takes it."""
-    check_matrices(("h", h), ("bh", bh))
-    return h * bh, weight * (scale * bh)
 
 
 class LogisticBinding:

@@ -5,11 +5,10 @@ The cross-entropy is summed (not averaged) over the labeled nodes, so the
 trade-off weight alpha keeps the same meaning across label budgets; note
 this interacts with the learning rate when changing budgets.
 
-The passes over the n x k outputs run in the kernel backend with the bits
-of the NumPy expressions they replace: the output logits' gradient
-(``kernels.output_delta``), and the modularity term's entries and
-weighted gradient (``kernels.modularity_terms``). The logarithm and the
-sums of the losses stay in NumPy.
+The output logits' gradient runs in the kernel backend
+(``kernels.output_delta``) with the bits of the NumPy expression it
+replaces. The logarithm, the modularity term's two elementwise products
+and the sums of the losses stay in NumPy.
 """
 
 from dataclasses import dataclass
@@ -81,18 +80,19 @@ def _cross_entropy(z: np.ndarray, mask: LabelMask) -> float:
     return -float(np.sum(np.log(np.maximum(picked, LOG_CLAMP))))
 
 
-def modularity_loss(g: Graph, h: np.ndarray, weight: float = 1.0):
+def modularity_loss(g: Graph, h: np.ndarray):
     """Negated normalized modularity: loss = -tr(H^T B H) / 2e.
 
-    Returns (loss, ``weight`` times its gradient w.r.t. H); B is
-    symmetric, so the gradient is -(2 / 2e) * B @ H, computed through the
-    lazy operator. One kernel pass makes the entries of tr(H^T B H), which
-    NumPy sums pairwise, and the weighted gradient.
+    Returns (loss, gradient w.r.t. H); B is symmetric, so the gradient is
+    -(2 / 2e) * B @ H, computed through the lazy operator. ``h`` must be
+    2-D: ``modularity_apply`` makes a 1-D one a column, against which
+    ``h * bh`` would broadcast to an n x n matrix.
     """
+    if np.ndim(h) != 2:
+        raise ValueError(f"h must be a 2-D array, got shape {np.shape(h)}")
     bh = modularity_apply(g, h)
     two_e = 2.0 * g.num_edges
-    terms, grad = kernels.modularity_terms(h, bh, -(2.0 / two_e), weight)
-    return -float(np.sum(terms)) / two_e, grad
+    return -float(np.sum(h * bh)) / two_e, -(2.0 / two_e) * bh
 
 
 def objective_for(model: Model, graph: Graph, mask: LabelMask):
@@ -116,11 +116,7 @@ def objective_for(model: Model, graph: Graph, mask: LabelMask):
     q, grad_mod = 0.0, None
     if variant != "plain":
         scored = fwd.output if variant == "mod" else fwd.aux_out
-        # the aux head takes alpha * dQ: scaling the upstream gradient by
-        # alpha scales every aux gradient with it, so alpha = 0 yields
-        # exact zeros
-        mod_loss, grad_mod = modularity_loss(
-            graph, scored, 1.0 if variant == "mod" else alpha)
+        mod_loss, grad_mod = modularity_loss(graph, scored)
         q = -mod_loss
 
     # (1 - alpha) * dCE, and for mod alpha * dQ routed through the output
@@ -131,7 +127,10 @@ def objective_for(model: Model, graph: Graph, mask: LabelMask):
     grad_hidden, grads2 = model.layer2.backward_from_pre(fwd.cache2, delta2)
     grads_aux = []
     if model.aux is not None:
-        grad_in_aux, grads_aux = model.aux.backward(fwd.cache_aux, grad_mod)
+        # scaling the upstream gradient by alpha scales every aux gradient
+        # with it, so alpha = 0 yields exact zeros
+        grad_in_aux, grads_aux = model.aux.backward(fwd.cache_aux,
+                                                    alpha * grad_mod)
         grad_hidden = grad_hidden + grad_in_aux
     _, grads1 = model.layer1.backward(fwd.cache1, grad_hidden)
 

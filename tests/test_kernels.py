@@ -105,6 +105,36 @@ def test_numpy_tail_adds_into_out_of_any_layout(layout):
     assert out.tobytes() == expected.tobytes()
 
 
+def _laid_out(a, layout):
+    """A writeable copy of ``a`` in ``layout``: transposed (F-order) or
+    every other column of a wider array."""
+    if layout == "F":
+        return np.ascontiguousarray(a.T).T
+    return np.repeat(a, 2, axis=1)[:, ::2]
+
+
+@pytest.mark.parametrize("layout", ["F", "strided"])
+@pytest.mark.parametrize("width", [3, 7, 9])
+def test_row_passes_take_any_layout_on_every_backend(layout, width,
+                                                     restore_backend):
+    # operands that are not C-contiguous run the NumPy body in both
+    # backends; the compiled one must hand them over, not refuse them
+    rng = np.random.default_rng(width)
+    z, onehot, grad_q = (_laid_out(rng.standard_normal((11, width)), layout)
+                         for _ in range(3))
+    rows = rng.random(11) < 0.5
+    cases = [("softmax_rows", (z,)),
+             ("softmax_rows_backward", (z, grad_q)),
+             ("output_delta", (z, onehot, rows, 0.5)),
+             ("output_delta", (z, onehot, rows, 0.5, grad_q))]
+    for name in kernels.available_backends():
+        kernels.set_backend(name)
+        for op, args in cases:
+            want = getattr(_csr_np, op)(*args)
+            assert getattr(kernels, op)(*args).tobytes() == want.tobytes(), \
+                (name, op)
+
+
 def test_each_backend_is_deterministic(restore_backend):
     rng = np.random.default_rng(6)
     m, _ = _random_csr(rng, 14, 9, density=0.4)

@@ -101,6 +101,12 @@ class TestModularityLoss:
         np.testing.assert_allclose(grad, -(2.0 / (2.0 * g.num_edges)) * b @ h,
                                    atol=1e-12)
 
+    def test_refuses_a_one_dimensional_h(self):
+        # h * B @ H must not broadcast a 1-D h against B @ H's one column
+        g = two_cliques_graph()
+        with pytest.raises(ValueError, match="2-D"):
+            modularity_loss(g, np.ones(8))
+
 
 class TestObjectiveWiring:
     def test_plain_report_has_zero_modularity(self, monkeypatch):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import (example, given, settings,  # noqa: E402
+                        strategies as st)
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from conftest import sequential_spmm, two_cliques_graph  # noqa: E402
@@ -449,8 +450,14 @@ def _check_row_reductions(m):
         _same(row_max(m), m.max(axis=1, keepdims=True))
 
 
+with np.errstate(invalid="ignore"):
+    # one row holding the positive NaN and the negative default one
+    TWO_NANS = np.array([[0.0, math.nan, np.float64(math.inf) - math.inf]])
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(class_matrices())
+@example(TWO_NANS)
 def test_row_reductions_match_numpy_bitwise(m):
     with np.errstate(all="ignore"):
         _check_row_reductions(m)
