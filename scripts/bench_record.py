@@ -14,6 +14,8 @@ timed when the script runs: the C kernel's product of the row-normalised
 feature matrix of the seed-5 perfbench graph with a 16-column W, made as
 training makes it, with the matrix bound (its structure checked) once.
 Records made on another day or machine can be put on one scale by it.
+Without a compiled C kernel it is null, and ``calibration_skipped`` says
+why.
 """
 
 import json
@@ -75,19 +77,26 @@ def summarise(records, declared) -> list:
     return out
 
 
-def calibration() -> dict:
+def calibration():
     """Best and median wall time of the C kernel's X·W on the seed-5
     perfbench graph, X row-normalised as training reads it and bound
-    once, as training's ``x.dot(w)`` is."""
+    once, as training's ``x.dot(w)`` is; None without the C kernel. The
+    active backend is the same before and after."""
+    if "c" not in kernels.available_backends():
+        return None
     labels, edges, features = synth.generate(CALIBRATION_SEED)
     x = preprocess_features(build_graph(edges, features, labels)).feature_csr
     w = np.random.default_rng(0).standard_normal((x.n_cols, CALIBRATION_WIDTH))
+    previous = kernels.backend_name()
     kernels.set_backend("c")
-    times = []
-    for _ in range(CALIBRATION_REPEATS):
-        start = time.perf_counter()
-        x.dot(w)
-        times.append(time.perf_counter() - start)
+    try:
+        times = []
+        for _ in range(CALIBRATION_REPEATS):
+            start = time.perf_counter()
+            x.dot(w)
+            times.append(time.perf_counter() - start)
+    finally:
+        kernels.set_backend(previous)
     best = min(times)
     return {"what": f"C spmm x.dot(w) of X ({x.n_rows} x {x.n_cols}, "
                     f"{x.nnz} stored, perfbench graph seed "
@@ -111,8 +120,12 @@ def main(argv) -> int:
               file=sys.stderr)
         return 1
     summary = {"created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-               "calibration": calibration(),
-               "groups": summarise(records, declared)}
+               "calibration": calibration()}
+    if summary["calibration"] is None:
+        summary["calibration_skipped"] = (
+            f"no compiled C kernel (available backends: "
+            f"{kernels.available_backends()}), so no C product was timed")
+    summary["groups"] = summarise(records, declared)
     out.write_text(json.dumps(summary, indent=1) + "\n")
     print(f"wrote {out}: {len(summary['groups'])} groups from "
           f"{len(records)} records")

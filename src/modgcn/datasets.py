@@ -1,8 +1,10 @@
 """Citation-network ingestion (LINQS plain-text format), feature scaling,
 stratified label sampling, and an optional binary graph cache.
 
-Loaders are pure; every returned Graph is immutable. Network access is out
-of scope: file paths are supplied by the caller (see scripts/fetch_cora.sh).
+Loaders are pure; every returned Graph is immutable and made by
+``sparse.build_graph``: the cache stores its inputs, not the graph. Network
+access is out of scope: file paths are supplied by the caller (see
+scripts/fetch_cora.sh).
 """
 
 import hashlib
@@ -10,18 +12,19 @@ import math
 import os
 import warnings
 import zipfile
+import zlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .sparse import UNLABELED, CsrMatrix, Graph, build_graph
+from .sparse import CsrMatrix, Graph, build_graph, upper_edges
 
 FEATURE_MODES = ("none", "row_normalize")
 
 # part of every cache file name; bump it when the cache layout or the checks
 # on load change, so that older files are ignored rather than misread
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 # loader self-checks: (nodes, feature dim, classes)
 KNOWN_DATASETS = {
@@ -362,49 +365,33 @@ def stratified_split(g: Graph, labels_per_class: int, test_size: int = 1000,
     return Split(train_ids, test_ids, labels_per_class, seed, run_index)
 
 
-def _file_digest(path: Path, h) -> None:
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-
-
 def content_hash(src: DatasetSource) -> str:
     """Hex digest of both dataset files; keys the binary cache."""
     h = hashlib.sha256()
-    _file_digest(src.content_path, h)
-    _file_digest(src.cites_path, h)
+    for path in (src.content_path, src.cites_path):
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
     return h.hexdigest()
 
 
 def save_graph_cache(g: Graph, path: Path) -> None:
-    """Write ``g`` to ``path`` atomically: a crash leaves the old file or none."""
+    """Write ``g``'s ``build_graph`` inputs (see :func:`load_graph_cache`)
+    to ``path`` atomically: a crash leaves the old file or none."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    x = g.feature_csr
     try:
         # a file object, so that numpy does not append ".npz" to the name
         with open(tmp, "wb") as fh:
             np.savez_compressed(
-                fh, **_csr_members("", g.adjacency),
-                **_csr_members("feature_", g.feature_csr),
-                labels=g.labels,
-                meta=np.array([g.adjacency.n_rows, g.adjacency.n_cols,
-                               g.num_classes, g.num_edges,
-                               g.feature_csr.n_cols], dtype=np.int64))
+                fh, edges=upper_edges(g.adjacency),
+                feature_row_offsets=x.row_offsets,
+                feature_col_indices=x.col_indices, feature_values=x.values,
+                feature_width=np.int64(x.n_cols), labels=g.labels)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-
-
-_CSR_FIELDS = ("row_offsets", "col_indices", "values")
-
-
-def _csr_members(prefix: str, m: CsrMatrix) -> dict:
-    return {prefix + name: getattr(m, name) for name in _CSR_FIELDS}
-
-
-def _csr_from(arrays: dict, prefix: str, n_rows: int, n_cols: int) -> CsrMatrix:
-    return CsrMatrix(n_rows, n_cols, *(arrays[prefix + name]
-                                       for name in _CSR_FIELDS))
 
 
 def read_npz(path, what: str, parse):
@@ -425,12 +412,14 @@ def read_npz(path, what: str, parse):
                 _check_npy_header(data.zip, info)
             return parse({name: data[name] for name in data.files})
     except (ValueError, TypeError, KeyError, OSError, EOFError,
-            zipfile.BadZipFile) as exc:
+            zipfile.BadZipFile, zlib.error, NotImplementedError) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed {what} {path}: {detail}") from exc
 
 
 def _check_npy_header(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> None:
+    if info.flag_bits & 0x1:  # which zipfile would refuse as a RuntimeError
+        raise ValueError(f"member {info.filename!r} is flagged as encrypted")
     with archive.open(info) as fh:
         version = np.lib.format.read_magic(fh)
         read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
@@ -443,47 +432,27 @@ def _check_npy_header(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> None:
 
 
 def load_graph_cache(path: Path) -> Graph:
-    """Read a cache written by :func:`save_graph_cache`.
-
-    Raises one ValueError naming ``path`` when the file is unreadable or the
-    graph in it breaks an invariant that later code relies on.
-    """
+    """Rebuild through ``build_graph`` the graph whose inputs
+    :func:`save_graph_cache` wrote to ``path``: its ``upper_edges``, the
+    feature CSR and its width, and the labels. A file that is unreadable,
+    that ``build_graph`` refuses, or whose edges are not the rebuilt graph's
+    ``upper_edges`` is one ValueError naming ``path``."""
     return read_npz(path, "graph cache", _cached_graph)
 
 
 def _cached_graph(arrays: dict) -> Graph:
-    meta = arrays["meta"]
-    if meta.shape != (5,) or np.any(meta < 0):
-        raise ValueError(f"meta must be 5 non-negative counts, got "
-                         f"{meta.dtype} {meta.shape}")
-    n_rows, n_cols, num_classes, num_edges, n_features = (int(v) for v in meta)
-    adjacency = _csr_from(arrays, "", n_rows, n_cols)
-    features = _csr_from(arrays, "feature_", n_rows, n_features)
-    labels = arrays["labels"]
-    _check_cached_graph(adjacency, features, labels, num_classes, num_edges)
-    return Graph(adjacency, features, labels, num_classes, num_edges)
-
-
-def _check_cached_graph(adjacency, features, labels, num_classes, num_edges):
-    n = adjacency.n_rows
-    if features.row_offsets.shape != (n + 1,):
-        raise ValueError(f"features must have {n} rows, got row_offsets of "
-                         f"shape {features.row_offsets.shape}")
-    for what, m in (("adjacency", adjacency), ("features", features)):
-        try:
-            m.validate()
-        except ValueError as exc:
-            raise ValueError(f"{what}: {exc}") from None
-    if adjacency.n_cols != n:
-        raise ValueError(f"adjacency is {adjacency.shape}, not square")
-    if labels.dtype != np.int64 or labels.shape != (n,):
-        raise ValueError(f"labels must be int64 of length {n}, got "
-                         f"{labels.dtype} {labels.shape}")
-    if n and (labels.min() < UNLABELED or labels.max() >= num_classes):
-        raise ValueError(f"labels outside [{UNLABELED}, {num_classes})")
-    if 2 * num_edges != adjacency.nnz:
-        raise ValueError(f"{num_edges} edges recorded but the adjacency "
-                         f"stores {adjacency.nnz} entries")
+    width = arrays["feature_width"]
+    if width.shape != () or not np.issubdtype(width.dtype, np.integer):
+        raise ValueError(f"feature_width must be one integer, got "
+                         f"{width.dtype} {width.shape}")
+    offsets = arrays["feature_row_offsets"]
+    features = CsrMatrix(len(offsets) - 1, int(width), offsets,
+                         arrays["feature_col_indices"], arrays["feature_values"])
+    graph = build_graph(arrays["edges"], features, arrays["labels"])
+    if not np.array_equal(arrays["edges"], upper_edges(graph.adjacency)):
+        raise ValueError("edges are not each edge once as (i, j), i < j, "
+                         "in CSR order")
+    return graph
 
 
 def load_dataset(dataset: str, data_dir: str = "data",

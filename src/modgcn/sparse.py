@@ -158,20 +158,29 @@ def sparse_add(a: CsrMatrix, b: CsrMatrix, ca: float = 1.0, cb: float = 1.0) -> 
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected attributed graph.
+    """Undirected attributed graph, made by :func:`build_graph` (a parse
+    and a cache load both go through it).
 
     adjacency is symmetric, binary, zero-diagonal CSR; feature_csr holds
     the (n, C) node features as canonical CSR; labels holds class ids in
-    0..num_classes-1 with UNLABELED (-1) for nodes without a label. What
-    the graph fixes is derived on first use and lives and dies with the
-    graph object.
+    0..num_classes-1 with UNLABELED (-1) for nodes without a label. The
+    counts and what the graph fixes are derived on first use and live and
+    die with the graph object.
     """
 
     adjacency: CsrMatrix
     feature_csr: CsrMatrix
     labels: np.ndarray
-    num_classes: int
-    num_edges: int
+
+    @cached_property
+    def num_edges(self) -> int:
+        """Undirected edges: each is stored twice in the adjacency."""
+        return self.adjacency.nnz // 2
+
+    @cached_property
+    def num_classes(self) -> int:
+        """The largest label plus one; 0 when no node is labelled."""
+        return int(self.labels.max(initial=UNLABELED)) + 1
 
     @property
     def num_nodes(self) -> int:
@@ -227,35 +236,56 @@ def train_node_ids(ids, num_nodes: int) -> np.ndarray:
 
 
 def build_graph(edge_list, features, labels) -> Graph:
-    """Assemble a Graph from an undirected edge list and a dense or CSR
-    (n, C) feature matrix.
+    """Assemble a Graph from an undirected edge list, (m, 2) node id pairs,
+    and a dense or CSR (n, C) feature matrix.
 
     Self-loops are dropped, duplicate edges (in either orientation) are
-    deduplicated, and the adjacency is symmetrized. Features that break
-    ``CsrMatrix.validate``, a NaN or infinite value among them, are a
-    ValueError.
+    deduplicated, and the adjacency is symmetrized. Node ids and labels
+    follow :func:`node_ids`'s rule: a non-integer dtype is a ValueError,
+    not a cast, and so is an id out of range or a label below UNLABELED.
+    Features that break ``CsrMatrix.validate``, a NaN or infinite value
+    among them, are a ValueError.
     """
     if not isinstance(features, CsrMatrix):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         features = CsrMatrix.from_dense(features)
-    features.validate()
+    try:
+        features.validate()
+    except ValueError as exc:
+        raise ValueError(f"features: {exc}") from None
     n = features.n_rows
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(labels) != n:
-        raise ValueError(f"label list length {len(labels)} != node count {n}")
-    edges = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
-    if len(edges) and (edges.min() < 0 or edges.max() >= n):
-        raise ValueError("node id out of range in edge list")
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or (n and not np.issubdtype(labels.dtype, np.integer)):
+        raise ValueError(f"labels must be {n} integer class ids, got "
+                         f"{labels.dtype} of shape {labels.shape}")
+    # cast first, so that a uint64 label too large for int64 reads as negative
+    labels = labels.astype(np.int64, copy=False)
+    if labels.min(initial=0) < UNLABELED:
+        raise ValueError(f"label {labels.min()} is below {UNLABELED}")
+    edges = node_ids(edge_list if isinstance(edge_list, np.ndarray)
+                     else list(edge_list), "edge list", n)
+    if edges.size and edges.shape[1:] != (2,):
+        raise ValueError(f"edge list must be (m, 2) pairs, not {edges.shape}")
+    edges = edges.reshape(-1, 2)
     edges = edges[edges[:, 0] != edges[:, 1]]  # drop self-loops
     both = np.concatenate([edges, edges[:, ::-1]])
     adjacency = CsrMatrix.from_coo(n, n, both[:, 0], both[:, 1], np.ones(len(both)))
     # duplicates were summed during canonicalization; reset to binary
     adjacency = CsrMatrix(n, n, adjacency.row_offsets, adjacency.col_indices,
                           np.ones(adjacency.nnz))
-    num_classes = int(labels.max()) + 1 if np.any(labels != UNLABELED) else 0
-    return Graph(adjacency, features, labels, num_classes, adjacency.nnz // 2)
+    return Graph(adjacency, features, labels)
+
+
+def upper_edges(adjacency: CsrMatrix) -> np.ndarray:
+    """Each stored (i, j) with i < j, once, as an (m, 2) int64 array in CSR
+    order: the edge list that :func:`build_graph` turns back into a
+    symmetric, binary, zero-diagonal ``adjacency``."""
+    rows = np.repeat(np.arange(adjacency.n_rows, dtype=np.int64),
+                     np.diff(adjacency.row_offsets))
+    upper = rows < adjacency.col_indices
+    return np.stack([rows[upper], adjacency.col_indices[upper]], axis=1)
 
 
 def gcn_support(g: Graph) -> CsrMatrix:

@@ -25,6 +25,22 @@ def random_graph(rng: np.random.Generator, n: int, p: float = 0.3,
     return build_graph(edges, features, labels)
 
 
+def assert_same_graph(got: Graph, want: Graph) -> None:
+    """The same adjacency, feature and label arrays, byte for byte and
+    dtype for dtype, and the same counts."""
+    for name in ("adjacency", "feature_csr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        for field in ("row_offsets", "col_indices", "values"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), (name, field)
+            assert x.tobytes() == y.tobytes(), (name, field)
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert (got.num_edges, got.num_classes) == (want.num_edges,
+                                                want.num_classes)
+
+
 def sequential_spmm(indptr, indices, data, x, out):
     """out + A @ x, one stored entry at a time in stored order: the sums
     every kernel backend must reproduce bit for bit."""

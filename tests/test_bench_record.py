@@ -1,8 +1,10 @@
 """scripts/bench_record.py groups perfbench's records by workload, code
 hash and run length, and summarises each metric as its ``better`` says;
-its calibration product binds the matrix once."""
+its calibration product binds the matrix once, leaves the active backend
+as it found it, and is null without the C kernel."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -83,10 +85,31 @@ def test_calibration_binds_the_matrix_once(bench_record, monkeypatch):
     monkeypatch.setattr(compiled, "bind_csr", bind_csr)
     monkeypatch.setattr(bench_record, "CALIBRATION_REPEATS", 5)
     previous = kernels.backend_name()
+    kernels.set_backend("numpy")
     try:
         figure = bench_record.calibration()
+        # the script times under C and leaves the caller's backend active
+        assert kernels.backend_name() == "numpy"
     finally:
         kernels.set_backend(previous)
     assert len(binds) == 1
     assert figure["repeats"] == 5 and "bound once" in figure["what"]
     assert 0 < figure["best_ms"] <= figure["median_ms"]
+
+
+def test_record_without_the_c_kernel_has_a_null_calibration(
+        bench_record, monkeypatch, tmp_path):
+    from modgcn import kernels
+    monkeypatch.delitem(kernels._BACKENDS, "c", raising=False)
+    declared = json.loads((SCRIPT.parent.parent / "BENCHMARK.json")
+                          .read_text())["end_to_end"]
+    run = record(1, 10.0, 16.0, 0.15)
+    run["result"]["metrics"] = {m["name"]: {"value": 1.0} for m in declared}
+    (tmp_path / "records").mkdir()
+    (tmp_path / "records" / "1.json").write_text(json.dumps(run))
+    out = tmp_path / "bench.json"
+    assert bench_record.main([str(out), str(tmp_path / "records")]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["calibration"] is None
+    assert "no compiled C kernel" in summary["calibration_skipped"]
+    assert [g["n"] for g in summary["groups"]] == [1]

@@ -1,19 +1,24 @@
 """LINQS parsing, feature scaling, stratified splits, and the graph cache."""
 
 import dataclasses
+import importlib.util
 import io
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import TINY_CITES, TINY_CONTENT, write_tiny_dataset
+from conftest import (TINY_CITES, TINY_CONTENT, assert_same_graph,
+                      write_tiny_dataset)
 from modgcn import datasets
 from modgcn.datasets import (DatasetSource, Split, content_hash,
                              load_dataset, load_graph_cache, load_linqs,
                              preprocess_features, resolve_dataset,
                              save_graph_cache, stratified_split)
-from modgcn.sparse import CsrMatrix, build_graph
+from modgcn.sparse import CsrMatrix, build_graph, upper_edges
+
+SYNTH = Path(__file__).resolve().parent.parent / "perfbench" / "synth.py"
 
 
 def tiny_source(tmp_path, content=TINY_CONTENT, cites=TINY_CITES):
@@ -335,7 +340,7 @@ class TestCache:
         write_tiny_dataset(tmp_path)
         g1 = load_dataset(str(tmp_path / "tiny"), str(tmp_path))
         caches = list((tmp_path / ".cache").glob("*.npz"))
-        assert [c.name[:len("tiny-v3-")] for c in caches] == ["tiny-v3-"]
+        assert [c.name[:len("tiny-v4-")] for c in caches] == ["tiny-v4-"]
         g2 = load_dataset(str(tmp_path / "tiny"), str(tmp_path))
         np.testing.assert_array_equal(g1.features, g2.features)
         np.testing.assert_array_equal(g1.adjacency.to_dense(),
@@ -383,8 +388,9 @@ class TestCache:
             g.num_nodes, g.num_nodes, g.adjacency.row_offsets,
             np.where(np.arange(g.adjacency.nnz) == g.adjacency.nnz - 1,
                      g.num_nodes, g.adjacency.col_indices),
-            g.adjacency.values)), "column index out of range"),
-        (lambda g: with_features(g, n_rows=29), "features must have 30 rows"),
+            g.adjacency.values)), "edge list out of range"),
+        (lambda g: with_features(g, n_rows=29),
+         "labels must be 29 integer class ids"),
         (lambda g: with_features(g, last_col=3),
          "features: column index out of range"),
         (lambda g: with_features(g, last_col=0),
@@ -394,11 +400,9 @@ class TestCache:
         (lambda g: with_features(g, last_value=np.nan),
          "features: non-finite value stored"),
         (lambda g: dataclasses.replace(g, labels=g.labels[:-1]),
-         "labels must be int64 of length 30"),
-        (lambda g: dataclasses.replace(g, num_edges=g.num_edges + 1),
-         "edges recorded"),
+         "labels must be 30 integer class ids"),
     ], ids=["column", "feature_rows", "feature_column", "feature_order",
-            "feature_zero", "feature_nan", "label_count", "edge_count"])
+            "feature_zero", "feature_nan", "label_count"])
     def test_malformed_cache_is_one_error_naming_the_file(
             self, tmp_path, corrupt, message):
         path = tmp_path / "bad.npz"
@@ -408,24 +412,93 @@ class TestCache:
         assert str(path) in str(err.value)
         assert "\n" not in str(err.value)
 
-    @pytest.mark.parametrize("meta, emptied", [
-        ([30, 30, 4, 10], ()),
-        ([-1, -1, 0, 0, 3], ("row_offsets.npy", "feature_row_offsets.npy")),
-    ], ids=["v2_meta", "negative_count"])
-    def test_bad_meta_is_one_error_naming_the_file(self, tmp_path, meta,
-                                                   emptied):
-        # a format-2 meta (no feature count) in a file under a v3 name, and
-        # a negative node count whose CSR arrays are empty to match
+    @pytest.mark.parametrize("member, forge, message", [
+        ("edges", lambda e: np.vstack([[0, 0], e]), "not each edge once"),
+        ("edges", lambda e: np.vstack([e[0, ::-1], e[1:]]),
+         "not each edge once"),
+        ("edges", lambda e: np.vstack([e[:1], e]), "not each edge once"),
+        ("edges", lambda e: e[[1, 0, *range(2, len(e))]],
+         "not each edge once"),
+        ("edges", lambda e: np.vstack([e, [[0, 30]]]),
+         "edge list out of range"),
+        ("edges", lambda e: np.vstack([[[-1, 0]], e]),
+         "edge list out of range"),
+        ("edges", lambda e: e.astype(np.float64),
+         "edge list must be integer node ids, not float64"),
+        ("edges", lambda e: e.ravel(), r"must be \(m, 2\) pairs"),
+        ("labels", lambda y: y.astype(np.float64),
+         "labels must be 30 integer class ids, got float64"),
+        ("labels", lambda y: y == 1, "labels must be 30 integer class ids"),
+        ("labels", lambda y: np.where(y == 1, -2, y), "label -2 is below -1"),
+        ("labels", lambda y: np.append(y, 0),
+         "labels must be 30 integer class ids"),
+        ("feature_width", lambda w: w.astype(np.float64),
+         "feature_width must be one integer"),
+    ], ids=["self_loop", "reversed", "duplicated", "out_of_order",
+            "id_too_large", "negative_id", "float_ids", "flat_edges",
+            "float_labels", "boolean_labels", "label_below_unlabeled",
+            "label_count", "float_width"])
+    def test_forged_cache_is_one_error_naming_the_file(
+            self, tmp_path, member, forge, message):
+        # the stored arrays are build_graph's inputs, and a load refuses
+        # what build_graph refuses and an edge list that is not the
+        # rebuilt graph's own
         path = tmp_path / "bad.npz"
         save_graph_cache(synthetic_graph(n=30), path)
-        replace_member(path, "meta.npy", np.array(meta))
-        for name in emptied:
-            replace_member(path, name, np.zeros(0, dtype=np.int64))
-        with pytest.raises(ValueError, match="meta must be 5 non-negative "
-                                             "counts") as err:
+        with np.load(path) as data:
+            replace_member(path, f"{member}.npy", forge(data[member]))
+        with pytest.raises(ValueError, match=message) as err:
             load_graph_cache(path)
         assert str(path) in str(err.value)
         assert "\n" not in str(err.value)
+
+    def test_format_3_members_under_a_v4_name(self, tmp_path):
+        # the adjacency's own arrays and the count meta of format 3, one
+        # adjacency entry forged to 2.0: the load needs format 4's members
+        g = synthetic_graph(n=30)
+        a, x = g.adjacency, g.feature_csr
+        path = tmp_path / f"g-v{datasets.CACHE_FORMAT}-0.npz"
+        np.savez_compressed(
+            path, row_offsets=a.row_offsets, col_indices=a.col_indices,
+            values=np.where(np.arange(a.nnz) == 0, 2.0, a.values),
+            feature_row_offsets=x.row_offsets,
+            feature_col_indices=x.col_indices, feature_values=x.values,
+            labels=g.labels,
+            meta=np.array([30, 30, g.num_classes, g.num_edges, x.n_cols]))
+        with pytest.raises(ValueError, match="missing") as err:
+            load_graph_cache(path)
+        assert str(path) in str(err.value)
+
+    def test_stored_edges_are_the_upper_triangle_in_csr_order(self, tmp_path):
+        g = synthetic_graph(n=30)
+        path = tmp_path / "g.npz"
+        save_graph_cache(g, path)
+        with np.load(path) as data:
+            edges = data["edges"]
+            assert sorted(data.files) == [
+                "edges", "feature_col_indices", "feature_row_offsets",
+                "feature_values", "feature_width", "labels"]
+        assert edges.dtype == np.int64 and edges.shape == (g.num_edges, 2)
+        assert np.all(edges[:, 0] < edges[:, 1])
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        np.testing.assert_array_equal(order, np.arange(len(edges)))
+        np.testing.assert_array_equal(edges, upper_edges(g.adjacency))
+
+    def test_cached_graph_is_the_parsed_graph_byte_for_byte(self, tmp_path):
+        # the tiny fixture and a cora-shaped graph from perfbench's generator
+        spec = importlib.util.spec_from_file_location("synth", SYNTH)
+        synth = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(synth)
+        write_tiny_dataset(tmp_path)
+        synth.write_linqs(tmp_path / "synthcora", "synthcora", 5,
+                          *synth.generate(5))
+        for name in ("tiny", "synthcora"):
+            src = resolve_dataset(str(tmp_path / name), str(tmp_path))
+            parsed = load_linqs(src)
+            save_graph_cache(parsed, tmp_path / f"{name}.npz")
+            assert_same_graph(load_graph_cache(tmp_path / f"{name}.npz"),
+                              parsed)
+        assert parsed.num_nodes == 2708 and parsed.num_classes == 7
 
     def test_member_header_claiming_more_than_it_stores(self, tmp_path):
         # a header claiming 10**10 float64 entries must allocate nothing

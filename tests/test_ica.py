@@ -168,7 +168,7 @@ class TestIca:
 
     def test_one_class_graph_is_an_error(self):
         # as build_model refuses it: a regression takes two classes up
-        g = build_graph([(0, 1), (1, 2)], np.eye(3), np.zeros(3))
+        g = build_graph([(0, 1), (1, 2)], np.eye(3), np.zeros(3, np.int64))
         with pytest.raises(ValueError, match="at least 2 label classes"):
             ica_train_predict(g, np.array([0]), np.array([2]))
 

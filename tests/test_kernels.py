@@ -596,7 +596,7 @@ def test_both_backends_refuse_the_same_operands(fault, restore_backend):
 def _sweep_operands():
     """A 4-node path 0-1-2-3 in 2 classes, nodes 1 and 2 swept."""
     adjacency = build_graph([(0, 1), (1, 2), (2, 3)], np.zeros((4, 1)),
-                            np.zeros(4)).adjacency
+                            np.zeros(4, np.int64)).adjacency
     state = np.array([0, 1, 0, 1], dtype=np.int64)
     base_logits = np.array([[0.0, 1.0]] * 4)
     w_rel = np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -658,7 +658,7 @@ def test_compiled_sweep_scores_a_wide_hub_in_c(leaves, k, monkeypatch,
     # with no help from the NumPy sweeps at any degree or class count
     n = leaves + 1
     adjacency = build_graph([(0, j) for j in range(1, n)], np.zeros((n, 1)),
-                            np.zeros(n)).adjacency
+                            np.zeros(n, np.int64)).adjacency
     rng = np.random.default_rng(leaves + k)
     state = rng.integers(0, k, n)
     base_logits, w_rel = rng.standard_normal((n, k)), rng.standard_normal((k, k))
@@ -682,7 +682,8 @@ def test_compiled_sweep_reads_a_strided_w_rel_as_numpy_does(restore_backend):
     n, k = 40, 4
     rng = np.random.default_rng(7)
     edges = [tuple(e) for e in rng.integers(0, n, (120, 2))]
-    adjacency = build_graph(edges, np.zeros((n, 1)), np.zeros(n)).adjacency
+    adjacency = build_graph(edges, np.zeros((n, 1)),
+                            np.zeros(n, np.int64)).adjacency
     state = rng.integers(0, k, n)
     base_logits = rng.standard_normal((n, k))
     wide = rng.standard_normal((k, 2 * k)) * 4.0

@@ -1,5 +1,7 @@
 """Loss values, fused gradients, and the per-variant objective wiring."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,8 +44,7 @@ class TestLabelMask:
         g = two_cliques_graph()
         labels = g.labels.copy()
         labels[0] = -1
-        g2 = type(g)(g.adjacency, g.feature_csr, labels, g.num_classes,
-                     g.num_edges)
+        g2 = dataclasses.replace(g, labels=labels)
         with pytest.raises(ValueError, match="unlabeled"):
             LabelMask.from_graph(g2, [0])
 

@@ -8,8 +8,10 @@ the two backends' Adam steps byte for byte, and exact round
 trips of the results CSV, of checkpoints and of the graph cache's features
 (need the `test` extras)."""
 
+import io
 import math
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ from hypothesis import (example, given, settings,  # noqa: E402
                         strategies as st)
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from conftest import sequential_spmm, two_cliques_graph  # noqa: E402
+from conftest import (assert_same_graph, sequential_spmm,  # noqa: E402
+                      two_cliques_graph)
 from test_ica import sequential_steps  # noqa: E402
 from modgcn import kernels  # noqa: E402
 from modgcn import datasets  # noqa: E402
@@ -35,9 +38,10 @@ from modgcn.kernels import _csr_np, relabel  # noqa: E402
 from modgcn.kernels._csr_np import row_max, row_sum  # noqa: E402
 from modgcn.layers import softmax_rows, softmax_rows_backward  # noqa: E402
 from modgcn.model import (ENCODERS, VARIANTS, ModelSpec, build_model,  # noqa: E402
-                          load_checkpoint, save_checkpoint)
+                          load_checkpoint, load_model, save_checkpoint)
 from modgcn.optim import BETA1, BETA2, EPS, AdamState, adam_step  # noqa: E402
-from modgcn.sparse import CsrMatrix, build_graph, sparse_add  # noqa: E402
+from modgcn.sparse import (CsrMatrix, build_graph, sparse_add,  # noqa: E402
+                           upper_edges)
 
 # small exact values, so duplicates can cancel to exact zeros and every
 # sum below is exact
@@ -323,6 +327,157 @@ def test_feature_csr_cache_round_trip_is_bitwise(m):
         _same(getattr(back, name), getattr(want, name))
 
 
+# A mutated graph cache or checkpoint, the two inputs read_npz serves:
+# each either is one ValueError that names the file, or loads what a fresh
+# load of the original gives.
+def _npz_members(raw: bytes) -> dict:
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        return {info.filename: archive.read(info)
+                for info in archive.infolist()}
+
+
+def _npz_bytes(members: dict) -> bytes:
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", zipfile.ZIP_DEFLATED) as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return buf.getvalue()
+
+
+MUTANT_DTYPES = (np.float64, np.float32, np.int64, np.int32, np.bool_)
+
+
+@st.composite
+def npz_mutants(draw, raw: bytes) -> bytes:
+    """``raw`` with one bit flipped, cut short, a member dropped, or a
+    member replaced by an array of another dtype (its values cast where
+    they cast) or of another number of dimensions."""
+    kind = draw(st.sampled_from(["flip", "truncate", "drop", "replace"]))
+    if kind == "flip":
+        bit = draw(st.integers(0, 8 * len(raw) - 1))
+        out = bytearray(raw)
+        out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    members = _npz_members(raw)
+    name = draw(st.sampled_from(sorted(members)))
+    if kind == "drop":
+        del members[name]
+        return _npz_bytes(members)
+    arr = np.load(io.BytesIO(members[name]))
+    if draw(st.booleans()):
+        dtype = draw(st.sampled_from(MUTANT_DTYPES).filter(
+            lambda d: d != arr.dtype))
+        try:
+            arr = arr.astype(dtype)
+        except (ValueError, TypeError):
+            arr = np.zeros(arr.shape, dtype)
+    else:
+        arr = draw(st.sampled_from([
+            arr[None], arr[:, None] if arr.ndim == 1 else arr.reshape(-1)]))
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr)
+    members[name] = buf.getvalue()
+    return _npz_bytes(members)
+
+
+def _loads_the_original_or_names_the_file(mutant: bytes, load, check):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.npz"
+        path.write_bytes(mutant)
+        try:
+            got = load(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+    check(got)
+
+
+def _fuzz_graph():
+    rng = np.random.default_rng(3)
+    n = 12
+    labels = np.arange(n) % 3
+    labels[[2, 7]] = -1
+    return build_graph(rng.integers(0, n, (30, 2)),
+                       rng.integers(0, 2, (n, 5)) * rng.random((n, 5)),
+                       labels)
+
+
+def _saved(save, obj) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "original.npz"
+        save(obj, path)
+        return path.read_bytes()
+
+
+FUZZ_GRAPH = _fuzz_graph()
+FUZZ_CACHE = _saved(save_graph_cache, FUZZ_GRAPH)
+FUZZ_MODEL = build_model(ModelSpec(variant="aux", alpha=0.5),
+                         two_cliques_graph())
+FUZZ_CHECKPOINT = _saved(save_checkpoint, FUZZ_MODEL)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(npz_mutants(FUZZ_CACHE))
+def test_mutated_graph_cache_names_the_file_or_loads_the_original(mutant):
+    _loads_the_original_or_names_the_file(
+        mutant, load_graph_cache,
+        lambda got: assert_same_graph(got, FUZZ_GRAPH))
+
+
+def _same_model(got):
+    assert got.spec == FUZZ_MODEL.spec
+    want = FUZZ_MODEL.params()
+    assert list(got.params()) == list(want)
+    for name, value in got.params().items():
+        _same(value, want[name])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(npz_mutants(FUZZ_CHECKPOINT))
+def test_mutated_checkpoint_names_the_file_or_loads_the_original(mutant):
+    _loads_the_original_or_names_the_file(
+        mutant, lambda path: load_model(path, two_cliques_graph()),
+        _same_model)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_a_loaded_cache_meets_the_modularity_assumptions(data):
+    # whatever edge list and labels a cache holds, the graph it loads has
+    # a symmetric, binary, zero-diagonal adjacency whose row sums are its
+    # degrees, and only the canonical edge list of that graph loads
+    n = data.draw(st.integers(1, 7), label="n")
+    node = st.integers(-1, n)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=16))
+    if data.draw(st.booleans(), label="canonical"):
+        pairs = sorted({(min(p), max(p)) for p in pairs
+                        if p[0] != p[1] and 0 <= min(p) and max(p) < n})
+    edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    labels = np.array(data.draw(st.lists(st.integers(-2, 3), min_size=n,
+                                         max_size=n)), dtype=np.int64)
+    x = CsrMatrix.identity(n)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.npz"
+        np.savez_compressed(
+            path, edges=edges, feature_row_offsets=x.row_offsets,
+            feature_col_indices=x.col_indices, feature_values=x.values,
+            feature_width=np.int64(n), labels=labels)
+        try:
+            g = load_graph_cache(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+            return
+    a = g.adjacency.to_dense()
+    np.testing.assert_array_equal(a, a.T)
+    assert np.all((a == 0.0) | (a == 1.0)) and not np.any(np.diag(a))
+    _same(g.degrees, a.sum(axis=1))
+    assert 2 * g.num_edges == a.sum()
+    _same(upper_edges(g.adjacency), edges)
+    assert labels.min() >= -1 and g.num_classes == max(labels.max() + 1, 0)
+
+
 UNIT = st.floats(0.0, 1.0)
 COUNT = st.integers(0, 2**62)
 
@@ -525,7 +680,7 @@ def classifier_inputs(draw):
                                   st.one_of(ZEROS, FINITE)))
     empty = draw(every_element(np.bool_, n, st.booleans()))
     features[empty] = 0.0
-    g = build_graph([], features, np.zeros(n))
+    g = build_graph([], features, np.zeros(n, np.int64))
     ids = np.array(draw(st.permutations(range(n)))[:draw(st.integers(0, n))],
                    dtype=np.int64)
     counts = None
@@ -583,7 +738,7 @@ def sweep_inputs(draw):
         edges += [(0, total + j) for j in range(HUB_LEAVES)]
         total += HUB_LEAVES
     adjacency = build_graph(edges, np.zeros((total, 1)),
-                            np.zeros(total)).adjacency
+                            np.zeros(total, np.int64)).adjacency
     swept = each(np.bool_, total, st.booleans())
     swept[0] |= wide
     return (adjacency, each(np.int64, total, st.integers(0, k - 1)),
@@ -631,7 +786,7 @@ def test_node_marked_earlier_in_a_sweep_is_visited_in_it():
     # flips node 0 first, and node 1 must be re-scored in that same sweep,
     # where it flips too; deferred to sweep 3, the run takes 4 sweeps.
     adjacency = build_graph([(0, 1), (0, 2)], np.zeros((3, 1)),
-                            np.zeros(3)).adjacency
+                            np.zeros(3, np.int64)).adjacency
     base_logits = np.array([[0.0, -1.0], [1.0, 1.0], [-2.0, 1.0]])
     w_rel = np.array([[1.0, 1.0], [-2.0, 2.0]])
     state = np.zeros(3, dtype=np.int64)

@@ -1,6 +1,8 @@
 """CSR container invariants, graph construction, the normalized operators,
 and the lazy modularity application against dense oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,52 @@ class TestBuildGraph:
         assert g.num_classes == 3
         with pytest.raises(ValueError):
             build_graph([(0, 5)], feats, np.array([0, 1]))
+
+    @pytest.mark.parametrize("edges, labels, message", [
+        ([(0.9, 2.5)], [0, 1, 2],
+         "edge list must be integer node ids, not float64"),
+        (np.array([[0, 2]], dtype=np.float32), [0, 1, 2],
+         "edge list must be integer node ids, not float32"),
+        ([(True, False)], [0, 1, 2], "edge list must be integer node ids"),
+        ([(0, 2)], [0.7, 1.2, 2.9],
+         "labels must be 3 integer class ids, got float64"),
+        ([(0, 2)], [True, False, True],
+         "labels must be 3 integer class ids, got bool"),
+        ([(0, 2)], [0, -2, 1], "label -2 is below -1"),
+        ([(0, 2)], np.array([0, 2**63, 1], dtype=np.uint64),
+         "is below -1"),
+        ([(0, 2)], [[0, 1, 2]], r"got int64 of shape \(1, 3\)"),
+        (np.array([[0, 1, 2]]), [0, 1, 2], r"must be \(m, 2\) pairs"),
+        (np.array([0, 1, 1, 2]), [0, 1, 2], r"must be \(m, 2\) pairs"),
+    ], ids=["float_ids", "float32_ids", "boolean_ids", "float_labels",
+            "boolean_labels", "label_below_unlabeled", "uint64_label",
+            "label_matrix", "triples", "flat_ids"])
+    def test_ids_and_labels_are_refused_not_cast(self, edges, labels,
+                                                 message):
+        # floats truncate and booleans read as 1 and 0 under a cast
+        with pytest.raises(ValueError, match=message):
+            build_graph(edges, np.eye(3), labels)
+
+    def test_integer_edge_array_is_taken_as_it_is(self):
+        pairs = [(2, 0), (0, 1), (1, 2), (0, 1)]
+        want = build_graph(pairs, np.eye(3), np.array([0, -1, 1]))
+        for edges in (np.array(pairs), np.array(pairs, dtype=np.int32),
+                      np.array(pairs, dtype=np.uint8)):
+            g = build_graph(edges, np.eye(3), np.array([0, -1, 1]))
+            np.testing.assert_array_equal(g.adjacency.row_offsets,
+                                          want.adjacency.row_offsets)
+            np.testing.assert_array_equal(g.adjacency.col_indices,
+                                          want.adjacency.col_indices)
+            assert g.adjacency.col_indices.dtype == np.int64
+        assert (g.num_edges, g.num_classes) == (3, 2)
+
+    def test_counts_are_derived(self):
+        g = build_graph([], np.zeros((2, 1)), np.array([-1, -1]))
+        assert (g.num_edges, g.num_classes) == (0, 0)
+        assert [f.name for f in dataclasses.fields(g)] == [
+            "adjacency", "feature_csr", "labels"]
+        g = build_graph(np.zeros((0, 2), np.int64), np.zeros((0, 1)), [])
+        assert (g.num_nodes, g.num_edges, g.num_classes) == (0, 0, 0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("form", ["dense", "csr"])
